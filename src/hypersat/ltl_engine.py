@@ -3,9 +3,14 @@
 States are saturated, locally consistent obligation sets over the closure
 of the input formula.  A transition moves to any saturation of the next-
 step obligations.  One acceptance set per Until subformula rules out runs
-that postpone an eventuality forever.  Every choice below iterates in a
-canonical order so identical inputs yield identical automata and witnesses
-across processes.
+that postpone an eventuality forever.
+
+The closure is indexed once: each distinct subformula gets one bit, and
+bits are numbered in the canonical formula order, so the tableau runs on
+int bitmasks and ascending bit order is formula order.  Every choice below
+iterates in that order, so identical inputs yield identical automata and
+witnesses across processes.  The finished automaton hands its states out
+as frozensets of closure formulas.
 """
 
 from __future__ import annotations
@@ -25,132 +30,214 @@ from .syntax import (
     Release,
     Until,
     desugar,
-    sort_key,
     to_nnf,
 )
 
 State = frozenset
 
-
-def _state_key(state: State):
-    return tuple(sorted(sort_key(f) for f in state))
-
-
-def _check_nnf_core(formula: Formula) -> None:
-    match formula:
-        case Atom() | Const():
-            pass
-        case Not(Atom()):
-            pass
-        case Next(e):
-            _check_nnf_core(e)
-        case And(a, b) | Or(a, b) | Until(a, b) | Release(a, b):
-            _check_nnf_core(a)
-            _check_nnf_core(b)
-        case _:
-            raise ValueError(
-                f"automaton construction needs a desugared NNF formula, "
-                f"found {formula!r}"
-            )
+# Node ranks of the canonical order (see _index).
+_RANKS = {
+    Atom: 0, Const: 1, Not: 2, Next: 3, And: 4, Or: 5, Until: 6, Release: 7
+}
 
 
-def _closure_untils(formula: Formula) -> list[Until]:
-    found = set()
-
-    def walk(f: Formula) -> None:
-        match f:
-            case Atom() | Const() | Not():
-                pass
-            case Next(e):
-                walk(e)
-            case And(a, b) | Or(a, b):
-                walk(a)
-                walk(b)
-            case Until(a, b):
-                found.add(f)
-                walk(a)
-                walk(b)
-            case Release(a, b):
-                walk(a)
-                walk(b)
-
-    walk(formula)
-    return sorted(found, key=sort_key)
+def _bits(mask: int) -> tuple[int, ...]:
+    """Set-bit indices of a mask, ascending: a state's canonical key."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
-def _consistent(members: State) -> bool:
-    for f in members:
-        match f:
-            case Const(False):
-                return False
-            case Not(Atom() as a):
-                if a in members:
-                    return False
-            case _:
-                pass
-    return True
+def _index(formula: Formula):
+    """The distinct subformulas of a desugared NNF formula in canonical
+    order, with each one's operand positions.
 
-
-def _expansions(f: Formula) -> list[set]:
-    """Branch alternatives for satisfying f at the current position.  The
-    next-step half of Until/Release is handled by _next_obligations."""
-    match f:
-        case Atom() | Const(True) | Not() | Next():
-            return [set()]
-        case Const(False):
-            return []
-        case And(a, b):
-            return [{a, b}]
-        case Or(a, b):
-            return [{a}, {b}]
-        case Until(a, b):
-            return [{b}, {a}]
-        case Release(a, b):
-            return [{a, b}, {b}]
-        case _:
-            raise ValueError(f"unexpected node {f!r}")
-
-
-def _saturate(seed) -> tuple[State, ...]:
-    """All saturated consistent extensions of the seed obligations."""
-    results = set()
-    start = (frozenset(seed), frozenset(seed))
-    seen = {start}
-    stack = [start]
+    One iterative walk hash-conses the nodes by (rank, operand ids), so no
+    recursive hash or equality runs on deep formulas.  The canonical order
+    compares rank first, then leaves by payload and compound nodes by
+    their operands, left to right.  Each node is sorted by its pre-order
+    token string: one byte of rank per node, and after a leaf's rank its
+    four-byte position among the sorted leaves.  The rank fixes each
+    token's length and arity, so the strings are prefix-free and sort
+    exactly like the nested key."""
+    ids: dict[int, int] = {}  # id(node) -> hash-consed id
+    by_sig: dict[tuple, int] = {}
+    nodes: list[Formula] = []
+    ranks: list[int] = []
+    operands: list[tuple[int, ...]] = []
+    leaves: dict[int, tuple] = {}  # hash-consed id -> leaf sort key
+    stack = [formula]
     while stack:
-        members, pending = stack.pop()
-        if not _consistent(members):
+        f = stack[-1]
+        if id(f) in ids:
+            stack.pop()
             continue
-        if not pending:
-            results.add(members)
-            continue
-        f = min(pending, key=sort_key)
-        rest = pending - {f}
-        for addition in _expansions(f):
-            new_members = members | addition
-            new_pending = rest | (frozenset(addition) - members)
-            item = (new_members, new_pending)
-            if item not in seen:
-                seen.add(item)
-                stack.append(item)
-    return tuple(sorted(results, key=_state_key))
-
-
-def _next_obligations(state: State) -> frozenset:
-    out = set()
-    for f in state:
         match f:
-            case Next(e):
-                out.add(e)
-            case Until(_, b):
-                if b not in state:
-                    out.add(f)
-            case Release(a, _):
-                if a not in state:
-                    out.add(f)
+            case Atom(name, trace):
+                sig = (0, name, trace)
+                leaf = (0, name, trace or "")
+            case Const(value):
+                sig = leaf = (1, value)
+            case Not(Atom()) | Next() | And() | Or() | Until() | Release():
+                if isinstance(f, (Not, Next)):
+                    kids = (f.operand,)
+                else:
+                    kids = (f.left, f.right)
+                missing = [k for k in kids if id(k) not in ids]
+                if missing:
+                    stack.extend(reversed(missing))
+                    continue
+                sig = (_RANKS[type(f)], *(ids[id(k)] for k in kids))
+                leaf = None
             case _:
-                pass
-    return frozenset(out)
+                raise ValueError(
+                    f"automaton construction needs a desugared NNF formula, "
+                    f"found {f!r}"
+                )
+        stack.pop()
+        known = by_sig.get(sig)
+        if known is None:
+            known = by_sig[sig] = len(nodes)
+            nodes.append(f)
+            ranks.append(sig[0])
+            if leaf is None:
+                operands.append(sig[1:])
+            else:
+                operands.append(())
+                leaves[known] = leaf
+        ids[id(f)] = known
+    leaf_code = {
+        n: i.to_bytes(4, "big")
+        for i, n in enumerate(sorted(leaves, key=leaves.__getitem__))
+    }
+    tokens: list[bytes] = []  # operands precede their parents in nodes
+    for n, parts in enumerate(operands):
+        head = bytes((ranks[n],))
+        if parts:
+            tokens.append(head + b"".join([tokens[p] for p in parts]))
+        else:
+            tokens.append(head + leaf_code[n])
+    order = sorted(range(len(nodes)), key=tokens.__getitem__)
+    position = [0] * len(nodes)
+    for pos, node in enumerate(order):
+        position[node] = pos
+    return (
+        [nodes[n] for n in order],
+        [tuple(position[p] for p in operands[n]) for n in order],
+        position[ids[id(formula)]],
+    )
+
+
+class _Tableau:
+    """Per-bit tables over the indexed closure, and saturation on ints."""
+
+    def __init__(self, formula: Formula):
+        self.nodes, operands, root = _index(formula)
+        self.root = 1 << root
+        n = len(self.nodes)
+        # branch alternatives for satisfying a bit at the current position
+        self.expansions: list[tuple[int, ...]] = [(0,)] * n
+        # bits that contradict a bit: the complementary literal, or FALSE
+        self.clash = [0] * n
+        # next-step obligation of a temporal bit, and the bit discharging it
+        self.step = [0] * n
+        self.guard = [0] * n
+        self.temporal = 0
+        self.literals = 0
+        self.atoms = 0
+        self.untils: list[tuple[int, int]] = []
+        for i, (f, parts) in enumerate(zip(self.nodes, operands)):
+            kids = [1 << p for p in parts]
+            match f:
+                case Atom():
+                    self.atoms |= 1 << i
+                case Const(False):
+                    self.expansions[i] = ()
+                    self.clash[i] = 1 << i
+                    self.literals |= 1 << i
+                case Not():
+                    atom = parts[0]
+                    self.clash[i] = 1 << atom
+                    self.clash[atom] |= 1 << i
+                    self.literals |= (1 << i) | (1 << atom)
+                case Next():
+                    self.step[i] = kids[0]
+                    self.temporal |= 1 << i
+                case And():
+                    self.expansions[i] = (kids[0] | kids[1],)
+                case Or():
+                    self.expansions[i] = (kids[0], kids[1])
+                case Until():
+                    self.expansions[i] = (kids[1], kids[0])
+                    self.step[i] = 1 << i
+                    self.guard[i] = kids[1]
+                    self.temporal |= 1 << i
+                    self.untils.append((1 << i, kids[1]))
+                case Release():
+                    self.expansions[i] = (kids[0] | kids[1], kids[1])
+                    self.step[i] = 1 << i
+                    self.guard[i] = kids[0]
+                    self.temporal |= 1 << i
+        self._saturations: dict[int, tuple[int, ...]] = {}
+        self._keys: dict[int, tuple[int, ...]] = {}
+
+    def key(self, mask: int) -> tuple[int, ...]:
+        """The canonical sort key of a state, memoized per mask."""
+        found = self._keys.get(mask)
+        if found is None:
+            found = self._keys[mask] = _bits(mask)
+        return found
+
+    def _consistent(self, members: int, added: int) -> bool:
+        """Whether adding the bits of added to members clashes nothing."""
+        literals = added & self.literals
+        while literals:
+            low = literals & -literals
+            if members & self.clash[low.bit_length() - 1]:
+                return False
+            literals ^= low
+        return True
+
+    def saturate(self, seed: int) -> tuple[int, ...]:
+        """All saturated consistent extensions of the seed obligations, in
+        canonical order; memoized per obligation mask."""
+        done = self._saturations.get(seed)
+        if done is not None:
+            return done
+        results = set()
+        start = (seed, seed)
+        seen = {start}
+        stack = [start] if self._consistent(seed, seed) else []
+        while stack:
+            members, pending = stack.pop()
+            if not pending:
+                results.add(members)
+                continue
+            low = pending & -pending
+            rest = pending ^ low
+            for addition in self.expansions[low.bit_length() - 1]:
+                added = addition & ~members
+                grown = members | added
+                if added and not self._consistent(grown, added):
+                    continue
+                item = (grown, rest | added)
+                if item not in seen:
+                    seen.add(item)
+                    stack.append(item)
+        done = self._saturations[seed] = tuple(sorted(results, key=self.key))
+        return done
+
+    def obligations(self, state: int) -> int:
+        """What a state leaves for the next position: the operand of each
+        Next, and each Until/Release not yet discharged here."""
+        out = 0
+        for i in _bits(state & self.temporal):
+            if not state & self.guard[i]:
+                out |= self.step[i]
+        return out
 
 
 @dataclass
@@ -169,30 +256,40 @@ class GeneralizedBuchiAutomaton:
 
 def build_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
     """Formula must be plain LTL, desugared, in NNF."""
-    _check_nnf_core(formula)
-    initial = _saturate({formula})
+    tableau = _Tableau(formula)
+    initial = tableau.saturate(tableau.root)
     transitions = {}
     queue = deque(initial)
     seen = set(initial)
     while queue:
         state = queue.popleft()
-        succs = _saturate(_next_obligations(state))
+        succs = tableau.saturate(tableau.obligations(state))
         transitions[state] = succs
         for nxt in succs:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    states = tuple(sorted(seen, key=_state_key))
-    untils = _closure_untils(formula)
+
+    states = sorted(seen, key=tableau.key)
+    nodes = tableau.nodes
+    as_set = {s: frozenset([nodes[i] for i in tableau.key(s)]) for s in states}
     acceptance = tuple(
-        frozenset(s for s in states if u not in s or u.right in s)
-        for u in untils
+        frozenset(as_set[s] for s in states if not s & until or s & right)
+        for until, right in tableau.untils
     )
-    alphabet = tuple(
-        sorted({f.name for s in states for f in s if isinstance(f, Atom)})
-    )
+    present = 0
+    for s in states:
+        present |= s
+    atoms = _bits(present & tableau.atoms)
     return GeneralizedBuchiAutomaton(
-        states, initial, transitions, acceptance, alphabet
+        tuple(as_set[s] for s in states),
+        tuple(as_set[s] for s in initial),
+        {
+            as_set[s]: tuple(as_set[t] for t in succs)
+            for s, succs in transitions.items()
+        },
+        acceptance,
+        tuple(sorted({nodes[i].name for i in atoms})),
     )
 
 
@@ -286,7 +383,9 @@ def check_emptiness(
             accepting.append(scc)
     if not accepting:
         return None
-    target = min(accepting, key=lambda scc: min(_state_key(s) for s in scc))
+    # aut.states is in canonical order, so position ranks the components
+    position = {s: i for i, s in enumerate(aut.states)}
+    target = min(accepting, key=lambda scc: min(position[s] for s in scc))
 
     # shortest stem: breadth-first from all initial states at once
     parent: dict = {}

@@ -96,9 +96,6 @@ class PairAlphabet:
     def dotted_any(self) -> list[str]:
         return [dotted(s) for s in self.alphabet]
 
-    def nonhash_any(self) -> list[str]:
-        return list(self.alphabet) + [dotted(s) for s in self.alphabet]
-
     def prop(self, left: str, right: str) -> str:
         return f"p_{left}_{right}"
 
@@ -135,8 +132,9 @@ def _stone_start(
 ) -> Formula:
     """Pattern pinning positions 0..max(|top|,|bottom|) of a trace that
     begins with this stone.  The continuing variant expects another stone
-    after it (dotted starts where each word ends), the ending variant
-    expects hash padding instead."""
+    after it (dotted starts where each word ends, then any symbol, since
+    the later stones may be shorter on that side and pad it with hash);
+    the ending variant expects hash padding instead."""
     p, q = len(top), len(bottom)
     span = max(p, q)
     terms = []
@@ -148,7 +146,7 @@ def _stone_start(
         elif j == p and continuing:
             lefts = pa.dotted_any()
         elif continuing:
-            lefts = pa.nonhash_any()
+            lefts = pa.symbols()
         else:
             lefts = [HASH]
         if j == 0:
@@ -158,7 +156,7 @@ def _stone_start(
         elif j == q and continuing:
             rights = pa.dotted_any()
         elif continuing:
-            rights = pa.nonhash_any()
+            rights = pa.symbols()
         else:
             rights = [HASH]
         terms.append(_nexts(j, _pairs(pa, lefts, rights, UNIVERSAL)))

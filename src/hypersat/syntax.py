@@ -516,46 +516,6 @@ def node_count(formula: Formula) -> int:
 # Structural helpers used across the package
 
 
-_RANKS = {
-    Atom: 0,
-    Const: 1,
-    Not: 2,
-    Next: 3,
-    And: 4,
-    Or: 5,
-    Implies: 6,
-    Iff: 7,
-    Until: 8,
-    Release: 9,
-    WeakUntil: 10,
-    Eventually: 11,
-    Globally: 12,
-}
-
-
-def sort_key(formula: Formula):
-    """Total order on formulas; keeps every set iteration deterministic."""
-    match formula:
-        case Atom(name, trace):
-            return (0, name, trace or "")
-        case Const(value):
-            return (1, value)
-        case Not(e) | Next(e) | Eventually(e) | Globally(e):
-            return (_RANKS[type(formula)], sort_key(e))
-        case (
-            And(a, b)
-            | Or(a, b)
-            | Implies(a, b)
-            | Iff(a, b)
-            | Until(a, b)
-            | Release(a, b)
-            | WeakUntil(a, b)
-        ):
-            return (_RANKS[type(formula)], sort_key(a), sort_key(b))
-        case _:
-            raise TypeError(f"not a formula node: {formula!r}")
-
-
 def map_atoms(formula: Formula, fn) -> Formula:
     """Rebuild the formula with every atom replaced by fn(atom)."""
     match formula:

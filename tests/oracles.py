@@ -2,16 +2,20 @@
 
 Everything here deliberately avoids the library's evaluation and automaton
 code paths: truth is computed by direct recursion on the semantic clauses,
-and satisfiability by enumerating small lassos outright.  Slow, obviously
-correct, and kept separate so the two routes can disagree loudly.
+satisfiability by enumerating small lassos outright, and the reference
+tableau on plain sets of formulas.  Slow, obviously correct, and kept
+separate so the two routes can disagree loudly.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
+from hypersat.ltl_engine import GeneralizedBuchiAutomaton
 from hypersat.models import UltimatelyPeriodicTrace
 from hypersat.syntax import (
+    EXISTS,
     And,
     Atom,
     Const,
@@ -163,3 +167,143 @@ def naive_eval_hyper(traces_by_var: dict, formula_body: Formula) -> bool:
         return out
 
     return truth(body, 0)
+
+
+def naive_holds(traces, formula) -> bool:
+    """A quantified formula over an explicit list of traces: the prefix is
+    expanded into every assignment, each body checked by naive_eval_hyper."""
+
+    def holds(k: int, env: dict) -> bool:
+        if k == len(formula.prefix):
+            return naive_eval_hyper(env, formula.body)
+        quant, var = formula.prefix[k]
+        branches = (holds(k + 1, {**env, var: t}) for t in traces)
+        return any(branches) if quant == EXISTS else all(branches)
+
+    return holds(0, {})
+
+
+# ---------------------------------------------------------------------------
+# Reference tableau: the set-based construction the bitmask engine in
+# hypersat.ltl_engine must reproduce exactly, order included.
+
+_RANKS = {
+    Atom: 0, Const: 1, Not: 2, Next: 3, And: 4, Or: 5, Until: 6, Release: 7
+}
+
+
+def sort_key(formula: Formula):
+    """The canonical total order on formulas, as a nested key."""
+    match formula:
+        case Atom(name, trace):
+            return (0, name, trace or "")
+        case Const(value):
+            return (1, value)
+        case Not(e) | Next(e):
+            return (_RANKS[type(formula)], sort_key(e))
+        case And(a, b) | Or(a, b) | Until(a, b) | Release(a, b):
+            return (_RANKS[type(formula)], sort_key(a), sort_key(b))
+        case _:
+            raise TypeError(f"unexpected node {formula!r}")
+
+
+def _state_key(state: frozenset):
+    return tuple(sorted(sort_key(f) for f in state))
+
+
+def _expansions(f: Formula) -> list[set]:
+    match f:
+        case Atom() | Const(True) | Not() | Next():
+            return [set()]
+        case Const(False):
+            return []
+        case And(a, b):
+            return [{a, b}]
+        case Or(a, b):
+            return [{a}, {b}]
+        case Until(a, b):
+            return [{b}, {a}]
+        case Release(a, b):
+            return [{a, b}, {b}]
+    raise TypeError(f"unexpected node {f!r}")
+
+
+def _consistent(members: frozenset) -> bool:
+    return Const(False) not in members and not any(
+        isinstance(f, Not) and f.operand in members for f in members
+    )
+
+
+def _saturate(seed) -> tuple[frozenset, ...]:
+    results = set()
+    start = (frozenset(seed), frozenset(seed))
+    seen = {start}
+    stack = [start]
+    while stack:
+        members, pending = stack.pop()
+        if not _consistent(members):
+            continue
+        if not pending:
+            results.add(members)
+            continue
+        f = min(pending, key=sort_key)
+        for addition in _expansions(f):
+            item = (members | addition, pending - {f} | (addition - members))
+            if item not in seen:
+                seen.add(item)
+                stack.append(item)
+    return tuple(sorted(results, key=_state_key))
+
+
+def _next_obligations(state: frozenset) -> set:
+    out = set()
+    for f in state:
+        match f:
+            case Next(e):
+                out.add(e)
+            case Until(_, b) if b not in state:
+                out.add(f)
+            case Release(a, _) if a not in state:
+                out.add(f)
+    return out
+
+
+def _subformulas(f: Formula):
+    yield f
+    match f:
+        case Not(e) | Next(e):
+            yield from _subformulas(e)
+        case And(a, b) | Or(a, b) | Until(a, b) | Release(a, b):
+            yield from _subformulas(a)
+            yield from _subformulas(b)
+
+
+def reference_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
+    """The tableau automaton of a desugared NNF formula, built on sets of
+    formulas with every choice ordered by sort_key."""
+    initial = _saturate({formula})
+    transitions = {}
+    queue = deque(initial)
+    seen = set(initial)
+    while queue:
+        state = queue.popleft()
+        transitions[state] = _saturate(_next_obligations(state))
+        for nxt in transitions[state]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    states = tuple(sorted(seen, key=_state_key))
+    untils = sorted(
+        {f for f in _subformulas(formula) if isinstance(f, Until)},
+        key=sort_key,
+    )
+    acceptance = tuple(
+        frozenset(s for s in states if u not in s or u.right in s)
+        for u in untils
+    )
+    alphabet = tuple(
+        sorted({f.name for s in states for f in s if isinstance(f, Atom)})
+    )
+    return GeneralizedBuchiAutomaton(
+        states, initial, transitions, acceptance, alphabet
+    )

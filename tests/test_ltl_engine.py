@@ -2,10 +2,12 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersat.ltl_engine import build_automaton, check_emptiness, ltl_sat
 from hypersat.models import evaluate_ltl, make_trace
+from hypersat.solver import Sat, solve
 from hypersat.syntax import (
     And,
     Atom,
@@ -15,11 +17,12 @@ from hypersat.syntax import (
     Or,
     Until,
     desugar,
+    parse_hyperltl,
     to_nnf,
 )
 
 from generators import random_ltl
-from oracles import bounded_lasso_sat, naive_eval
+from oracles import bounded_lasso_sat, naive_eval, reference_automaton
 
 
 def nnf(phi):
@@ -117,3 +120,29 @@ def test_negation_duality_random(seed):
     phi = random_ltl(rng, ("p", "q"), 3)
     if ltl_sat(phi) is None:
         assert ltl_sat(Not(phi)) is not None
+
+
+def test_non_nnf_input_rejected():
+    with pytest.raises(ValueError):
+        build_automaton(Not(Until(Atom("p"), Atom("q"))))
+    with pytest.raises(ValueError):
+        build_automaton(Eventually(Atom("p")))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_automaton_equals_reference_tableau_random(seed):
+    rng = random.Random(seed)
+    phi = nnf(random_ltl(rng, ("p", "q"), 3))
+    got, want = build_automaton(phi), reference_automaton(phi)
+    assert got.states == want.states
+    assert got.initial == want.initial
+    assert got.transitions == want.transitions
+    assert got.acceptance == want.acceptance
+    assert got.alphabet == want.alphabet
+
+
+def test_long_next_chain_has_linear_automaton():
+    result, stats = solve(parse_hyperltl("exists p. " + "X " * 800 + "a_p"))
+    assert isinstance(result, Sat)
+    assert stats.automaton_states == 802

@@ -18,6 +18,8 @@ from hypersat.pcp import (
 from hypersat.solver import UnsupportedFragment, hyper_sat
 from hypersat.syntax import EXISTS, FORALL, render
 
+from oracles import naive_holds
+
 EXAMPLE = PcpInstance(("a", "b"), (("a", "baa"), ("ab", "aa"), ("bba", "bb")))
 
 
@@ -142,6 +144,20 @@ def test_another_known_solution_round_trips():
     model = encode_solution_traceset(inst, [1, 2])
     assert evaluate_hyperltl(model, encode_pcp(inst))
 
+
+def test_shorter_final_stones_pad_with_hash():
+    # stones (ba, b), (a, aa), (a, a): indices (1, 2, 3) spell baaa on both
+    # sides; the suffix after stone 1 pads its top with hash under stone 2
+    inst = PcpInstance(("a", "b"), (("ba", "b"), ("a", "aa"), ("a", "a")))
+    formula = encode_pcp(inst)
+    model = encode_solution_traceset(inst, [1, 2, 3])
+    assert evaluate_hyperltl(model, formula)
+    assert naive_holds(model.sorted(), formula)
+    suffix = pair_trace(("da", "da"), ("da", "a"), ("hash", "da"))
+    assert suffix in model
+    pruned = TraceSet(model.traces - {suffix})
+    assert not evaluate_hyperltl(pruned, formula)
+    assert not naive_holds(pruned.sorted(), formula)
 
 def test_parse_instance_json():
     inst = parse_instance(
