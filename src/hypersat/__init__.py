@@ -43,7 +43,6 @@ from .ltl_engine import (
     ltl_sat,
 )
 from .models import (
-    TraceAssignment,
     TraceSet,
     UltimatelyPeriodicTrace,
     evaluate_hyperltl,

@@ -3,14 +3,23 @@
 A trace is a finite stem followed by a forever-repeated non-empty loop.
 Evaluation computes, per subformula, a truth bitmask over the positions
 0 .. |stem|+|loop|-1 of the (joint) lasso; position i+1 wraps back to the
-loop start at the end.  Least/greatest fixpoints decide U and R, which is
-equivalent to scanning positions up to |stem| + 2*|loop| with loop-aware
-memoization: truth values are periodic past the stem.
+loop start at the end.  A least fixpoint decides U, and R as its dual,
+which is equivalent to scanning positions up to |stem| + 2*|loop| with
+loop-aware memoization: truth values are periodic past the stem.
+
+One kernel serves both entry points.  The desugared body is compiled once,
+without recursion, into a post-order node table in which equal subformulas
+share a row.  Each row memoizes its masks keyed by the trace indices that
+the current assignment gives the row's free variables, so a subformula is
+evaluated once per distinct binding of the traces it reads, however many
+assignments the quantifier prefix enumerates.  Plain LTL evaluation is the
+case of one unindexed variable bound to the one trace.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import syntax
@@ -105,136 +114,186 @@ def trace_sort_key(t: UltimatelyPeriodicTrace):
     )
 
 
-@dataclass(frozen=True)
-class TraceAssignment:
-    """Partial map from trace variables to traces, plus a position offset
-    so that suffix assignments need not copy traces."""
-
-    map: tuple[tuple[str, UltimatelyPeriodicTrace], ...] = ()
-    offset: int = 0
-
-    def with_trace(self, var: str, trace: UltimatelyPeriodicTrace):
-        kept = tuple((v, t) for v, t in self.map if v != var)
-        return TraceAssignment(kept + ((var, trace),), self.offset)
-
-    def shifted(self, k: int = 1) -> "TraceAssignment":
-        return TraceAssignment(self.map, self.offset + k)
-
-    def trace(self, var: str) -> UltimatelyPeriodicTrace:
-        for v, t in self.map:
-            if v == var:
-                return t
-        raise KeyError(var)
-
-    def valuation(self, var: str, i: int) -> frozenset[str]:
-        return self.trace(var).valuation_at(self.offset + i)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
+# Operation codes of the compiled node table.
+_ATOM, _CONST, _NOT, _NEXT, _AND, _OR, _UNTIL, _RELEASE = range(8)
+_OPS = {
+    Atom: _ATOM, Const: _CONST, Not: _NOT, Next: _NEXT,
+    And: _AND, Or: _OR, Until: _UNTIL, Release: _RELEASE,
+}
 
-def _check_core(formula: Formula) -> None:
-    match formula:
-        case Atom() | Const():
-            pass
-        case Not(e) | Next(e):
-            _check_core(e)
-        case And(a, b) | Or(a, b) | Until(a, b) | Release(a, b):
-            _check_core(a)
-            _check_core(b)
-        case _:
-            raise ValueError(
-                f"evaluation expects a desugared formula, found {formula!r}"
+
+def _no_key(assignment: tuple) -> tuple:
+    return ()
+
+
+class _Kernel:
+    """A desugared formula compiled, once, into a post-order node table and
+    evaluated over assignments of trace indices to variables.
+
+    Row i holds an operation code, two operands (child rows; the name and
+    variable position of an atom; the value of a constant) and a memo of
+    truth masks over the joint lasso, keyed by the trace indices that the
+    assignment gives the row's free variables.  Equal subformulas share a
+    row, so a subformula is evaluated once per distinct binding of the
+    traces it reads.
+    """
+
+    def __init__(
+        self,
+        formula: Formula,
+        variables: tuple[str | None, ...],
+        traces: list[UltimatelyPeriodicTrace],
+        stem_len: int,
+        loop_len: int,
+    ):
+        position = {v: k for k, v in enumerate(variables)}
+        ops, lhs, rhs, frees = [], [], [], []
+        rows: dict[tuple, int] = {}  # structural key -> row
+        index: dict[int, int] = {}  # id(node) -> row
+        stray = None  # the first atom whose variable is not bound
+        stack = [formula]
+        while stack:
+            f = stack[-1]
+            if id(f) in index:
+                stack.pop()
+                continue
+            op = _OPS.get(type(f))
+            if op is None:
+                raise ValueError(
+                    f"evaluation expects a desugared formula, found {f!r}"
+                )
+            if op == _ATOM:
+                k = position.get(f.trace)
+                if k is None:
+                    if stray is None:
+                        stray = f
+                    k = 0
+                node, free = (op, f.name, k), (k,)
+            elif op == _CONST:
+                node, free = (op, f.value, None), ()
+            else:
+                kids = (f.operand,) if op <= _NEXT else (f.left, f.right)
+                todo = [c for c in kids if id(c) not in index]
+                if todo:
+                    stack.extend(reversed(todo))
+                    continue
+                x = index[id(kids[0])]
+                y = index[id(kids[-1])] if op >= _AND else None
+                free = frees[x]
+                if y is not None and frees[y] != free:
+                    free = tuple(sorted({*free, *frees[y]}))
+                node = (op, x, y)
+            stack.pop()
+            row = rows.get(node)
+            if row is None:
+                row = rows[node] = len(ops)
+                ops.append(op)
+                lhs.append(node[1])
+                rhs.append(node[2])
+                frees.append(free)
+            index[id(f)] = row
+        if stray is not None:
+            raise WellFormednessError(
+                f"indexed atom {stray.name}_{stray.trace} in plain LTL "
+                "evaluation"
             )
+        getters: dict[tuple, object] = {(): _no_key}
+        for free in frees:
+            if free not in getters:
+                getters[free] = operator.itemgetter(*free)
+        self.ops, self.lhs, self.rhs = ops, lhs, rhs
+        self.keys = [getters[free] for free in frees]
+        self.memos: list[dict] = [{} for _ in ops]
+        self.root = index[id(formula)]
+        self.traces = traces
+        self.stem_len = stem_len
+        self.total = stem_len + loop_len
+
+    def holds(self, assignment: tuple) -> bool:
+        """Truth at position 0 with variable k bound to
+        traces[assignment[k]]."""
+        ops, lhs, rhs, keys, memos = (
+            self.ops, self.lhs, self.rhs, self.keys, self.memos
+        )
+        stem_len, total = self.stem_len, self.total
+        full = (1 << total) - 1
+        # The successor shift, inlined below as m >> 1 | (last if bit
+        # stem_len of m is set): bit i takes bit i+1, and the final
+        # position takes the loop start.
+        last = 1 << (total - 1)
+        masks: dict[int, int] = {}  # row -> mask under this assignment
+        stack = [self.root]
+        while stack:
+            i = stack.pop()
+            if i < 0:
+                # every operand of row ~i is in masks by now
+                i = ~i
+                key = stack.pop()
+                op = ops[i]
+                a = masks[lhs[i]]
+                if op == _NOT:
+                    m = a ^ full
+                elif op == _NEXT:
+                    m = a >> 1 | (last if a >> stem_len & 1 else 0)
+                elif op == _AND:
+                    m = a & masks[rhs[i]]
+                elif op == _OR:
+                    m = a | masks[rhs[i]]
+                else:
+                    # a R b is !(!a U !b): one least fixpoint serves both
+                    b = masks[rhs[i]]
+                    if op == _RELEASE:
+                        a, b = a ^ full, b ^ full
+                    m = b
+                    while True:
+                        step = b | (a & (m >> 1 | (
+                            last if m >> stem_len & 1 else 0)))
+                        if step == m:
+                            break
+                        m = step
+                    if op == _RELEASE:
+                        m ^= full
+                memos[i][key] = masks[i] = m
+                continue
+            if i in masks:
+                continue
+            key = keys[i](assignment)
+            m = memos[i].get(key)
+            if m is None:
+                op = ops[i]
+                if op == _ATOM:
+                    m = _atom_mask(
+                        lhs[i], self.traces[assignment[rhs[i]]], total
+                    )
+                    memos[i][key] = m
+                elif op == _CONST:
+                    m = full if lhs[i] else 0
+                else:
+                    stack += (key, ~i)
+                    if op >= _AND:
+                        stack.append(rhs[i])
+                    stack.append(lhs[i])
+                    continue
+            masks[i] = m
+        return bool(masks[self.root] & 1)
 
 
-def _succ_shift(mask: int, stem_len: int, total: int) -> int:
-    """Bit i of the result is bit succ(i) of mask, where succ wraps the
-    final position back to the loop start."""
-    out = mask >> 1
-    if (mask >> stem_len) & 1:
-        out |= 1 << (total - 1)
-    return out
-
-
-def _eval_masks(formula: Formula, atom_mask, stem_len: int, total: int) -> int:
-    full = (1 << total) - 1
-    memo: dict[int, int] = {}  # keyed by node identity: one shared tree
-
-    def go(f: Formula) -> int:
-        got = memo.get(id(f))
-        if got is not None:
-            return got
-        match f:
-            case Atom():
-                m = atom_mask(f)
-            case Const(value):
-                m = full if value else 0
-            case Not(e):
-                m = ~go(e) & full
-            case And(a, b):
-                m = go(a) & go(b)
-            case Or(a, b):
-                m = go(a) | go(b)
-            case Next(e):
-                m = _succ_shift(go(e), stem_len, total)
-            case Until(a, b):
-                ma, mb = go(a), go(b)
-                m = mb
-                while True:
-                    nxt = mb | (ma & _succ_shift(m, stem_len, total))
-                    if nxt == m:
-                        break
-                    m = nxt
-            case Release(a, b):
-                ma, mb = go(a), go(b)
-                m = full
-                while True:
-                    nxt = mb & (ma | _succ_shift(m, stem_len, total))
-                    if nxt == m:
-                        break
-                    m = nxt
-            case _:
-                raise ValueError(f"unexpected node {f!r}")
-        memo[id(f)] = m
-        return m
-
-    return go(formula)
+def _atom_mask(name: str, trace: UltimatelyPeriodicTrace, total: int) -> int:
+    m = 0
+    for i in range(total):
+        if name in trace.valuation_at(i):
+            m |= 1 << i
+    return m
 
 
 def evaluate_ltl(trace: UltimatelyPeriodicTrace, formula: Formula) -> bool:
-    """Truth of a desugared plain LTL formula at position 0 of the trace."""
-    _check_core(formula)
-    for a in _subatoms(formula):
-        if a.trace is not None:
-            raise WellFormednessError(
-                f"indexed atom {a.name}_{a.trace} in plain LTL evaluation"
-            )
-    stem_len = len(trace.stem)
-    total = stem_len + len(trace.loop)
-
-    def atom_mask(atom: Atom) -> int:
-        m = 0
-        for i in range(total):
-            if atom.name in trace.valuation_at(i):
-                m |= 1 << i
-        return m
-
-    return bool(_eval_masks(formula, atom_mask, stem_len, total) & 1)
-
-
-def _subatoms(formula: Formula):
-    match formula:
-        case Atom():
-            yield formula
-        case Const():
-            pass
-        case Not(e) | Next(e):
-            yield from _subatoms(e)
-        case And(a, b) | Or(a, b) | Until(a, b) | Release(a, b):
-            yield from _subatoms(a)
-            yield from _subatoms(b)
+    """Truth of a desugared plain LTL formula at position 0 of the trace:
+    the kernel with the one unindexed variable bound to the trace."""
+    stem_len, loop_len = len(trace.stem), len(trace.loop)
+    return _Kernel(formula, (None,), [trace], stem_len, loop_len).holds((0,))
 
 
 def evaluate_hyperltl(
@@ -263,102 +322,26 @@ def evaluate_hyperltl(
 
     # One product lasso covers every assignment: its stem is the longest
     # stem in the set and its loop length the lcm of all loops, so each
-    # trace is periodic within it.  Masks are then shared between
-    # assignments that agree on the traces a subformula actually reads.
+    # trace is periodic within it.
     stem_len = max(len(t.stem) for t in traces)
     loop_len = 1
     for t in traces:
         loop_len = math.lcm(loop_len, len(t.loop))
         if loop_len > period_guard:
             raise PeriodGuardExceeded(loop_len, period_guard)
-    total = stem_len + loop_len
-    full = (1 << total) - 1
+    variables = tuple(var for _, var in formula.prefix)
+    kernel = _Kernel(body, variables, traces, stem_len, loop_len)
+    choices = range(len(traces))
 
-    free_vars: dict[int, tuple[str, ...]] = {}
-
-    def collect(f: Formula) -> tuple[str, ...]:
-        got = free_vars.get(id(f))
-        if got is not None:
-            return got
-        match f:
-            case Atom(_, trace):
-                vs = (trace,)
-            case Const():
-                vs = ()
-            case Not(e) | Next(e):
-                vs = collect(e)
-            case And(a, b) | Or(a, b) | Until(a, b) | Release(a, b):
-                vs = tuple(sorted(set(collect(a)) | set(collect(b))))
-            case _:
-                raise ValueError(f"unexpected node {f!r}")
-        free_vars[id(f)] = vs
-        return vs
-
-    collect(body)
-
-    atom_masks: dict[tuple, int] = {}
-
-    def atom_mask(name: str, trace: UltimatelyPeriodicTrace) -> int:
-        key = (name, id(trace))
-        got = atom_masks.get(key)
-        if got is None:
-            got = 0
-            for i in range(total):
-                if name in trace.valuation_at(i):
-                    got |= 1 << i
-            atom_masks[key] = got
-        return got
-
-    node_masks: dict[tuple, int] = {}
-
-    def mask(f: Formula, env: dict) -> int:
-        key = (id(f), tuple(id(env[v]) for v in free_vars[id(f)]))
-        got = node_masks.get(key)
-        if got is not None:
-            return got
-        match f:
-            case Atom(name, trace):
-                m = atom_mask(name, env[trace])
-            case Const(value):
-                m = full if value else 0
-            case Not(e):
-                m = ~mask(e, env) & full
-            case And(a, b):
-                m = mask(a, env) & mask(b, env)
-            case Or(a, b):
-                m = mask(a, env) | mask(b, env)
-            case Next(e):
-                m = _succ_shift(mask(e, env), stem_len, total)
-            case Until(a, b):
-                ma, mb = mask(a, env), mask(b, env)
-                m = mb
-                while True:
-                    nxt = mb | (ma & _succ_shift(m, stem_len, total))
-                    if nxt == m:
-                        break
-                    m = nxt
-            case Release(a, b):
-                ma, mb = mask(a, env), mask(b, env)
-                m = full
-                while True:
-                    nxt = mb & (ma | _succ_shift(m, stem_len, total))
-                    if nxt == m:
-                        break
-                    m = nxt
-            case _:
-                raise ValueError(f"unexpected node {f!r}")
-        node_masks[key] = m
-        return m
-
-    def eval_prefix(k: int, env: dict) -> bool:
+    def expand(k: int, assignment: tuple) -> bool:
         if k == len(formula.prefix):
-            return bool(mask(body, env) & 1)
-        quant, var = formula.prefix[k]
-        if quant == EXISTS:
-            return any(eval_prefix(k + 1, {**env, var: t}) for t in traces)
-        return all(eval_prefix(k + 1, {**env, var: t}) for t in traces)
+            return kernel.holds(assignment)
+        branches = (expand(k + 1, assignment + (t,)) for t in choices)
+        if formula.prefix[k][0] == EXISTS:
+            return any(branches)
+        return all(branches)
 
-    return eval_prefix(0, {})
+    return expand(0, ())
 
 
 def extract_model(lasso: UltimatelyPeriodicTrace, reduction) -> TraceSet:

@@ -326,48 +326,52 @@ def check_well_formed(formula: HyperFormula) -> None:
     for quant, _ in formula.prefix:
         if quant not in (FORALL, EXISTS):
             raise WellFormednessError(f"unknown quantifier {quant!r}")
-    free = free_trace_variables(formula.body)
+    free: set[str] = set()
+    plain = indexed = None  # the first unindexed and first indexed atom
+    for atom in _atoms(formula.body):
+        if atom.trace is None:
+            if plain is None:
+                plain = atom
+        else:
+            free.add(atom.trace)
+            if indexed is None:
+                indexed = atom
     if formula.prefix:
         unbound = free - set(bound)
         if unbound:
             raise WellFormednessError(
                 f"unbound trace variable {sorted(unbound)[0]!r}"
             )
-        for atom in _atoms(formula.body):
-            if atom.trace is None:
-                raise WellFormednessError(
-                    f"atom {atom.name!r} lacks a trace index in a "
-                    "quantified formula"
-                )
-    else:
-        for atom in _atoms(formula.body):
-            if atom.trace is not None:
-                raise WellFormednessError(
-                    f"indexed atom {atom.name!r} in an unquantified formula"
-                )
+        if plain is not None:
+            raise WellFormednessError(
+                f"atom {plain.name!r} lacks a trace index in a "
+                "quantified formula"
+            )
+    elif indexed is not None:
+        raise WellFormednessError(
+            f"indexed atom {indexed.name!r} in an unquantified formula"
+        )
+
+
+_UNARY = (Not, Next, Eventually, Globally)
+_BINARY = (And, Or, Implies, Iff, Until, Release, WeakUntil)
 
 
 def _atoms(formula: Formula):
-    match formula:
-        case Atom():
-            yield formula
-        case Const():
-            pass
-        case Not(e) | Next(e) | Eventually(e) | Globally(e):
-            yield from _atoms(e)
-        case (
-            And(a, b)
-            | Or(a, b)
-            | Implies(a, b)
-            | Iff(a, b)
-            | Until(a, b)
-            | Release(a, b)
-            | WeakUntil(a, b)
-        ):
-            yield from _atoms(a)
-            yield from _atoms(b)
-        case _:
-            raise TypeError(f"not a formula node: {formula!r}")
+    """The atoms of the formula, left to right, with an explicit stack so
+    that deep formulas cost linear time and no recursion."""
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            yield f
+        elif isinstance(f, _BINARY):
+            stack.append(f.right)
+            stack.append(f.left)
+        elif isinstance(f, _UNARY):
+            stack.append(f.operand)
+        elif not isinstance(f, Const):
+            raise TypeError(f"not a formula node: {f!r}")
 
 
 def free_trace_variables(formula: Formula) -> set[str]:

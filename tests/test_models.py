@@ -1,5 +1,6 @@
 """Trace representations, the evaluator, and model extraction."""
 
+import itertools
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from hypersat.syntax import (
     Eventually,
     Globally,
     HyperFormula,
+    Iff,
     Next,
     Not,
     Until,
@@ -38,8 +40,8 @@ from hypersat.syntax import (
     parse_hyperltl,
 )
 
-from generators import random_ltl, random_trace
-from oracles import enumerate_lassos, naive_eval
+from generators import random_ltl, random_trace, random_trace_set
+from oracles import enumerate_lassos, naive_eval, naive_holds
 
 PROPS = ("p", "q")
 
@@ -115,6 +117,29 @@ def test_evaluate_ltl_rejects_indexed_atoms():
         evaluate_ltl(tr([], [{"a"}]), Atom("a", "pi"))
 
 
+def test_evaluate_ltl_rejects_sugar_before_indexed_atoms():
+    # the whole formula is checked for core connectives first
+    phi = And(Atom("a", "pi"), Eventually(Atom("a")))
+    with pytest.raises(ValueError, match="expects a desugared formula"):
+        evaluate_ltl(tr([], [{"a"}]), phi)
+    with pytest.raises(WellFormednessError, match="indexed atom a_pi"):
+        evaluate_ltl(tr([], [{"a"}]), desugar(phi))
+
+
+def test_shared_subformulas_evaluated_once():
+    # desugaring an iff references each operand twice, so 41 nested iffs
+    # form a tree of 2**41 nodes over a DAG of about 200; (p <-> q) <-> q
+    # is p, so an odd nesting depth leaves p <-> q
+    phi = Atom("p")
+    for _ in range(41):
+        phi = Iff(phi, Atom("q"))
+    phi = desugar(phi)
+    for p, q in itertools.product((False, True), repeat=2):
+        first = {name for name, on in (("p", p), ("q", q)) if on}
+        t = tr([first], [{"q"}, set()])
+        assert evaluate_ltl(t, phi) == (p == q)
+
+
 def test_position_shift_coherence():
     t = tr([{"p"}], [{"q"}, set()])
     phi = desugar(Eventually(And(Atom("q"), Next(Atom("q")))))
@@ -181,6 +206,30 @@ def test_hyper_mixed_loop_lengths_align_on_lcm():
         "exists x. exists y. F (p_x & p_y & X X (!p_x & !p_y))"
     )
     assert evaluate_hyperltl(model, phi)
+
+
+PREFIXES = [
+    shape
+    for n in (1, 2, 3)
+    for shape in itertools.product((FORALL, EXISTS), repeat=n)
+]
+
+
+@pytest.mark.parametrize(
+    "quantifiers", PREFIXES, ids=lambda shape: "".join(q[0] for q in shape)
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_hyper_evaluator_agrees_with_expanded_semantics(quantifiers, seed):
+    # every quantifier order over one to three variables, forall-exists-
+    # exists (the correspondence encoding's shape) included; loops of one
+    # to three steps make the joint lasso's period an lcm up to 6
+    rng = random.Random(seed)
+    variables = ("x", "y", "z")[: len(quantifiers)]
+    body = random_ltl(rng, PROPS, 3, variables)
+    phi = HyperFormula(tuple(zip(quantifiers, variables)), body)
+    ts = random_trace_set(rng, PROPS, rng.randint(1, 3), 2, 3)
+    assert evaluate_hyperltl(ts, phi) == naive_holds(ts.sorted(), phi)
 
 
 def test_period_guard_trips():

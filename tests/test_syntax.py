@@ -26,6 +26,7 @@ from hypersat.syntax import (
     Until,
     WeakUntil,
     atom_names,
+    check_well_formed,
     desugar,
     free_trace_variables,
     node_count,
@@ -243,6 +244,28 @@ def test_free_trace_variables_plain():
 def test_free_trace_variables_golden_body():
     phi = parse_hyperltl("forall p1. forall p2. (G b_p1) & (G !b_p2)")
     assert free_trace_variables(phi.body) == {"p1", "p2"}
+
+
+def test_well_formedness_errors_keep_their_order():
+    # an unbound variable is reported before an unindexed atom, and the
+    # first offending atom from the left is the one named
+    body = And(Atom("a"), And(Atom("b", "r"), Atom("c", "q")))
+    with pytest.raises(WellFormednessError, match="unbound trace variable 'q'"):
+        check_well_formed(HyperFormula(((FORALL, "p"),), body))
+    body = And(Atom("a", "p"), And(Atom("b"), Atom("c")))
+    with pytest.raises(WellFormednessError, match="atom 'b' lacks"):
+        check_well_formed(HyperFormula(((FORALL, "p"),), body))
+    body = And(Atom("a"), And(Atom("b", "p"), Atom("c", "q")))
+    with pytest.raises(WellFormednessError, match="indexed atom 'b'"):
+        check_well_formed(HyperFormula((), body))
+
+
+def test_deep_conjunction_chain_parses():
+    # 25,000 conjuncts nest deeper than the recursion limit; the atom walk
+    # of the well-formedness check must not recurse
+    text = "exists p. " + " & ".join(["a_p"] * 25_000)
+    body = parse_hyperltl(text).body
+    assert free_trace_variables(body) == {"p"}
 
 
 def test_atom_names():
