@@ -1,12 +1,6 @@
 """Satisfiability, implication checking, and model evaluation for
 temporal formulas quantified over execution traces."""
 
-import sys as _sys
-
-# Long conjunction chains (correspondence encodings, unrollings) are walked
-# recursively; the default limit is too tight for them.
-_sys.setrecursionlimit(max(_sys.getrecursionlimit(), 20_000))
-
 from .errors import (
     AlphabetMismatch,
     BlowupExceeded as BlowupExceededError,

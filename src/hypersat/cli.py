@@ -283,6 +283,9 @@ def main(argv=None) -> int:
     except errors.InternalError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as e:  # a bug: one line, never a traceback
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

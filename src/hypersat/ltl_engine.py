@@ -29,6 +29,7 @@ from .syntax import (
     Or,
     Release,
     Until,
+    _atoms,
     desugar,
     to_nnf,
 )
@@ -441,22 +442,10 @@ def ltl_sat(formula: Formula) -> UltimatelyPeriodicTrace | None:
     """Satisfiability of a plain LTL formula; a witness lasso or None.
     Accepts any plain formula; desugars and normalizes internally."""
     core = to_nnf(desugar(formula))
-    _reject_indexed(core)
+    for atom in _atoms(core):
+        if atom.trace is not None:
+            raise ValueError(
+                f"indexed atom {atom.name}_{atom.trace} in plain LTL input"
+            )
     aut = build_automaton(core)
     return check_emptiness(aut)
-
-
-def _reject_indexed(formula: Formula) -> None:
-    match formula:
-        case Atom(name, trace):
-            if trace is not None:
-                raise ValueError(
-                    f"indexed atom {name}_{trace} in plain LTL input"
-                )
-        case Const():
-            pass
-        case Not(e) | Next(e):
-            _reject_indexed(e)
-        case And(a, b) | Or(a, b) | Until(a, b) | Release(a, b):
-            _reject_indexed(a)
-            _reject_indexed(b)

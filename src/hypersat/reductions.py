@@ -121,9 +121,16 @@ def substituted_conjuncts(formula: HyperFormula) -> list[Formula]:
 
 
 def _flatten_and(formula: Formula) -> list[Formula]:
-    if isinstance(formula, And):
-        return _flatten_and(formula.left) + _flatten_and(formula.right)
-    return [formula]
+    """The conjuncts of a nest of And nodes, left to right."""
+    parts = []
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack += (f.right, f.left)
+        else:
+            parts.append(f)
+    return parts
 
 
 def unroll_universals(

@@ -3,10 +3,27 @@
 Formulas are quantifier prefixes over trace variables plus an LTL body.
 Atoms carry an optional trace variable; a plain LTL formula is simply a
 HyperFormula with an empty prefix and unindexed atoms.
+
+No pass over a formula recurses, so the depth of an input is bounded by
+memory, not by the interpreter's recursion limit:
+
+* The parser is one loop over the tokens with an operand stack and an
+  operator stack.  Two tables keyed by token text drive it: the prefix
+  operators ``! X F G``, and the infix operators ``<-> -> | & U W R``,
+  each with a precedence, an associativity and a constructor.
+* Rewrites (render, desugar, map_atoms, to_nnf) share one walk in two
+  phases.  Phase one lists the node types in pre-order with a list
+  stack, together with the value of each leaf; phase two folds that list
+  backwards with a value stack and a table from node type to builder.
+  to_nnf carries a polarity bit through phase one.  The atom walk and
+  node_count read the same listing.
+* Node hashes are cached and computed bottom-up, and equality compares
+  node pairs from an explicit stack.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError, WellFormednessError
@@ -17,83 +34,154 @@ from .errors import ParseError, WellFormednessError
 
 
 class Formula:
-    """Base class for LTL formula nodes."""
+    """Base class for LTL formula nodes.
+
+    Equality is structural.  A node's hash is computed once, from its
+    operands' cached hashes, and stored on the node."""
 
     __slots__ = ()
+    _hash: int | None = None
+
+    def __hash__(self) -> int:
+        if self._hash is not None:
+            return self._hash
+        stack = [self]
+        while self._hash is None:
+            f = stack[-1]
+            if f._hash is not None:  # a shared operand, already done
+                stack.pop()
+                continue
+            t = type(f)
+            arity = _ARITY[t]
+            if arity == 2:
+                left, right = f.left._hash, f.right._hash
+                if left is None or right is None:
+                    stack += [k for k in (f.left, f.right) if k._hash is None]
+                    continue
+                h = hash((t, left, right))
+            elif arity == 1:
+                operand = f.operand._hash
+                if operand is None:
+                    stack.append(f.operand)
+                    continue
+                h = hash((t, operand))
+            elif t is Atom:
+                h = hash((t, f.name, f.trace))
+            else:
+                h = hash((t, f.value))
+            stack.pop()
+            object.__setattr__(f, "_hash", h)
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        if hash(self) != hash(other):
+            return False
+        # Every node below either root has its hash cached by now.
+        stack = [self, other]
+        while stack:
+            b = stack.pop()
+            a = stack.pop()
+            if a is b:
+                continue
+            t = type(a)
+            if type(b) is not t or a._hash != b._hash:
+                return False
+            arity = _ARITY[t]
+            if arity == 2:
+                stack += (a.left, b.left, a.right, b.right)
+            elif arity == 1:
+                stack += (a.operand, b.operand)
+            elif t is Atom:
+                if a.name != b.name or a.trace != b.trace:
+                    return False
+            elif a.value != b.value:
+                return False
+        return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
     trace: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Formula):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Next(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Release(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeakUntil(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eventually(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Globally(Formula):
     operand: Formula
 
+
+# Operand count of each node type; every walk dispatches on it.
+_ARITY = {
+    Atom: 0, Const: 0,
+    Not: 1, Next: 1, Eventually: 1, Globally: 1,
+    And: 2, Or: 2, Implies: 2, Iff: 2, Until: 2, Release: 2, WeakUntil: 2,
+}
 
 FORALL = "forall"
 EXISTS = "exists"
@@ -116,50 +204,34 @@ RESERVED = {"X", "F", "G", "U", "W", "R", FORALL, EXISTS, "true", "false"}
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_SYMBOLS = (
-    ("<->", "IFF"),
-    ("->", "IMPLIES"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("!", "NOT"),
-    ("&", "AND"),
-    ("|", "OR"),
-    (".", "DOT"),
-)
-
-
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
+_SYMBOLS = {
+    "<->": "IFF",
+    "->": "IMPLIES",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "!": "NOT",
+    "&": "AND",
+    "|": "OR",
+    ".": "DOT",
+}
+# A symbol, a word, or any other non-space character (an error).  \w also
+# matches digits and characters such as '²', so a word must still start
+# with a letter or '_'.
+_TOKEN = re.compile(r"(<->|->|[()!&|.])|(\w+)|(\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append((kind, sym, i))
-                i += len(sym)
-                break
+    for match in _TOKEN.finditer(text):
+        word = match.group()
+        at = match.start()
+        if match.lastindex == 1:
+            tokens.append((_SYMBOLS[word], word, at))
+        elif match.lastindex == 2 and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(("IDENT", word, at))
         else:
-            if _is_ident_start(c):
-                j = i + 1
-                while j < n and _is_ident_char(text[j]):
-                    j += 1
-                tokens.append(("IDENT", text[i:j], i))
-                i = j
-            else:
-                raise ParseError(i, f"unexpected character {c!r}")
-    tokens.append(("EOF", "", n))
+            raise ParseError(at, f"unexpected character {word[0]!r}")
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
@@ -171,117 +243,98 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # Quantifiers are only legal in the prefix; the names in RESERVED are
 # keywords and cannot be used as propositions or trace variables.
 
+_PREFIX = {"!": Not, "X": Next, "F": Eventually, "G": Globally}
+# token text -> (precedence, right-associative, constructor)
+_INFIX = {
+    "<->": (1, True, Iff),
+    "->": (2, True, Implies),
+    "|": (3, False, Or),
+    "&": (4, False, And),
+    "U": (5, True, Until),
+    "W": (5, True, WeakUntil),
+    "R": (5, True, Release),
+}
+_CONSTANTS = {"true": TRUE, "false": FALSE}
+# Operator-stack entries are (precedence, constructor).  An open
+# parenthesis sits below every operator; a prefix operator above all.
+_OPEN = (0, None)
+_PREFIX_LEVEL = 6
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], bound: tuple[str, ...]):
-        self.tokens = tokens
-        self.pos = 0
-        self.bound = bound
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+def _make_atom(text: str, bound: tuple[str, ...]) -> Atom:
+    # name_var is an indexed atom only when var is bound in the prefix;
+    # split points are tried right to left so names may contain '_'.
+    cut = len(text)
+    while True:
+        cut = text.rfind("_", 0, cut)
+        if cut < 0:
+            break
+        if text[cut + 1 :] in bound and cut > 0:
+            return Atom(text[:cut], text[cut + 1 :])
+    return Atom(text)
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(tok[2], f"expected {kind}, found {tok[1]!r}")
-        return self.advance()
+def _reduce(operands: list, operators: list, floor: int) -> None:
+    """Apply the stacked infix operators above precedence floor."""
+    while operators[-1][0] > floor:
+        right = operands.pop()
+        operands[-1] = operators.pop()[1](operands[-1], right)
 
-    def parse_formula(self) -> Formula:
-        return self.parse_iff()
 
-    def parse_iff(self) -> Formula:
-        left = self.parse_implies()
-        if self.peek()[0] == "IFF":
-            self.advance()
-            return Iff(left, self.parse_iff())
-        return left
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.peek()[0] == "IMPLIES":
-            self.advance()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while self.peek()[0] == "OR":
-            self.advance()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_temporal()
-        while self.peek()[0] == "AND":
-            self.advance()
-            left = And(left, self.parse_temporal())
-        return left
-
-    def parse_temporal(self) -> Formula:
-        left = self.parse_unary()
-        kind, text, _ = self.peek()
-        if kind == "IDENT" and text in ("U", "W", "R"):
-            self.advance()
-            right = self.parse_temporal()
-            if text == "U":
-                return Until(left, right)
-            if text == "W":
-                return WeakUntil(left, right)
-            return Release(left, right)
-        return left
-
-    def parse_unary(self) -> Formula:
-        kind, text, pos = self.peek()
-        if kind == "NOT":
-            self.advance()
-            return Not(self.parse_unary())
-        if kind == "IDENT" and text in ("X", "F", "G"):
-            self.advance()
-            operand = self.parse_unary()
-            if text == "X":
-                return Next(operand)
-            if text == "F":
-                return Eventually(operand)
-            return Globally(operand)
-        return self.parse_primary()
-
-    def parse_primary(self) -> Formula:
-        kind, text, pos = self.advance()
+def _parse_body(
+    tokens: list[tuple[str, str, int]], pos: int, bound: tuple[str, ...]
+) -> Formula:
+    """The formula body from tokens[pos] on, by operator precedence."""
+    operands: list[Formula] = []
+    operators: list[tuple] = [_OPEN]  # the whole body is one group
+    depth = 0  # open parentheses
+    while True:
+        # An operand is due: prefix operators and '(' stack up before it.
+        kind, text, at = tokens[pos]
+        pos += 1
+        if text in _PREFIX:
+            operators.append((_PREFIX_LEVEL, _PREFIX[text]))
+            continue
         if kind == "LPAREN":
-            inner = self.parse_formula()
-            self.expect("RPAREN")
-            return inner
+            operators.append(_OPEN)
+            depth += 1
+            continue
         if kind != "IDENT":
-            raise ParseError(pos, f"expected a formula, found {text!r}")
+            raise ParseError(at, f"expected a formula, found {text!r}")
         if text in (FORALL, EXISTS):
             raise WellFormednessError(
                 "quantifiers must form a prefix; found one inside the body"
             )
-        if text == "true":
-            return TRUE
-        if text == "false":
-            return FALSE
-        if text in RESERVED:
-            raise ParseError(pos, f"{text!r} is a keyword, not a proposition")
-        return self._make_atom(text)
-
-    def _make_atom(self, text: str) -> Atom:
-        # name_var is an indexed atom only when var is bound in the prefix;
-        # split points are tried right to left so names may contain '_'.
-        cut = len(text)
+        if text in _CONSTANTS:
+            operands.append(_CONSTANTS[text])
+        elif text in RESERVED:
+            raise ParseError(at, f"{text!r} is a keyword, not a proposition")
+        else:
+            operands.append(_make_atom(text, bound))
+        # An operator is due.  Each finished operand takes the prefix
+        # operators before it, and ')' finishes the group it closes.
         while True:
-            cut = text.rfind("_", 0, cut)
-            if cut < 0:
+            while operators[-1][0] == _PREFIX_LEVEL:
+                operands[-1] = operators.pop()[1](operands[-1])
+            kind, text, at = tokens[pos]
+            pos += 1
+            if kind != "RPAREN" or not depth:
                 break
-            if text[cut + 1 :] in self.bound and cut > 0:
-                return Atom(text[:cut], text[cut + 1 :])
-        return Atom(text)
+            _reduce(operands, operators, 0)
+            operators.pop()
+            depth -= 1
+        if text in _INFIX:
+            precedence, right, constructor = _INFIX[text]
+            # equal precedence binds to the left unless right-associative
+            _reduce(operands, operators, precedence - (not right))
+            operators.append((precedence, constructor))
+        elif depth:
+            raise ParseError(at, f"expected RPAREN, found {text!r}")
+        elif kind != "EOF":
+            raise ParseError(at, f"unexpected trailing input {text!r}")
+        else:
+            _reduce(operands, operators, 0)
+            return operands[0]
 
 
 def parse_hyperltl(text: str) -> HyperFormula:
@@ -305,13 +358,7 @@ def parse_hyperltl(text: str) -> HyperFormula:
         pos += 1
         prefix.append((quant, var))
 
-    parser = _Parser(tokens, tuple(var for _, var in prefix))
-    parser.pos = pos
-    body = parser.parse_formula()
-    kind, text_, at = parser.peek()
-    if kind != "EOF":
-        raise ParseError(at, f"unexpected trailing input {text_!r}")
-
+    body = _parse_body(tokens, pos, tuple(var for _, var in prefix))
     formula = HyperFormula(tuple(prefix), body)
     check_well_formed(formula)
     return formula
@@ -353,25 +400,56 @@ def check_well_formed(formula: HyperFormula) -> None:
         )
 
 
-_UNARY = (Not, Next, Eventually, Globally)
-_BINARY = (And, Or, Implies, Iff, Until, Release, WeakUntil)
+# ---------------------------------------------------------------------------
+# The walk: phase one lists, phase two folds.
 
 
-def _atoms(formula: Formula):
-    """The atoms of the formula, left to right, with an explicit stack so
-    that deep formulas cost linear time and no recursion."""
+def _itself(leaf: Formula) -> Formula:
+    return leaf
+
+
+def _listing(formula: Formula, leaf=_itself) -> tuple[list, list]:
+    """Phase one: the type of every node in pre-order (each node before its
+    operands, left before right), and leaf(node) for each leaf, left to
+    right."""
+    kinds = []
+    leaves = []
     stack = [formula]
     while stack:
         f = stack.pop()
-        if isinstance(f, Atom):
-            yield f
-        elif isinstance(f, _BINARY):
-            stack.append(f.right)
-            stack.append(f.left)
-        elif isinstance(f, _UNARY):
-            stack.append(f.operand)
-        elif not isinstance(f, Const):
+        t = type(f)
+        arity = _ARITY.get(t)
+        if arity is None:
             raise TypeError(f"not a formula node: {f!r}")
+        kinds.append(t)
+        if arity == 2:
+            stack += (f.right, f.left)
+        elif arity:
+            stack.append(f.operand)
+        else:
+            leaves.append(leaf(f))
+    return kinds, leaves
+
+
+def _fold(kinds: list, leaves: list, build: dict):
+    """Phase two: fold a listing bottom-up with a value stack.  build maps
+    each compound node type to a function of its operands' values."""
+    values = []
+    for t in reversed(kinds):
+        arity = _ARITY[t]
+        if not arity:
+            values.append(leaves.pop())
+        elif arity == 1:
+            values[-1] = build[t](values[-1])
+        else:
+            left = values.pop()
+            values[-1] = build[t](left, values[-1])
+    return values[0]
+
+
+def _atoms(formula: Formula) -> list[Atom]:
+    """The atoms of the formula, left to right."""
+    return [f for f in _listing(formula)[1] if type(f) is Atom]
 
 
 def free_trace_variables(formula: Formula) -> set[str]:
@@ -382,138 +460,82 @@ def atom_names(formula: Formula) -> set[str]:
     return {a.name for a in _atoms(formula)}
 
 
+def node_count(formula: Formula) -> int:
+    return len(_listing(formula)[0])
+
+
 # ---------------------------------------------------------------------------
 # Rendering.  Compound nodes are fully parenthesized so that
 # parse(render(f)) == f without consulting precedence.
+
+_RENDER = {t: ("(" + op + " {})").format for op, t in _PREFIX.items()} | {
+    t: ("({} " + op + " {})").format for op, (_, _, t) in _INFIX.items()
+}
+
+
+def _render_leaf(leaf: Formula) -> str:
+    if type(leaf) is Const:
+        return "true" if leaf.value else "false"
+    return leaf.name if leaf.trace is None else f"{leaf.name}_{leaf.trace}"
 
 
 def render(formula) -> str:
     if isinstance(formula, HyperFormula):
         head = "".join(f"{q} {v}. " for q, v in formula.prefix)
         return head + render(formula.body)
-    match formula:
-        case Atom(name, None):
-            return name
-        case Atom(name, trace):
-            return f"{name}_{trace}"
-        case Const(value):
-            return "true" if value else "false"
-        case Not(e):
-            return f"(! {render(e)})"
-        case Next(e):
-            return f"(X {render(e)})"
-        case Eventually(e):
-            return f"(F {render(e)})"
-        case Globally(e):
-            return f"(G {render(e)})"
-        case And(a, b):
-            return f"({render(a)} & {render(b)})"
-        case Or(a, b):
-            return f"({render(a)} | {render(b)})"
-        case Implies(a, b):
-            return f"({render(a)} -> {render(b)})"
-        case Iff(a, b):
-            return f"({render(a)} <-> {render(b)})"
-        case Until(a, b):
-            return f"({render(a)} U {render(b)})"
-        case WeakUntil(a, b):
-            return f"({render(a)} W {render(b)})"
-        case Release(a, b):
-            return f"({render(a)} R {render(b)})"
-        case _:
-            raise TypeError(f"not a formula node: {formula!r}")
+    return _fold(*_listing(formula, _render_leaf), _RENDER)
 
 
 # ---------------------------------------------------------------------------
 # Desugaring and negation normal form
 
+_REBUILD = {t: t for t, arity in _ARITY.items() if arity}
+_DESUGAR = _REBUILD | {
+    Implies: lambda a, b: Or(Not(a), b),
+    Iff: lambda a, b: And(Or(Not(a), b), Or(Not(b), a)),
+    WeakUntil: lambda a, b: Or(Until(a, b), Release(FALSE, a)),
+    Eventually: lambda e: Until(TRUE, e),
+    Globally: lambda e: Release(FALSE, e),
+}
+
 
 def desugar(formula: Formula) -> Formula:
     """Rewrite F, G, W, ->, <-> into the core !, &, |, X, U, R connectives."""
-    match formula:
-        case Atom() | Const():
-            return formula
-        case Not(e):
-            return Not(desugar(e))
-        case And(a, b):
-            return And(desugar(a), desugar(b))
-        case Or(a, b):
-            return Or(desugar(a), desugar(b))
-        case Implies(a, b):
-            return Or(Not(desugar(a)), desugar(b))
-        case Iff(a, b):
-            da, db = desugar(a), desugar(b)
-            return And(Or(Not(da), db), Or(Not(db), da))
-        case Next(e):
-            return Next(desugar(e))
-        case Until(a, b):
-            return Until(desugar(a), desugar(b))
-        case Release(a, b):
-            return Release(desugar(a), desugar(b))
-        case WeakUntil(a, b):
-            da, db = desugar(a), desugar(b)
-            return Or(Until(da, db), Release(FALSE, da))
-        case Eventually(e):
-            return Until(TRUE, desugar(e))
-        case Globally(e):
-            return Release(FALSE, desugar(e))
-        case _:
-            raise TypeError(f"not a formula node: {formula!r}")
+    return _fold(*_listing(formula), _DESUGAR)
+
+
+# What each core connective becomes under a negation.
+_DUAL = {And: Or, Or: And, Until: Release, Release: Until, Next: Next}
 
 
 def to_nnf(formula: Formula) -> Formula:
-    """Push negations to the atoms.  Input must be desugared."""
-    return _nnf(formula, False)
+    """Push negations to the atoms.  Input must be desugared.
 
-
-def _nnf(formula: Formula, neg: bool) -> Formula:
-    match formula:
-        case Atom():
-            return Not(formula) if neg else formula
-        case Const(value):
-            return Const(value != neg)
-        case Not(e):
-            return _nnf(e, not neg)
-        case And(a, b):
-            if neg:
-                return Or(_nnf(a, True), _nnf(b, True))
-            return And(_nnf(a, False), _nnf(b, False))
-        case Or(a, b):
-            if neg:
-                return And(_nnf(a, True), _nnf(b, True))
-            return Or(_nnf(a, False), _nnf(b, False))
-        case Next(e):
-            return Next(_nnf(e, neg))
-        case Until(a, b):
-            if neg:
-                return Release(_nnf(a, True), _nnf(b, True))
-            return Until(_nnf(a, False), _nnf(b, False))
-        case Release(a, b):
-            if neg:
-                return Until(_nnf(a, True), _nnf(b, True))
-            return Release(_nnf(a, False), _nnf(b, False))
-        case _:
-            raise TypeError(f"to_nnf expects a desugared formula: {formula!r}")
-
-
-def node_count(formula: Formula) -> int:
-    match formula:
-        case Atom() | Const():
-            return 1
-        case Not(e) | Next(e) | Eventually(e) | Globally(e):
-            return 1 + node_count(e)
-        case (
-            And(a, b)
-            | Or(a, b)
-            | Implies(a, b)
-            | Iff(a, b)
-            | Until(a, b)
-            | Release(a, b)
-            | WeakUntil(a, b)
-        ):
-            return 1 + node_count(a) + node_count(b)
-        case _:
-            raise TypeError(f"not a formula node: {formula!r}")
+    Phase one carries the polarity of each node: a Not flips it and drops
+    out, and a negated connective is listed as its dual."""
+    kinds = []
+    leaves = []
+    stack = [(formula, False)]
+    while stack:
+        f, negated = stack.pop()
+        t = type(f)
+        if t is Not:
+            stack.append((f.operand, not negated))
+        elif t is Atom:
+            kinds.append(t)
+            leaves.append(Not(f) if negated else f)
+        elif t is Const:
+            kinds.append(t)
+            leaves.append(Const(f.value != negated))
+        elif t in _DUAL:
+            kinds.append(_DUAL[t] if negated else t)
+            if t is Next:
+                stack.append((f.operand, negated))
+            else:
+                stack += ((f.right, negated), (f.left, negated))
+        else:
+            raise TypeError(f"to_nnf expects a desugared formula: {f!r}")
+    return _fold(kinds, leaves, _REBUILD)
 
 
 # ---------------------------------------------------------------------------
@@ -522,35 +544,11 @@ def node_count(formula: Formula) -> int:
 
 def map_atoms(formula: Formula, fn) -> Formula:
     """Rebuild the formula with every atom replaced by fn(atom)."""
-    match formula:
-        case Atom():
-            return fn(formula)
-        case Const():
-            return formula
-        case Not(e):
-            return Not(map_atoms(e, fn))
-        case Next(e):
-            return Next(map_atoms(e, fn))
-        case Eventually(e):
-            return Eventually(map_atoms(e, fn))
-        case Globally(e):
-            return Globally(map_atoms(e, fn))
-        case And(a, b):
-            return And(map_atoms(a, fn), map_atoms(b, fn))
-        case Or(a, b):
-            return Or(map_atoms(a, fn), map_atoms(b, fn))
-        case Implies(a, b):
-            return Implies(map_atoms(a, fn), map_atoms(b, fn))
-        case Iff(a, b):
-            return Iff(map_atoms(a, fn), map_atoms(b, fn))
-        case Until(a, b):
-            return Until(map_atoms(a, fn), map_atoms(b, fn))
-        case Release(a, b):
-            return Release(map_atoms(a, fn), map_atoms(b, fn))
-        case WeakUntil(a, b):
-            return WeakUntil(map_atoms(a, fn), map_atoms(b, fn))
-        case _:
-            raise TypeError(f"not a formula node: {formula!r}")
+
+    def leaf(f: Formula) -> Formula:
+        return fn(f) if type(f) is Atom else f
+
+    return _fold(*_listing(formula, leaf), _REBUILD)
 
 
 def rename_trace_variable(formula: Formula, old: str, new: str) -> Formula:

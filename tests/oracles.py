@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's evaluation and automaton
 code paths: truth is computed by direct recursion on the semantic clauses,
-satisfiability by enumerating small lassos outright, and the reference
-tableau on plain sets of formulas.  Slow, obviously correct, and kept
-separate so the two routes can disagree loudly.
+satisfiability by enumerating small lassos outright, the reference
+tableau on plain sets of formulas, and the reference parser by recursive
+descent.  Slow, obviously correct, and kept separate so the two routes
+can disagree loudly.
 """
 
 from __future__ import annotations
@@ -12,19 +13,31 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+from hypersat.errors import ParseError, WellFormednessError
 from hypersat.ltl_engine import GeneralizedBuchiAutomaton
 from hypersat.models import UltimatelyPeriodicTrace
 from hypersat.syntax import (
     EXISTS,
+    FALSE,
+    FORALL,
+    RESERVED,
+    TRUE,
     And,
     Atom,
     Const,
+    Eventually,
     Formula,
+    Globally,
+    HyperFormula,
+    Iff,
+    Implies,
     Next,
     Not,
     Or,
     Release,
     Until,
+    WeakUntil,
+    check_well_formed,
     desugar,
 )
 
@@ -307,3 +320,209 @@ def reference_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
     return GeneralizedBuchiAutomaton(
         states, initial, transitions, acceptance, alphabet
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: the recursive-descent parser and character-by-character
+# tokenizer that hypersat.syntax.parse_hyperltl must agree with exactly,
+# errors included.  Recursion limits its inputs to shallow formulas.
+
+_SYMBOLS = (
+    ("<->", "IFF"),
+    ("->", "IMPLIES"),
+    ("(", "LPAREN"),
+    (")", "RPAREN"),
+    ("!", "NOT"),
+    ("&", "AND"),
+    ("|", "OR"),
+    (".", "DOT"),
+)
+
+
+def _is_ident_start(c: str) -> bool:
+    return c.isalpha() or c == "_"
+
+
+def _is_ident_char(c: str) -> bool:
+    return c.isalnum() or c == "_"
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        for sym, kind in _SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append((kind, sym, i))
+                i += len(sym)
+                break
+        else:
+            if _is_ident_start(c):
+                j = i + 1
+                while j < n and _is_ident_char(text[j]):
+                    j += 1
+                tokens.append(("IDENT", text[i:j], i))
+                i = j
+            else:
+                raise ParseError(i, f"unexpected character {c!r}")
+    tokens.append(("EOF", "", n))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
+# Parser
+#
+# Precedence, tightest first:  ! X F G  >  U W R (right)  >  &  >  |
+# >  -> (right)  >  <-> (right).  U, W and R share one level.
+# Quantifiers are only legal in the prefix; the names in RESERVED are
+# keywords and cannot be used as propositions or trace variables.
+
+
+class _Parser:
+    def __init__(self, tokens: list[tuple[str, str, int]], bound: tuple[str, ...]):
+        self.tokens = tokens
+        self.pos = 0
+        self.bound = bound
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(tok[2], f"expected {kind}, found {tok[1]!r}")
+        return self.advance()
+
+    def parse_formula(self) -> Formula:
+        return self.parse_iff()
+
+    def parse_iff(self) -> Formula:
+        left = self.parse_implies()
+        if self.peek()[0] == "IFF":
+            self.advance()
+            return Iff(left, self.parse_iff())
+        return left
+
+    def parse_implies(self) -> Formula:
+        left = self.parse_or()
+        if self.peek()[0] == "IMPLIES":
+            self.advance()
+            return Implies(left, self.parse_implies())
+        return left
+
+    def parse_or(self) -> Formula:
+        left = self.parse_and()
+        while self.peek()[0] == "OR":
+            self.advance()
+            left = Or(left, self.parse_and())
+        return left
+
+    def parse_and(self) -> Formula:
+        left = self.parse_temporal()
+        while self.peek()[0] == "AND":
+            self.advance()
+            left = And(left, self.parse_temporal())
+        return left
+
+    def parse_temporal(self) -> Formula:
+        left = self.parse_unary()
+        kind, text, _ = self.peek()
+        if kind == "IDENT" and text in ("U", "W", "R"):
+            self.advance()
+            right = self.parse_temporal()
+            if text == "U":
+                return Until(left, right)
+            if text == "W":
+                return WeakUntil(left, right)
+            return Release(left, right)
+        return left
+
+    def parse_unary(self) -> Formula:
+        kind, text, pos = self.peek()
+        if kind == "NOT":
+            self.advance()
+            return Not(self.parse_unary())
+        if kind == "IDENT" and text in ("X", "F", "G"):
+            self.advance()
+            operand = self.parse_unary()
+            if text == "X":
+                return Next(operand)
+            if text == "F":
+                return Eventually(operand)
+            return Globally(operand)
+        return self.parse_primary()
+
+    def parse_primary(self) -> Formula:
+        kind, text, pos = self.advance()
+        if kind == "LPAREN":
+            inner = self.parse_formula()
+            self.expect("RPAREN")
+            return inner
+        if kind != "IDENT":
+            raise ParseError(pos, f"expected a formula, found {text!r}")
+        if text in (FORALL, EXISTS):
+            raise WellFormednessError(
+                "quantifiers must form a prefix; found one inside the body"
+            )
+        if text == "true":
+            return TRUE
+        if text == "false":
+            return FALSE
+        if text in RESERVED:
+            raise ParseError(pos, f"{text!r} is a keyword, not a proposition")
+        return self._make_atom(text)
+
+    def _make_atom(self, text: str) -> Atom:
+        # name_var is an indexed atom only when var is bound in the prefix;
+        # split points are tried right to left so names may contain '_'.
+        cut = len(text)
+        while True:
+            cut = text.rfind("_", 0, cut)
+            if cut < 0:
+                break
+            if text[cut + 1 :] in self.bound and cut > 0:
+                return Atom(text[:cut], text[cut + 1 :])
+        return Atom(text)
+
+
+def reference_parse(text: str) -> HyperFormula:
+    """Parse a formula; raises ParseError or WellFormednessError."""
+    tokens = reference_tokenize(text)
+    prefix = []
+    seen = set()
+    pos = 0
+    while tokens[pos][0] == "IDENT" and tokens[pos][1] in (FORALL, EXISTS):
+        quant = tokens[pos][1]
+        pos += 1
+        kind, var, at = tokens[pos]
+        if kind != "IDENT" or var in RESERVED:
+            raise ParseError(at, f"expected a trace variable, found {var!r}")
+        if var in seen:
+            raise WellFormednessError(f"duplicate trace variable {var!r}")
+        seen.add(var)
+        pos += 1
+        if tokens[pos][0] != "DOT":
+            raise ParseError(tokens[pos][2], "expected '.' after trace variable")
+        pos += 1
+        prefix.append((quant, var))
+
+    parser = _Parser(tokens, tuple(var for _, var in prefix))
+    parser.pos = pos
+    body = parser.parse_formula()
+    kind, text_, at = parser.peek()
+    if kind != "EOF":
+        raise ParseError(at, f"unexpected trailing input {text_!r}")
+
+    formula = HyperFormula(tuple(prefix), body)
+    check_well_formed(formula)
+    return formula

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from hypersat import cli
 from hypersat.cli import main
 
 FORALL_GOLDEN = "forall p1. forall p2. (G b_p1) & (G !b_p2)"
@@ -266,3 +267,17 @@ def test_subprocess_exit_codes(write):
     )
     assert proc.returncode == 3
     assert proc.stdout == "UNSUPPORTED: forall-exists\n"
+
+
+def test_unexpected_exception_is_one_line_without_traceback(
+    write, capsys, monkeypatch
+):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_classify", broken)
+    code, out, err = run_main(capsys, "classify", write("ex.hltl", EXISTS_GOLDEN))
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal: RuntimeError: boom\n"
+

@@ -34,9 +34,15 @@ from hypersat.syntax import (
     render,
     to_nnf,
 )
+from hypersat.syntax import _tokenize
 
 from generators import random_ltl, random_quantified
-from oracles import enumerate_lassos, naive_eval
+from oracles import (
+    enumerate_lassos,
+    naive_eval,
+    reference_parse,
+    reference_tokenize,
+)
 
 
 def test_parse_two_universals_globally_pair():
@@ -334,3 +340,53 @@ def test_nnf_negations_only_on_atoms(seed):
             child = getattr(node, field)
             if hasattr(child, "__dataclass_fields__"):
                 stack.append(child)
+
+
+# The differential parser test parses formulas from a small grammar, with
+# a few noise pieces spliced in.  'é' starts a name; '1a', '²' and '$' do
+# not.
+HEADS = ("", "forall p. ", "exists q. ", "forall p. exists q. ",
+         "exists q.forall p.", "exists p", "forall forall p.")
+ATOMS = ("a_p", "b_q", "a_r", "a", "a_b_p", "_x_q", "true", "false", "é_p")
+NOISE = ("(", ")", "!", "&", "->", "<-", "-", ".", "X", "U", "exists",
+         "_x", "1a", "²", "$", "é", " ")
+formula_texts = st.recursive(
+    st.sampled_from(ATOMS),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(("!", "! ", "X ", "F ", "G ")), inner),
+        st.tuples(st.just("("), inner, st.just(")")),
+        st.tuples(
+            inner,
+            st.sampled_from(
+                (" & ", "|", " -> ", "<->", " U ", " W ", " R ", " X ")
+            ),
+            inner,
+        ),
+    ).map("".join),
+    max_leaves=8,
+)
+
+
+def _outcome(function, text):
+    try:
+        return function(text)
+    except (ParseError, WellFormednessError) as e:
+        return type(e), str(e), getattr(e, "position", None)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(HEADS),
+    formula_texts,
+    st.lists(
+        st.tuples(st.integers(min_value=0), st.sampled_from(NOISE)),
+        max_size=2,
+    ),
+)
+def test_parser_agrees_with_reference_parser(head, body, noise):
+    text = head + body
+    for at, piece in noise:
+        at %= len(text) + 1
+        text = text[:at] + piece + text[at:]
+    assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text)
+    assert _outcome(parse_hyperltl, text) == _outcome(reference_parse, text)
