@@ -12,7 +12,9 @@ refuted.  Per quantifier shape of (antecedent, consequent):
     exists => forall:  exists(both)
 
 Each lands in a decidable fragment, so the solver settles it; a satisfying
-model is a countermodel to the implication.
+model is a countermodel to the implication.  With model verification on,
+the countermodel is re-checked against the two input formulas themselves,
+so the renaming and the prefix choice above are checked too.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from . import errors
 from .fragments import ExistsStar, ForallStar, classify
-from .models import TraceSet
+from .models import TraceSet, evaluate_hyperltl
 from .solver import (
     BlowupExceeded,
     Sat,
@@ -96,11 +98,9 @@ def check_implication(
                 "checking supports exists-only and forall-only formulas"
             )
 
-    consequent = _rename_apart(
-        consequent, {v for _, v in antecedent.prefix}
-    )
+    renamed = _rename_apart(consequent, {v for _, v in antecedent.prefix})
     ante_vars = [v for _, v in antecedent.prefix]
-    cons_vars = [v for _, v in consequent.prefix]
+    cons_vars = [v for _, v in renamed.prefix]
 
     left_forall = isinstance(left_cls, ForallStar)
     right_forall = isinstance(right_cls, ForallStar)
@@ -118,13 +118,22 @@ def check_implication(
         prefix = [(EXISTS, v) for v in ante_vars + cons_vars]
 
     check = HyperFormula(
-        tuple(prefix), And(antecedent.body, Not(consequent.body))
+        tuple(prefix), And(antecedent.body, Not(renamed.body))
     )
-    result = hyper_sat(check, options)
+    opts = options or SolverOptions()
+    result = hyper_sat(check, opts)
     match result:
         case Unsat():
             return Holds()
         case Sat(model, _):
+            if opts.verify_models and not (
+                evaluate_hyperltl(model, antecedent, opts.period_guard)
+                and not evaluate_hyperltl(model, consequent, opts.period_guard)
+            ):
+                raise errors.InternalError(
+                    "implication check produced a countermodel that does "
+                    "not refute the implication; this is a bug"
+                )
             return Fails(model)
         case BlowupExceeded(required, limit):
             raise errors.BlowupExceeded(required, limit)

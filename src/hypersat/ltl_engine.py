@@ -9,7 +9,9 @@ The closure is indexed once: each distinct subformula gets one bit, and
 bits are numbered in the canonical formula order, so the tableau runs on
 int bitmasks and ascending bit order is formula order.  Every choice below
 iterates in that order, so identical inputs yield identical automata and
-witnesses across processes.  The finished automaton hands its states out
+witnesses across processes.  Each bit's expansion alternatives are closed
+once, up front, under the bits that leave no choice, so saturation only
+searches over real branches.  The finished automaton hands its states out
 as frozensets of closure formulas.
 """
 
@@ -54,7 +56,8 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 def _index(formula: Formula):
     """The distinct subformulas of a desugared NNF formula in canonical
-    order, with each one's operand positions.
+    order, with each one's operand positions, the root's position, and
+    every position listed operands first.
 
     One iterative walk hash-conses the nodes by (rank, operand ids), so no
     recursive hash or equality runs on deep formulas.  The canonical order
@@ -129,59 +132,89 @@ def _index(formula: Formula):
         [nodes[n] for n in order],
         [tuple(position[p] for p in operands[n]) for n in order],
         position[ids[id(formula)]],
+        position,
     )
 
 
 class _Tableau:
-    """Per-bit tables over the indexed closure, and saturation on ints."""
+    """Per-bit tables over the indexed closure, and saturation on ints.
+
+    A bit is deterministic when exactly one of its expansion alternatives
+    is consistent on its own (And, literals, Next, TRUE, a Release whose
+    other alternative holds FALSE); it branches when two are (Or, Until,
+    a two-way Release).  Each alternative is stored closed under the
+    deterministic bits it brings in, together with the clash mask of the
+    literals in that closure, so saturation only branches, and a choice
+    is consistent with a state exactly when the two masks do not meet."""
 
     def __init__(self, formula: Formula):
-        self.nodes, operands, root = _index(formula)
+        self.nodes, operands, root, topological = _index(formula)
         self.root = 1 << root
         n = len(self.nodes)
-        # branch alternatives for satisfying a bit at the current position
-        self.expansions: list[tuple[int, ...]] = [(0,)] * n
-        # bits that contradict a bit: the complementary literal, or FALSE
-        self.clash = [0] * n
+        # bits that contradict a literal: its complement.  Ranks order the
+        # closure, so the negated atoms follow the leaves, before the rest.
+        clash = [0] * n
+        for i, f in enumerate(self.nodes):
+            if isinstance(f, Not):
+                atom = operands[i][0]
+                clash[i] = 1 << atom
+                clash[atom] |= 1 << i
+            elif not isinstance(f, (Atom, Const)):
+                break
         # next-step obligation of a temporal bit, and the bit discharging it
         self.step = [0] * n
         self.guard = [0] * n
         self.temporal = 0
-        self.literals = 0
         self.atoms = 0
         self.untils: list[tuple[int, int]] = []
-        for i, (f, parts) in enumerate(zip(self.nodes, operands)):
-            kids = [1 << p for p in parts]
+        # the closed alternatives of each branching bit
+        self.choices: list[tuple[tuple[int, int], ...]] = [()] * n
+        self.branching = 0
+        # each bit's closure under deterministic bits, and its clash mask
+        closure = self._closure = [(0, 0)] * n
+
+        def joined(left, right):
+            return (
+                closure[left][0] | closure[right][0],
+                closure[left][1] | closure[right][1],
+            )
+
+        for i in topological:  # operands before the bits that use them
+            f, parts, bit = self.nodes[i], operands[i], 1 << i
+            alternatives = ((0, 0),)
             match f:
                 case Atom():
-                    self.atoms |= 1 << i
+                    self.atoms |= bit
                 case Const(False):
-                    self.expansions[i] = ()
-                    self.clash[i] = 1 << i
-                    self.literals |= 1 << i
-                case Not():
-                    atom = parts[0]
-                    self.clash[i] = 1 << atom
-                    self.clash[atom] |= 1 << i
-                    self.literals |= (1 << i) | (1 << atom)
+                    alternatives = ()
                 case Next():
-                    self.step[i] = kids[0]
-                    self.temporal |= 1 << i
+                    self.step[i] = 1 << parts[0]
+                    self.temporal |= bit
                 case And():
-                    self.expansions[i] = (kids[0] | kids[1],)
+                    alternatives = (joined(*parts),)
                 case Or():
-                    self.expansions[i] = (kids[0], kids[1])
+                    alternatives = (closure[parts[0]], closure[parts[1]])
                 case Until():
-                    self.expansions[i] = (kids[1], kids[0])
-                    self.step[i] = 1 << i
-                    self.guard[i] = kids[1]
-                    self.temporal |= 1 << i
-                    self.untils.append((1 << i, kids[1]))
+                    alternatives = (closure[parts[1]], closure[parts[0]])
+                    self.step[i] = bit
+                    self.guard[i] = 1 << parts[1]
+                    self.temporal |= bit
+                    self.untils.append((bit, 1 << parts[1]))
                 case Release():
-                    self.expansions[i] = (kids[0] | kids[1], kids[1])
-                    self.step[i] = 1 << i
-                    self.guard[i] = kids[0]
-                    self.temporal |= 1 << i
+                    alternatives = (joined(*parts), closure[parts[1]])
+                    self.step[i] = bit
+                    self.guard[i] = 1 << parts[0]
+                    self.temporal |= bit
+            alive = tuple(a for a in alternatives if not a[0] & a[1])
+            if len(alive) == 2:
+                self.choices[i] = alive
+                self.branching |= bit
+                closure[i] = (bit, clash[i])
+            elif alive:
+                closure[i] = (bit | alive[0][0], clash[i] | alive[0][1])
+            else:  # FALSE, or no consistent alternative: clashes with itself
+                closure[i] = (bit, bit)
+        self.untils.sort()  # canonical order, as the acceptance sets go
         self._saturations: dict[int, tuple[int, ...]] = {}
         self._keys: dict[int, tuple[int, ...]] = {}
 
@@ -192,26 +225,34 @@ class _Tableau:
             found = self._keys[mask] = _bits(mask)
         return found
 
-    def _consistent(self, members: int, added: int) -> bool:
-        """Whether adding the bits of added to members clashes nothing."""
-        literals = added & self.literals
-        while literals:
-            low = literals & -literals
-            if members & self.clash[low.bit_length() - 1]:
-                return False
-            literals ^= low
-        return True
-
     def saturate(self, seed: int) -> tuple[int, ...]:
         """All saturated consistent extensions of the seed obligations, in
-        canonical order; memoized per obligation mask."""
+        canonical order.  They depend only on the seed's closure under the
+        deterministic bits, so both masks key the memo."""
         done = self._saturations.get(seed)
         if done is not None:
             return done
+        start = start_clash = 0
+        for i in _bits(seed):
+            mask, clashes = self._closure[i]
+            start |= mask
+            start_clash |= clashes
+        done = self._saturations.get(start)
+        if done is None:
+            done = self._saturations[start] = self._search(start, start_clash)
+        self._saturations[seed] = done
+        return done
+
+    def _search(self, start: int, start_clash: int) -> tuple[int, ...]:
+        """Depth-first over (members, pending branching bits) from a closed,
+        consistent start: every member keeps one alternative."""
+        if start & start_clash:
+            return ()
+        branching, choices = self.branching, self.choices
         results = set()
-        start = (seed, seed)
-        seen = {start}
-        stack = [start] if self._consistent(seed, seed) else []
+        first = (start, start & branching)
+        seen = {first}
+        stack = [first]
         while stack:
             members, pending = stack.pop()
             if not pending:
@@ -219,17 +260,17 @@ class _Tableau:
                 continue
             low = pending & -pending
             rest = pending ^ low
-            for addition in self.expansions[low.bit_length() - 1]:
-                added = addition & ~members
-                grown = members | added
-                if added and not self._consistent(grown, added):
+            for closure, clashes in choices[low.bit_length() - 1]:
+                if members & clashes:
                     continue
-                item = (grown, rest | added)
+                item = (
+                    members | closure,
+                    rest | (closure & ~members & branching),
+                )
                 if item not in seen:
                     seen.add(item)
                     stack.append(item)
-        done = self._saturations[seed] = tuple(sorted(results, key=self.key))
-        return done
+        return tuple(sorted(results, key=self.key))
 
     def obligations(self, state: int) -> int:
         """What a state leaves for the next position: the operand of each
@@ -282,13 +323,15 @@ def build_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
     for s in states:
         present |= s
     atoms = _bits(present & tableau.atoms)
+    # memoized saturations share their tuples: convert each one once
+    converted: dict[int, tuple[State, ...]] = {}
+    for succs in transitions.values():
+        if id(succs) not in converted:
+            converted[id(succs)] = tuple([as_set[t] for t in succs])
     return GeneralizedBuchiAutomaton(
         tuple(as_set[s] for s in states),
         tuple(as_set[s] for s in initial),
-        {
-            as_set[s]: tuple(as_set[t] for t in succs)
-            for s, succs in transitions.items()
-        },
+        {as_set[s]: converted[id(succs)] for s, succs in transitions.items()},
         acceptance,
         tuple(sorted({nodes[i].name for i in atoms})),
     )

@@ -258,6 +258,38 @@ def test_subprocess_byte_identical(write):
     assert first.returncode == second.returncode == 0
 
 
+GF6 = "exists p. " + " & ".join(f"G F b{i}_p" for i in range(1, 7))
+WEAK_OD = "forall p. forall q. (o_p <-> o_q) W (!(i_p <-> i_q))"
+BOX_OD = "forall p. forall q. (G (i_p <-> i_q)) -> (G (o_p <-> o_q))"
+
+
+def test_subprocess_pinned_sat_model(write):
+    path = write("gf6.hltl", GF6)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypersat", "sat", path, "--model", "--json"],
+        capture_output=True, check=True,
+    )
+    assert proc.stdout == (
+        b'{"model": ["{b1,b2,b3,b4,b5,b6} | {b1,b2,b3,b4,b5,b6}"], '
+        b'"stats": {"automaton_states": 128, "conjuncts": null}, '
+        b'"verdict": "SAT", "verified": true}\n'
+    )
+
+
+def test_subprocess_pinned_countermodel(write):
+    box, weak = write("box.hltl", BOX_OD), write("weak.hltl", WEAK_OD)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypersat", "implies", box, weak, "--model",
+         "--json"],
+        capture_output=True, check=True,
+    )
+    assert proc.stdout == (
+        b'{"model": ["{i} {o} | {o}", "{i,o} {i,o} | {o}"], '
+        b'"stats": {"automaton_states": null, "conjuncts": null}, '
+        b'"verdict": "FAILS"}\n'
+    )
+
+
 def test_subprocess_exit_codes(write):
     path = write("fe.hltl", "forall p. exists q. a_p & !a_q")
     proc = subprocess.run(

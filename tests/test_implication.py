@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypersat import errors, implication
 from hypersat.implication import (
     Fails,
     Holds,
@@ -14,6 +15,7 @@ from hypersat.implication import (
     check_implication,
 )
 from hypersat.models import TraceSet, evaluate_hyperltl, make_trace
+from hypersat.solver import Sat, SolverOptions
 from hypersat.syntax import (
     Atom,
     HyperFormula,
@@ -59,6 +61,24 @@ def test_known_two_trace_countermodel():
     counter = TraceSet(frozenset({t1, t2}))
     assert evaluate_hyperltl(counter, parse_hyperltl(BOX_OD))
     assert not evaluate_hyperltl(counter, parse_hyperltl(WEAK_OD))
+
+
+@pytest.mark.parametrize("lines", [
+    # satisfies both sides: refutes nothing
+    [([], [set()])],
+    # inputs agree, outputs differ: falsifies the antecedent
+    [([], [set()]), ([], [{"o"}])],
+])
+def test_bogus_countermodel_is_an_internal_error(monkeypatch, lines):
+    model = TraceSet(frozenset(make_trace(s, l) for s, l in lines))
+    monkeypatch.setattr(
+        implication, "hyper_sat", lambda formula, options: Sat(model, True)
+    )
+    box, weak = parse_hyperltl(BOX_OD), parse_hyperltl(WEAK_OD)
+    with pytest.raises(errors.InternalError):
+        check_implication(box, weak)
+    unchecked = SolverOptions(verify_models=False)
+    assert check_implication(box, weak, unchecked) == Fails(model)
 
 
 def test_reflexivity():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypersat.ltl_engine import build_automaton, check_emptiness, ltl_sat
 from hypersat.models import evaluate_ltl, make_trace
+from hypersat.reductions import unroll_universals, zip_exists
 from hypersat.solver import Sat, solve
 from hypersat.syntax import (
     And,
@@ -140,6 +141,43 @@ def test_automaton_equals_reference_tableau_random(seed):
     assert got.transitions == want.transitions
     assert got.acceptance == want.acceptance
     assert got.alphabet == want.alphabet
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_automaton_equals_reference_tableau_three_atoms(seed):
+    rng = random.Random(seed)
+    phi = nnf(random_ltl(rng, ("p", "q", "r"), 4))
+    assert build_automaton(phi) == reference_automaton(phi)
+
+
+# Formulas that reach each path of the closed-alternative saturation: a
+# closed seed shared by every obligation mask (the G F conjunction), an
+# alternative that clashes with itself, a deterministic Release next to a
+# branching Until, and the unrolled, zipped exists-forall body.
+SATURATION_FIXTURES = {
+    "gf-conj-4": " & ".join(f"G F b{i}" for i in range(1, 5)),
+    "self-clash": "(p & !p) | q",
+    "gf-fg": "G F p & F G !p",
+}
+E3A2 = (
+    "exists p1. exists p2. exists p3. forall q1. forall q2. "
+    "G (a_q1 -> X b_q2)"
+)
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_FIXTURES))
+def test_automaton_equals_reference_tableau_fixtures(name):
+    phi = nnf(parse_hyperltl(SATURATION_FIXTURES[name]).body)
+    assert build_automaton(phi) == reference_automaton(phi)
+
+
+def test_automaton_equals_reference_tableau_unrolled_body():
+    reduced = zip_exists(unroll_universals(parse_hyperltl(E3A2), 1000))
+    phi = nnf(reduced.formula)
+    got = build_automaton(phi)
+    assert len(got.states) == 135
+    assert got == reference_automaton(phi)
 
 
 def test_long_next_chain_has_linear_automaton():
