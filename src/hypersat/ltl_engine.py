@@ -7,18 +7,22 @@ that postpone an eventuality forever.
 
 The closure is indexed once: each distinct subformula gets one bit, and
 bits are numbered in the canonical formula order, so the tableau runs on
-int bitmasks and ascending bit order is formula order.  Every choice below
-iterates in that order, so identical inputs yield identical automata and
-witnesses across processes.  Each bit's expansion alternatives are closed
-once, up front, under the bits that leave no choice, so saturation only
-searches over real branches.  The finished automaton hands its states out
-as frozensets of closure formulas.
+int bitmasks and ascending bit order is formula order.  Each bit's
+expansion alternatives are closed once, up front, under the bits that
+leave no choice, so saturation only searches over real branches.  The
+reachable states are numbered 0..N-1 by one sort of their masks in the
+canonical state order, and emptiness runs on those numbers, so identical
+inputs yield identical automata and witnesses across processes.  Formula
+sets are built only on request: valuations for the lasso's states, and
+`GeneralizedBuchiAutomaton.formula_sets` for callers that want them all.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
+from typing import NamedTuple
 
 from .models import UltimatelyPeriodicTrace
 from .syntax import (
@@ -36,8 +40,6 @@ from .syntax import (
     to_nnf,
 )
 
-State = frozenset
-
 # Node ranks of the canonical order (see _index).
 _RANKS = {
     Atom: 0, Const: 1, Not: 2, Next: 3, And: 4, Or: 5, Until: 6, Release: 7
@@ -52,6 +54,18 @@ def _bits(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+_FLIP = str.maketrans("01", "10")
+
+
+def _order(mask: int) -> str:
+    """The canonical sort key of a state: its bits from the lowest up, a
+    member as "0" and a non-member as "1", ending at the highest member.
+    It sorts exactly like the ascending tuple of members, `_bits(mask)`:
+    at the first bit where two states differ, a state that has ended
+    sorts first, then one that has the bit, then one that has not."""
+    return bin(mask)[:1:-1].translate(_FLIP) if mask else ""
 
 
 def _index(formula: Formula):
@@ -215,21 +229,18 @@ class _Tableau:
             else:  # FALSE, or no consistent alternative: clashes with itself
                 closure[i] = (bit, bit)
         self.untils.sort()  # canonical order, as the acceptance sets go
-        self._saturations: dict[int, tuple[int, ...]] = {}
-        self._keys: dict[int, tuple[int, ...]] = {}
+        # the states found so far, numbered in order of discovery, and the
+        # distinct saturations as tuples of those numbers
+        self.masks: list[int] = []
+        self._numbers: dict[int, int] = {}
+        self.saturations: list[tuple[int, ...]] = []
+        self._saturated: dict[int, int] = {}  # seed -> its saturation's place
 
-    def key(self, mask: int) -> tuple[int, ...]:
-        """The canonical sort key of a state, memoized per mask."""
-        found = self._keys.get(mask)
-        if found is None:
-            found = self._keys[mask] = _bits(mask)
-        return found
-
-    def saturate(self, seed: int) -> tuple[int, ...]:
-        """All saturated consistent extensions of the seed obligations, in
-        canonical order.  They depend only on the seed's closure under the
-        deterministic bits, so both masks key the memo."""
-        done = self._saturations.get(seed)
+    def saturate(self, seed: int) -> int:
+        """The place in `saturations` of all saturated consistent extensions
+        of the seed obligations.  They depend only on the seed's closure
+        under the deterministic bits, so both masks key the memo."""
+        done = self._saturated.get(seed)
         if done is not None:
             return done
         start = start_clash = 0
@@ -237,19 +248,27 @@ class _Tableau:
             mask, clashes = self._closure[i]
             start |= mask
             start_clash |= clashes
-        done = self._saturations.get(start)
+        done = self._saturated.get(start)
         if done is None:
-            done = self._saturations[start] = self._search(start, start_clash)
-        self._saturations[seed] = done
+            done = self._saturated[start] = len(self.saturations)
+            numbers, masks, found = self._numbers, self.masks, []
+            for state in self._search(start, start_clash):
+                number = numbers.get(state)
+                if number is None:
+                    number = numbers[state] = len(masks)
+                    masks.append(state)
+                found.append(number)
+            self.saturations.append(tuple(found))
+        self._saturated[seed] = done
         return done
 
-    def _search(self, start: int, start_clash: int) -> tuple[int, ...]:
+    def _search(self, start: int, start_clash: int) -> set[int]:
         """Depth-first over (members, pending branching bits) from a closed,
         consistent start: every member keeps one alternative."""
-        if start & start_clash:
-            return ()
-        branching, choices = self.branching, self.choices
         results = set()
+        if start & start_clash:
+            return results
+        branching, choices = self.branching, self.choices
         first = (start, start & branching)
         seen = {first}
         stack = [first]
@@ -270,7 +289,7 @@ class _Tableau:
                 if item not in seen:
                     seen.add(item)
                     stack.append(item)
-        return tuple(sorted(results, key=self.key))
+        return results
 
     def obligations(self, state: int) -> int:
         """What a state leaves for the next position: the operand of each
@@ -282,131 +301,169 @@ class _Tableau:
         return out
 
 
-@dataclass
-class GeneralizedBuchiAutomaton:
-    states: tuple[State, ...]
-    initial: tuple[State, ...]
+class FormulaSets(NamedTuple):
+    """An automaton with every state spelled out as the frozenset of its
+    closure formulas, states in canonical order."""
+
+    states: tuple[frozenset, ...]
+    initial: tuple[frozenset, ...]
     transitions: dict
     acceptance: tuple[frozenset, ...]
     alphabet: tuple[str, ...]
 
-    def valuation(self, state: State) -> frozenset[str]:
+
+@dataclass
+class GeneralizedBuchiAutomaton:
+    """The tableau automaton over dense state numbers.
+
+    The states are 0..N-1 in canonical order; `states[i]` is state i's
+    bitmask over `closure`, the closure formulas in canonical order.
+    `transitions` maps each state to its successors and `initial` lists the
+    initial states, both ascending.  Each acceptance set holds the states
+    that fulfil one Until, in the canonical order of the Untils; `atoms`
+    masks the closure's atoms."""
+
+    states: tuple[int, ...]
+    initial: tuple[int, ...]
+    transitions: dict[int, tuple[int, ...]]
+    acceptance: tuple[frozenset[int], ...]
+    alphabet: tuple[str, ...]
+    closure: tuple[Formula, ...]
+    atoms: int
+
+    def valuation(self, state: int) -> frozenset[str]:
         """The minimal valuation admitted by a state: exactly the positive
         atom obligations; unmentioned propositions stay absent."""
-        return frozenset(f.name for f in state if isinstance(f, Atom))
+        mask = self.states[state] & self.atoms
+        return frozenset([self.closure[i].name for i in _bits(mask)])
+
+    def formula_sets(self) -> FormulaSets:
+        """The same automaton with each state as its set of formulas."""
+        sets = [
+            frozenset([self.closure[i] for i in _bits(mask)])
+            for mask in self.states
+        ]
+
+        def spelled(states):
+            return tuple([sets[i] for i in states])
+
+        return FormulaSets(
+            tuple(sets),
+            spelled(self.initial),
+            {sets[i]: spelled(succs) for i, succs in self.transitions.items()},
+            tuple(frozenset(spelled(acc)) for acc in self.acceptance),
+            self.alphabet,
+        )
 
 
 def build_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
     """Formula must be plain LTL, desugared, in NNF."""
     tableau = _Tableau(formula)
-    initial = tableau.saturate(tableau.root)
-    transitions = {}
-    queue = deque(initial)
-    seen = set(initial)
-    while queue:
-        state = queue.popleft()
-        succs = tableau.saturate(tableau.obligations(state))
-        transitions[state] = succs
-        for nxt in succs:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    first = tableau.saturate(tableau.root)
+    masks = tableau.masks
+    successors = []
+    for state in masks:  # grows as states are found: the breadth-first queue
+        successors.append(tableau.saturate(tableau.obligations(state)))
 
-    states = sorted(seen, key=tableau.key)
-    nodes = tableau.nodes
-    as_set = {s: frozenset([nodes[i] for i in tableau.key(s)]) for s in states}
-    acceptance = tuple(
-        frozenset(as_set[s] for s in states if not s & until or s & right)
-        for until, right in tableau.untils
-    )
+    # one sort renumbers the states from discovery order to canonical order
+    keys = [_order(mask) for mask in masks]
+    order = sorted(range(len(masks)), key=keys.__getitem__)
+    rank = [0] * len(masks)
+    for i, found in enumerate(order):
+        rank[found] = i
+    saturations = [
+        tuple(sorted([rank[found] for found in sat]))
+        for sat in tableau.saturations
+    ]
+    states = tuple([masks[found] for found in order])
     present = 0
-    for s in states:
-        present |= s
-    atoms = _bits(present & tableau.atoms)
-    # memoized saturations share their tuples: convert each one once
-    converted: dict[int, tuple[State, ...]] = {}
-    for succs in transitions.values():
-        if id(succs) not in converted:
-            converted[id(succs)] = tuple([as_set[t] for t in succs])
+    for mask in states:
+        present |= mask
+    nodes = tableau.nodes
+    acceptance = tuple(
+        frozenset([i for i, s in enumerate(states) if not s & u or s & right])
+        for u, right in tableau.untils
+    )
     return GeneralizedBuchiAutomaton(
-        tuple(as_set[s] for s in states),
-        tuple(as_set[s] for s in initial),
-        {as_set[s]: converted[id(succs)] for s, succs in transitions.items()},
+        states,
+        saturations[first],
+        {i: saturations[successors[found]] for i, found in enumerate(order)},
         acceptance,
-        tuple(sorted({nodes[i].name for i in atoms})),
+        tuple(sorted({nodes[i].name for i in _bits(present & tableau.atoms)})),
+        tuple(nodes),
+        tableau.atoms,
     )
 
 
-def _tarjan_sccs(aut: GeneralizedBuchiAutomaton) -> list[frozenset]:
-    index: dict = {}
-    low: dict = {}
-    comp_stack = []
-    on_stack = set()
-    next_index = 0
+def _tarjan_sccs(successors: list[tuple[int, ...]]) -> list[list[int]]:
+    """Strongly connected components of states 0..N-1.  A state's index is
+    its visiting rank from 1, 0 before its visit, and N + 1 once its
+    component is complete, so no finished state lowers a low-link."""
+    done = len(successors) + 1
+    index = [0] * len(successors)
+    low = [0] * len(successors)
+    rank = count(1)
+    stack: list[int] = []
     sccs = []
-    for root in aut.states:
-        if root in index:
+    for root in range(len(successors)):
+        if index[root]:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = next(rank)
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
         while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = low[v] = next_index
-                next_index += 1
-                comp_stack.append(v)
-                on_stack.add(v)
-            descended = False
-            succs = aut.transitions[v]
-            while i < len(succs):
-                w = succs[i]
-                i += 1
-                if w not in index:
-                    work.append((v, i))
-                    work.append((w, 0))
-                    descended = True
+            v, rest = work[-1]
+            for w in rest:
+                if not index[w]:
+                    index[w] = low[w] = next(rank)
+                    stack.append(w)
+                    work.append((w, iter(successors[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = comp_stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
+                elif work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return sccs
 
 
-def _bfs_path(aut, start, goal, restrict, allow_empty) -> list:
-    """Shortest path from start to a goal state, staying inside restrict.
-    With allow_empty, a start that is already a goal yields [start]."""
-    if allow_empty and goal(start):
-        return [start]
-    parent = {start: None}
-    queue = deque([start])
+def _bfs_path(successors, starts, goal, inside, allow_empty) -> list[int]:
+    """Shortest path from one of the starts to a goal state, moving only
+    through states marked in `inside`.  With allow_empty, a start that is
+    already a goal yields [start]; the first one, in the given order."""
+    if allow_empty:
+        for s in starts:
+            if goal(s):
+                return [s]
+    parent = [-1] * len(successors)
+    for s in starts:
+        parent[s] = s
+    queue = deque(starts)
     while queue:
         v = queue.popleft()
-        for w in aut.transitions[v]:
-            if w not in restrict:
+        for w in successors[v]:
+            if not inside[w]:
                 continue
             if goal(w):
                 path = [w, v]
-                while parent[path[-1]] is not None:
+                while parent[path[-1]] != path[-1]:
                     path.append(parent[path[-1]])
                 path.reverse()
                 return path
-            if w in parent:
-                continue
-            parent[w] = v
-            queue.append(w)
-    raise AssertionError("goal unreachable inside a strongly connected set")
+            if parent[w] < 0:
+                parent[w] = v
+                queue.append(w)
+    raise AssertionError("no goal state reachable inside the allowed states")
 
 
 def check_emptiness(
@@ -417,68 +474,41 @@ def check_emptiness(
     acceptance set at least once."""
     if not aut.initial:
         return None
-
+    successors = [aut.transitions[s] for s in range(len(aut.states))]
     accepting = []
-    for scc in _tarjan_sccs(aut):
-        cyclic = len(scc) > 1 or any(
-            s in aut.transitions[s] for s in scc
-        )
-        if cyclic and all(scc & acc for acc in aut.acceptance):
+    for scc in _tarjan_sccs(successors):
+        cyclic = len(scc) > 1 or scc[0] in successors[scc[0]]
+        if cyclic and all(not acc.isdisjoint(scc) for acc in aut.acceptance):
             accepting.append(scc)
     if not accepting:
         return None
-    # aut.states is in canonical order, so position ranks the components
-    position = {s: i for i, s in enumerate(aut.states)}
-    target = min(accepting, key=lambda scc: min(position[s] for s in scc))
+    # states are numbered in canonical order, so the least one ranks them
+    target = bytearray(len(successors))
+    for s in min(accepting, key=min):
+        target[s] = 1
 
     # shortest stem: breadth-first from all initial states at once
-    parent: dict = {}
-    queue = deque()
-    for s in aut.initial:
-        if s not in parent:
-            parent[s] = None
-            queue.append(s)
-    entry = None
-    for s in aut.initial:
-        if s in target:
-            entry = s
-            break
-    while entry is None:
-        v = queue.popleft()
-        for w in aut.transitions[v]:
-            if w in parent:
-                continue
-            parent[w] = v
-            if w in target:
-                entry = w
-                break
-            queue.append(w)
-    stem_states = [entry]
-    while parent[stem_states[-1]] is not None:
-        stem_states.append(parent[stem_states[-1]])
-    stem_states.reverse()
-
+    anywhere = b"\x01" * len(successors)
+    stem = _bfs_path(
+        successors, aut.initial, target.__getitem__, anywhere, True
+    )
+    entry = stem[-1]
     # cycle from the entry state through every acceptance set and back
     path = [entry]
     for acc in aut.acceptance:
-        if any(s in acc for s in path):
-            continue
-        seg = _bfs_path(
-            aut, path[-1], lambda s: s in acc, target, allow_empty=False
-        )
-        path.extend(seg[1:])
+        if acc.isdisjoint(path):
+            seg = _bfs_path(
+                successors, (path[-1],), acc.__contains__, target, False
+            )
+            path.extend(seg[1:])
     back = _bfs_path(
-        aut,
-        path[-1],
-        lambda s: s == entry,
-        target,
-        allow_empty=len(path) > 1,
+        successors, (path[-1],), entry.__eq__, target, len(path) > 1
     )
     path.extend(back[1:])
-
-    stem = tuple(aut.valuation(s) for s in stem_states[:-1])
-    loop = tuple(aut.valuation(s) for s in path[:-1])
-    return UltimatelyPeriodicTrace(stem, loop)
+    return UltimatelyPeriodicTrace(
+        tuple([aut.valuation(s) for s in stem[:-1]]),
+        tuple([aut.valuation(s) for s in path[:-1]]),
+    )
 
 
 def ltl_sat(formula: Formula) -> UltimatelyPeriodicTrace | None:

@@ -466,24 +466,38 @@ def node_count(formula: Formula) -> int:
 
 # ---------------------------------------------------------------------------
 # Rendering.  Compound nodes are fully parenthesized so that
-# parse(render(f)) == f without consulting precedence.
+# parse(render(f)) == f without consulting precedence.  One pre-order walk
+# emits the pieces, which are joined once, so rendering is linear in size.
 
-_RENDER = {t: ("(" + op + " {})").format for op, t in _PREFIX.items()} | {
-    t: ("({} " + op + " {})").format for op, (_, _, t) in _INFIX.items()
-}
-
-
-def _render_leaf(leaf: Formula) -> str:
-    if type(leaf) is Const:
-        return "true" if leaf.value else "false"
-    return leaf.name if leaf.trace is None else f"{leaf.name}_{leaf.trace}"
+# What a node writes before its operand, or between its operands.
+_PREFIX_TEXT = {t: "(" + op + " " for op, t in _PREFIX.items()}
+_INFIX_TEXT = {t: " " + op + " " for op, (_, _, t) in _INFIX.items()}
 
 
 def render(formula) -> str:
     if isinstance(formula, HyperFormula):
         head = "".join(f"{q} {v}. " for q, v in formula.prefix)
         return head + render(formula.body)
-    return _fold(*_listing(formula, _render_leaf), _RENDER)
+    pieces = []
+    stack = [formula]  # nodes still to write, and text written after them
+    while stack:
+        f = stack.pop()
+        t = type(f)
+        if t is str:
+            pieces.append(f)
+        elif t in _INFIX_TEXT:
+            pieces.append("(")
+            stack += (")", f.right, _INFIX_TEXT[t], f.left)
+        elif t in _PREFIX_TEXT:
+            pieces.append(_PREFIX_TEXT[t])
+            stack += (")", f.operand)
+        elif t is Atom:
+            pieces.append(f.name if f.trace is None else f"{f.name}_{f.trace}")
+        elif t is Const:
+            pieces.append("true" if f.value else "false")
+        else:
+            raise TypeError(f"not a formula node: {f!r}")
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ can disagree loudly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 
 from hypersat.errors import ParseError, WellFormednessError
-from hypersat.ltl_engine import GeneralizedBuchiAutomaton
+from hypersat.ltl_engine import FormulaSets
 from hypersat.models import UltimatelyPeriodicTrace
 from hypersat.syntax import (
     EXISTS,
@@ -37,6 +38,10 @@ from hypersat.syntax import (
     Release,
     Until,
     WeakUntil,
+    _fold,
+    _INFIX,
+    _listing,
+    _PREFIX,
     check_well_formed,
     desugar,
 )
@@ -205,8 +210,10 @@ _RANKS = {
 }
 
 
+@functools.cache
 def sort_key(formula: Formula):
-    """The canonical total order on formulas, as a nested key."""
+    """The canonical total order on formulas, as a nested key (memoized:
+    the reference tableau asks for the same keys over and over)."""
     match formula:
         case Atom(name, trace):
             return (0, name, trace or "")
@@ -291,7 +298,7 @@ def _subformulas(f: Formula):
             yield from _subformulas(b)
 
 
-def reference_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
+def reference_automaton(formula: Formula) -> FormulaSets:
     """The tableau automaton of a desugared NNF formula, built on sets of
     formulas with every choice ordered by sort_key."""
     initial = _saturate({formula})
@@ -317,9 +324,38 @@ def reference_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
     alphabet = tuple(
         sorted({f.name for s in states for f in s if isinstance(f, Atom)})
     )
-    return GeneralizedBuchiAutomaton(
-        states, initial, transitions, acceptance, alphabet
-    )
+    return FormulaSets(states, initial, transitions, acceptance, alphabet)
+
+
+def emerson_lei_nonempty(aut: FormulaSets) -> bool:
+    """Generalized Buchi nonemptiness by the Emerson-Lei nested fixpoint
+
+        Z = nu Z. AND over acceptance sets F of  EX E[Z U (Z & F)]
+
+    Z is the set of states that start a run through every acceptance set
+    infinitely often (with no acceptance sets: any infinite run).  No SCCs
+    and no lasso search, so it shares nothing with check_emptiness."""
+    succs = aut.transitions
+    everything = frozenset(aut.states)
+    fairness = aut.acceptance or (everything,)
+
+    def ex(target: set) -> set:
+        return {s for s in everything if not target.isdisjoint(succs[s])}
+
+    z = set(everything)
+    while True:
+        new = set(z)
+        for f in fairness:
+            y = z & f  # least fixpoint of E[Z U (Z & F)]
+            while True:
+                grown = y | (ex(y) & z)
+                if grown == y:
+                    break
+                y = grown
+            new &= ex(y)
+        if new == z:
+            return not z.isdisjoint(aut.initial)
+        z = new
 
 
 # ---------------------------------------------------------------------------
@@ -526,3 +562,26 @@ def reference_parse(text: str) -> HyperFormula:
     formula = HyperFormula(tuple(prefix), body)
     check_well_formed(formula)
     return formula
+
+
+# ---------------------------------------------------------------------------
+# Reference renderer: the fold that hypersat.syntax.render must match byte
+# for byte.  Each fold step copies its operands' strings, so it is
+# quadratic in depth.
+
+_REFERENCE_RENDER = {
+    t: ("(" + op + " {})").format for op, t in _PREFIX.items()
+} | {t: ("({} " + op + " {})").format for op, (_, _, t) in _INFIX.items()}
+
+
+def _render_leaf(leaf: Formula) -> str:
+    if type(leaf) is Const:
+        return "true" if leaf.value else "false"
+    return leaf.name if leaf.trace is None else f"{leaf.name}_{leaf.trace}"
+
+
+def reference_render(formula) -> str:
+    if isinstance(formula, HyperFormula):
+        head = "".join(f"{q} {v}. " for q, v in formula.prefix)
+        return head + reference_render(formula.body)
+    return _fold(*_listing(formula, _render_leaf), _REFERENCE_RENDER)

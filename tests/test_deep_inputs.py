@@ -11,6 +11,8 @@ import pytest
 from hypersat.cli import main
 from hypersat.syntax import parse_hyperltl, render
 
+from oracles import reference_render
+
 DEEP = {
     "conjunction-chain": "exists p. " + " & ".join(["a_p"] * 25_000),
     "nested-parentheses": "exists p. " + "(" * 20_000 + "a_p" + ")" * 20_000,
@@ -24,6 +26,12 @@ def test_deep_formula_round_trips_and_hashes(text):
     phi = parse_hyperltl(text)
     assert parse_hyperltl(render(phi)) == phi
     assert hash(parse_hyperltl(text)) == hash(phi)
+
+
+@pytest.mark.parametrize("text", DEEP.values(), ids=DEEP.keys())
+def test_deep_formula_renders_like_the_reference_fold(text):
+    phi = parse_hyperltl(text)
+    assert render(phi) == reference_render(phi)
 
 
 @pytest.mark.parametrize("text", DEEP.values(), ids=DEEP.keys())

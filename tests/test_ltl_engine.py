@@ -5,7 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersat.ltl_engine import build_automaton, check_emptiness, ltl_sat
+from hypersat.ltl_engine import (
+    _bits,
+    _index,
+    _order,
+    build_automaton,
+    check_emptiness,
+    ltl_sat,
+)
 from hypersat.models import evaluate_ltl, make_trace
 from hypersat.reductions import unroll_universals, zip_exists
 from hypersat.solver import Sat, solve
@@ -14,6 +21,7 @@ from hypersat.syntax import (
     Atom,
     Eventually,
     Globally,
+    Next,
     Not,
     Or,
     Until,
@@ -23,7 +31,13 @@ from hypersat.syntax import (
 )
 
 from generators import random_ltl
-from oracles import bounded_lasso_sat, naive_eval, reference_automaton
+from oracles import (
+    _state_key,
+    bounded_lasso_sat,
+    emerson_lei_nonempty,
+    naive_eval,
+    reference_automaton,
+)
 
 
 def nnf(phi):
@@ -37,7 +51,7 @@ def test_contradiction_has_no_initial_state():
 
 def test_eventually_acceptance_set():
     phi = nnf(Eventually(Atom("p")))  # true U p
-    aut = build_automaton(phi)
+    aut = build_automaton(phi).formula_sets()
     assert len(aut.acceptance) == 1
     expected = frozenset(
         s for s in aut.states if phi not in s or Atom("p") in s
@@ -135,7 +149,7 @@ def test_non_nnf_input_rejected():
 def test_automaton_equals_reference_tableau_random(seed):
     rng = random.Random(seed)
     phi = nnf(random_ltl(rng, ("p", "q"), 3))
-    got, want = build_automaton(phi), reference_automaton(phi)
+    got, want = build_automaton(phi).formula_sets(), reference_automaton(phi)
     assert got.states == want.states
     assert got.initial == want.initial
     assert got.transitions == want.transitions
@@ -148,7 +162,7 @@ def test_automaton_equals_reference_tableau_random(seed):
 def test_automaton_equals_reference_tableau_three_atoms(seed):
     rng = random.Random(seed)
     phi = nnf(random_ltl(rng, ("p", "q", "r"), 4))
-    assert build_automaton(phi) == reference_automaton(phi)
+    assert build_automaton(phi).formula_sets() == reference_automaton(phi)
 
 
 # Formulas that reach each path of the closed-alternative saturation: a
@@ -166,18 +180,99 @@ E3A2 = (
 )
 
 
+def unrolled_e3a2_body():
+    reduced = zip_exists(unroll_universals(parse_hyperltl(E3A2), 1000))
+    return nnf(reduced.formula)
+
+
 @pytest.mark.parametrize("name", sorted(SATURATION_FIXTURES))
 def test_automaton_equals_reference_tableau_fixtures(name):
     phi = nnf(parse_hyperltl(SATURATION_FIXTURES[name]).body)
-    assert build_automaton(phi) == reference_automaton(phi)
+    assert build_automaton(phi).formula_sets() == reference_automaton(phi)
 
 
 def test_automaton_equals_reference_tableau_unrolled_body():
-    reduced = zip_exists(unroll_universals(parse_hyperltl(E3A2), 1000))
-    phi = nnf(reduced.formula)
+    phi = unrolled_e3a2_body()
     got = build_automaton(phi)
     assert len(got.states) == 135
-    assert got == reference_automaton(phi)
+    assert got.formula_sets() == reference_automaton(phi)
+
+
+# (states, transitions, acceptance sets): the sizes the benchmark's tracer
+# reads from an automaton, pinned so that a change of shape fails here.
+@pytest.mark.parametrize(
+    "name, shape",
+    [("e3a2-unrolled", (135, 2025, 0)), ("gf-conj-4", (32, 512, 4))],
+)
+def test_automaton_shape_read_by_the_tracer(name, shape):
+    if name == "e3a2-unrolled":
+        phi = unrolled_e3a2_body()
+    else:
+        phi = nnf(parse_hyperltl(SATURATION_FIXTURES[name]).body)
+    aut = build_automaton(phi)
+    assert (
+        len(aut.states),
+        sum(len(succs) for succs in aut.transitions.values()),
+        len(aut.acceptance),
+    ) == shape
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_state_order_key_sorts_like_bit_tuples_and_formula_sets(seed):
+    rng = random.Random(seed)
+    # a random formula, widened past 300 closure bits by a balanced
+    # conjunction of fresh literals (shallow, so the nested keys stay cheap)
+    parts = [
+        rng.choice((lambda a: a, Not, Next))(Atom(f"x{i}"))
+        for i in range(rng.randrange(160, 200))
+    ]
+    while len(parts) > 1:
+        parts = [And(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i]
+                 for i in range(0, len(parts), 2)]
+    phi = nnf(And(random_ltl(rng, ("p", "q", "r"), 4), parts[0]))
+    closure = _index(phi)[0]
+    n = len(closure)
+    assert n >= 300
+    full = (1 << n) - 1
+    masks = [0, full, full >> 1, full ^ 1]
+    for _ in range(12):
+        dense = rng.getrandbits(n)
+        sparse = 0
+        for _ in range(rng.randrange(1, 6)):
+            sparse |= 1 << rng.randrange(n)
+        # a shared low part ending at different heights
+        cut = (1 << rng.randrange(n + 1)) - 1
+        masks += [dense, sparse, dense & cut, (dense & cut) | sparse]
+    by_key = sorted(masks, key=_order)
+    assert by_key == sorted(masks, key=_bits)
+    sets = {m: frozenset(closure[i] for i in _bits(m)) for m in masks}
+    assert by_key == sorted(masks, key=lambda m: _state_key(sets[m]))
+
+
+def assert_emptiness_agrees_with_emerson_lei(phi):
+    empty = check_emptiness(build_automaton(phi)) is None
+    assert empty != emerson_lei_nonempty(reference_automaton(phi))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_emptiness_agrees_with_emerson_lei_random(seed):
+    rng = random.Random(seed)
+    assert_emptiness_agrees_with_emerson_lei(
+        nnf(random_ltl(rng, ("p", "q", "r"), 3))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_FIXTURES))
+def test_emptiness_agrees_with_emerson_lei_fixtures(name):
+    assert_emptiness_agrees_with_emerson_lei(
+        nnf(parse_hyperltl(SATURATION_FIXTURES[name]).body)
+    )
+
+
+def test_emptiness_agrees_with_emerson_lei_unrolled_body():
+    assert_emptiness_agrees_with_emerson_lei(unrolled_e3a2_body())
 
 
 def test_long_next_chain_has_linear_automaton():

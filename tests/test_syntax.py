@@ -41,6 +41,7 @@ from oracles import (
     enumerate_lassos,
     naive_eval,
     reference_parse,
+    reference_render,
     reference_tokenize,
 )
 
@@ -295,6 +296,17 @@ def test_parse_render_round_trip_random(seed):
         if not phi.prefix:
             phi = HyperFormula((), random_ltl(rng, PROPS, 3))
     assert parse_hyperltl(render(phi)) == phi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_render_matches_the_reference_fold_random(seed):
+    rng = random.Random(seed)
+    phi = random_quantified(
+        rng, PROPS, rng.randrange(6), rng.randrange(3), rng.randrange(1, 3)
+    )
+    assert render(phi) == reference_render(phi)
+    assert render(phi.body) == reference_render(phi.body)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
