@@ -3,13 +3,12 @@ temporal formulas quantified over execution traces."""
 
 from .errors import (
     AlphabetMismatch,
-    BlowupExceeded as BlowupExceededError,
     HypersatError,
     InternalError,
     InvalidInstance,
     NotASolution,
     ParseError,
-    PeriodGuardExceeded,
+    ResourceLimit,
     WellFormednessError,
     WrongFragment,
 )
@@ -41,7 +40,6 @@ from .models import (
     UltimatelyPeriodicTrace,
     evaluate_hyperltl,
     evaluate_ltl,
-    extract_model,
     format_trace,
     format_trace_set,
     make_trace,
@@ -58,6 +56,7 @@ from .reductions import (
     LtlReduction,
     Substitution,
     drop_quantifiers,
+    extract_model,
     project,
     substituted_conjuncts,
     unroll_universals,
@@ -65,7 +64,6 @@ from .reductions import (
     zip_traces,
 )
 from .solver import (
-    BlowupExceeded,
     HyperSatResult,
     Sat,
     SolveStats,

@@ -23,8 +23,8 @@ from .models import (
 )
 from .reductions import DEFAULT_UNROLL_LIMIT
 from .solver import (
-    BlowupExceeded,
     Sat,
+    SolveStats,
     SolverOptions,
     Unsat,
     UnsupportedFragment,
@@ -80,7 +80,18 @@ def _model_lines(trace_set) -> list[str]:
 
 def cmd_sat(args) -> int:
     formula = parse_hyperltl(_read(args.file))
-    result, stats = solve(formula, _options(args))
+    try:
+        result, stats = solve(formula, _options(args))
+    except errors.ResourceLimit as e:
+        if e.kind != "unroll":
+            raise
+        _emit(
+            args,
+            f"BLOWUP: needs {e.required} conjuncts, limit {e.limit}",
+            None,
+            SolveStats(conjuncts=e.required),
+        )
+        return EXIT_LIMIT
     match result:
         case Sat(model, verified):
             _emit(
@@ -103,14 +114,6 @@ def cmd_sat(args) -> int:
                 {"message": message},
             )
             return EXIT_UNSUPPORTED
-        case BlowupExceeded(required, limit):
-            _emit(
-                args,
-                f"BLOWUP: needs {required} conjuncts, limit {limit}",
-                None,
-                stats,
-            )
-            return EXIT_LIMIT
     raise errors.InternalError(f"unhandled result {result!r}")
 
 
@@ -277,7 +280,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (errors.BlowupExceeded, errors.PeriodGuardExceeded) as e:
+    except errors.ResourceLimit as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LIMIT
     except errors.InternalError as e:

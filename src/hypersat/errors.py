@@ -24,21 +24,20 @@ class AlphabetMismatch(HypersatError):
     """A trace mentions a proposition outside the expected alphabet."""
 
 
-class BlowupExceeded(HypersatError):
-    def __init__(self, required: int, limit: int):
-        super().__init__(
-            f"unrolling needs {required} conjuncts, limit is {limit}"
-        )
+class ResourceLimit(HypersatError):
+    """A bounded step needs more than its limit allows: kind "unroll"
+    counts the conjuncts of an exists-forall unrolling, kind "period" the
+    combined loop length of an evaluation."""
+
+    _TEXT = {
+        "unroll": "unrolling needs {} conjuncts, limit is {}",
+        "period": "combined evaluation period {} exceeds guard {}",
+    }
+
+    def __init__(self, kind: str, required: int, limit: int):
+        super().__init__(self._TEXT[kind].format(required, limit))
+        self.kind = kind
         self.required = required
-        self.limit = limit
-
-
-class PeriodGuardExceeded(HypersatError):
-    def __init__(self, period: int, limit: int):
-        super().__init__(
-            f"combined evaluation period {period} exceeds guard {limit}"
-        )
-        self.period = period
         self.limit = limit
 
 

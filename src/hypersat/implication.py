@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from . import errors
 from .fragments import ExistsStar, ForallStar, classify
 from .models import TraceSet, evaluate_hyperltl
-from .solver import (
-    BlowupExceeded,
-    Sat,
-    SolverOptions,
-    Unsat,
-    hyper_sat,
-)
+from .solver import Sat, SolverOptions, Unsat, hyper_sat
 from .syntax import (
     And,
     EXISTS,
@@ -135,8 +129,6 @@ def check_implication(
                     "not refute the implication; this is a bug"
                 )
             return Fails(model)
-        case BlowupExceeded(required, limit):
-            raise errors.BlowupExceeded(required, limit)
         case _:
             raise errors.InternalError(
                 f"unexpected solver result {result!r} on a decidable check"

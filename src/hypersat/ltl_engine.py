@@ -26,6 +26,10 @@ from typing import NamedTuple
 
 from .models import UltimatelyPeriodicTrace
 from .syntax import (
+    ATOM,
+    CONST,
+    NEXT,
+    NOT,
     And,
     Atom,
     Const,
@@ -36,14 +40,10 @@ from .syntax import (
     Release,
     Until,
     _atoms,
+    core_table,
     desugar,
     to_nnf,
 )
-
-# Node ranks of the canonical order (see _index).
-_RANKS = {
-    Atom: 0, Const: 1, Not: 2, Next: 3, And: 4, Or: 5, Until: 6, Release: 7
-}
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -73,67 +73,36 @@ def _index(formula: Formula):
     order, with each one's operand positions, the root's position, and
     every position listed operands first.
 
-    One iterative walk hash-conses the nodes by (rank, operand ids), so no
-    recursive hash or equality runs on deep formulas.  The canonical order
+    The rows of `core_table` are the distinct subformulas, operands
+    first, and a row's operation code is its rank.  The canonical order
     compares rank first, then leaves by payload and compound nodes by
     their operands, left to right.  Each node is sorted by its pre-order
     token string: one byte of rank per node, and after a leaf's rank its
     four-byte position among the sorted leaves.  The rank fixes each
     token's length and arity, so the strings are prefix-free and sort
     exactly like the nested key."""
-    ids: dict[int, int] = {}  # id(node) -> hash-consed id
-    by_sig: dict[tuple, int] = {}
-    nodes: list[Formula] = []
-    ranks: list[int] = []
+    nodes, ops, lhs, rhs, root = core_table(formula)
     operands: list[tuple[int, ...]] = []
-    leaves: dict[int, tuple] = {}  # hash-consed id -> leaf sort key
-    stack = [formula]
-    while stack:
-        f = stack[-1]
-        if id(f) in ids:
-            stack.pop()
-            continue
-        match f:
-            case Atom(name, trace):
-                sig = (0, name, trace)
-                leaf = (0, name, trace or "")
-            case Const(value):
-                sig = leaf = (1, value)
-            case Not(Atom()) | Next() | And() | Or() | Until() | Release():
-                if isinstance(f, (Not, Next)):
-                    kids = (f.operand,)
-                else:
-                    kids = (f.left, f.right)
-                missing = [k for k in kids if id(k) not in ids]
-                if missing:
-                    stack.extend(reversed(missing))
-                    continue
-                sig = (_RANKS[type(f)], *(ids[id(k)] for k in kids))
-                leaf = None
-            case _:
+    for n, op in enumerate(ops):
+        if op <= CONST:
+            operands.append(())
+        elif op <= NEXT:
+            if op == NOT and ops[lhs[n]] != ATOM:
                 raise ValueError(
-                    f"automaton construction needs a desugared NNF formula, "
-                    f"found {f!r}"
+                    "automaton construction needs a desugared NNF formula, "
+                    f"found {nodes[n]!r}"
                 )
-        stack.pop()
-        known = by_sig.get(sig)
-        if known is None:
-            known = by_sig[sig] = len(nodes)
-            nodes.append(f)
-            ranks.append(sig[0])
-            if leaf is None:
-                operands.append(sig[1:])
-            else:
-                operands.append(())
-                leaves[known] = leaf
-        ids[id(f)] = known
-    leaf_code = {
-        n: i.to_bytes(4, "big")
-        for i, n in enumerate(sorted(leaves, key=leaves.__getitem__))
-    }
-    tokens: list[bytes] = []  # operands precede their parents in nodes
+            operands.append((lhs[n],))
+        else:
+            operands.append((lhs[n], rhs[n]))
+    leaves = sorted(
+        [n for n, parts in enumerate(operands) if not parts],
+        key=lambda n: (ops[n], lhs[n], rhs[n] or ""),
+    )
+    leaf_code = {n: i.to_bytes(4, "big") for i, n in enumerate(leaves)}
+    tokens: list[bytes] = []  # operands precede their parents in the rows
     for n, parts in enumerate(operands):
-        head = bytes((ranks[n],))
+        head = bytes((ops[n],))
         if parts:
             tokens.append(head + b"".join([tokens[p] for p in parts]))
         else:
@@ -145,7 +114,7 @@ def _index(formula: Formula):
     return (
         [nodes[n] for n in order],
         [tuple(position[p] for p in operands[n]) for n in order],
-        position[ids[id(formula)]],
+        position[root],
         position,
     )
 

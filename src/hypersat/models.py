@@ -7,13 +7,14 @@ loop start at the end.  A least fixpoint decides U, and R as its dual,
 which is equivalent to scanning positions up to |stem| + 2*|loop| with
 loop-aware memoization: truth values are periodic past the stem.
 
-One kernel serves both entry points.  The desugared body is compiled once,
-without recursion, into a post-order node table in which equal subformulas
-share a row.  Each row memoizes its masks keyed by the trace indices that
-the current assignment gives the row's free variables, so a subformula is
-evaluated once per distinct binding of the traces it reads, however many
-assignments the quantifier prefix enumerates.  Plain LTL evaluation is the
-case of one unindexed variable bound to the one trace.
+One kernel serves both entry points.  It runs on the desugared body's
+`syntax.core_table`, the post-order node table that the tableau closure
+also starts from, in which equal subformulas share a row.  Each row
+memoizes its masks keyed by the trace indices that the current assignment
+gives the row's free variables, so a subformula is evaluated once per
+distinct binding of the traces it reads, however many assignments the
+quantifier prefix enumerates.  Plain LTL evaluation is the case of one
+unindexed variable bound to the one trace.
 """
 
 from __future__ import annotations
@@ -23,19 +24,19 @@ import operator
 from dataclasses import dataclass
 
 from . import syntax
-from .errors import ParseError, PeriodGuardExceeded, WellFormednessError
+from .errors import ParseError, ResourceLimit, WellFormednessError
 from .syntax import (
-    And,
-    Atom,
-    Const,
+    AND,
+    ATOM,
+    CONST,
     EXISTS,
+    NEXT,
+    NOT,
+    OR,
+    RELEASE,
     Formula,
     HyperFormula,
-    Next,
-    Not,
-    Or,
-    Release,
-    Until,
+    core_table,
 )
 
 DEFAULT_PERIOD_GUARD = 10_000
@@ -117,28 +118,20 @@ def trace_sort_key(t: UltimatelyPeriodicTrace):
 # ---------------------------------------------------------------------------
 # Evaluation
 
-# Operation codes of the compiled node table.
-_ATOM, _CONST, _NOT, _NEXT, _AND, _OR, _UNTIL, _RELEASE = range(8)
-_OPS = {
-    Atom: _ATOM, Const: _CONST, Not: _NOT, Next: _NEXT,
-    And: _AND, Or: _OR, Until: _UNTIL, Release: _RELEASE,
-}
-
-
 def _no_key(assignment: tuple) -> tuple:
     return ()
 
 
 class _Kernel:
-    """A desugared formula compiled, once, into a post-order node table and
-    evaluated over assignments of trace indices to variables.
+    """A desugared formula's `core_table`, evaluated over assignments of
+    trace indices to variables.
 
-    Row i holds an operation code, two operands (child rows; the name and
-    variable position of an atom; the value of a constant) and a memo of
-    truth masks over the joint lasso, keyed by the trace indices that the
-    assignment gives the row's free variables.  Equal subformulas share a
-    row, so a subformula is evaluated once per distinct binding of the
-    traces it reads.
+    Row i keeps the table's operation code and operands, with an atom's
+    trace replaced by its variable's position, and a memo of truth masks
+    over the joint lasso, keyed by the trace indices that the assignment
+    gives the row's free variables.  Equal subformulas share a row, so a
+    subformula is evaluated once per distinct binding of the traces it
+    reads.
     """
 
     def __init__(
@@ -149,57 +142,26 @@ class _Kernel:
         stem_len: int,
         loop_len: int,
     ):
+        _, ops, lhs, rhs, self.root = core_table(formula)
         position = {v: k for k, v in enumerate(variables)}
-        ops, lhs, rhs, frees = [], [], [], []
-        rows: dict[tuple, int] = {}  # structural key -> row
-        index: dict[int, int] = {}  # id(node) -> row
-        stray = None  # the first atom whose variable is not bound
-        stack = [formula]
-        while stack:
-            f = stack[-1]
-            if id(f) in index:
-                stack.pop()
-                continue
-            op = _OPS.get(type(f))
-            if op is None:
-                raise ValueError(
-                    f"evaluation expects a desugared formula, found {f!r}"
-                )
-            if op == _ATOM:
-                k = position.get(f.trace)
+        frees: list[tuple[int, ...]] = []
+        for i, op in enumerate(ops):
+            if op == ATOM:
+                k = position.get(rhs[i])
                 if k is None:
-                    if stray is None:
-                        stray = f
-                    k = 0
-                node, free = (op, f.name, k), (k,)
-            elif op == _CONST:
-                node, free = (op, f.value, None), ()
+                    raise WellFormednessError(
+                        f"indexed atom {lhs[i]}_{rhs[i]} in plain LTL "
+                        "evaluation"
+                    )
+                rhs[i] = k
+                free = (k,)
+            elif op == CONST:
+                free = ()
             else:
-                kids = (f.operand,) if op <= _NEXT else (f.left, f.right)
-                todo = [c for c in kids if id(c) not in index]
-                if todo:
-                    stack.extend(reversed(todo))
-                    continue
-                x = index[id(kids[0])]
-                y = index[id(kids[-1])] if op >= _AND else None
-                free = frees[x]
-                if y is not None and frees[y] != free:
-                    free = tuple(sorted({*free, *frees[y]}))
-                node = (op, x, y)
-            stack.pop()
-            row = rows.get(node)
-            if row is None:
-                row = rows[node] = len(ops)
-                ops.append(op)
-                lhs.append(node[1])
-                rhs.append(node[2])
-                frees.append(free)
-            index[id(f)] = row
-        if stray is not None:
-            raise WellFormednessError(
-                f"indexed atom {stray.name}_{stray.trace} in plain LTL "
-                "evaluation"
-            )
+                free = frees[lhs[i]]
+                if op >= AND and frees[rhs[i]] != free:
+                    free = tuple(sorted({*free, *frees[rhs[i]]}))
+            frees.append(free)
         getters: dict[tuple, object] = {(): _no_key}
         for free in frees:
             if free not in getters:
@@ -207,7 +169,6 @@ class _Kernel:
         self.ops, self.lhs, self.rhs = ops, lhs, rhs
         self.keys = [getters[free] for free in frees]
         self.memos: list[dict] = [{} for _ in ops]
-        self.root = index[id(formula)]
         self.traces = traces
         self.stem_len = stem_len
         self.total = stem_len + loop_len
@@ -234,18 +195,18 @@ class _Kernel:
                 key = stack.pop()
                 op = ops[i]
                 a = masks[lhs[i]]
-                if op == _NOT:
+                if op == NOT:
                     m = a ^ full
-                elif op == _NEXT:
+                elif op == NEXT:
                     m = a >> 1 | (last if a >> stem_len & 1 else 0)
-                elif op == _AND:
+                elif op == AND:
                     m = a & masks[rhs[i]]
-                elif op == _OR:
+                elif op == OR:
                     m = a | masks[rhs[i]]
                 else:
                     # a R b is !(!a U !b): one least fixpoint serves both
                     b = masks[rhs[i]]
-                    if op == _RELEASE:
+                    if op == RELEASE:
                         a, b = a ^ full, b ^ full
                     m = b
                     while True:
@@ -254,7 +215,7 @@ class _Kernel:
                         if step == m:
                             break
                         m = step
-                    if op == _RELEASE:
+                    if op == RELEASE:
                         m ^= full
                 memos[i][key] = masks[i] = m
                 continue
@@ -264,16 +225,16 @@ class _Kernel:
             m = memos[i].get(key)
             if m is None:
                 op = ops[i]
-                if op == _ATOM:
+                if op == ATOM:
                     m = _atom_mask(
                         lhs[i], self.traces[assignment[rhs[i]]], total
                     )
                     memos[i][key] = m
-                elif op == _CONST:
+                elif op == CONST:
                     m = full if lhs[i] else 0
                 else:
                     stack += (key, ~i)
-                    if op >= _AND:
+                    if op >= AND:
                         stack.append(rhs[i])
                     stack.append(lhs[i])
                     continue
@@ -306,8 +267,8 @@ def evaluate_hyperltl(
     Quantifiers are expanded by exhaustive enumeration of the trace set.
     Each fully quantified body is evaluated on the joint lasso of the
     assigned traces: stem length is the maximum of the stems, loop length
-    the lcm of the loops.  Raises PeriodGuardExceeded if that lcm grows
-    past period_guard.
+    the lcm of the loops.  Raises ResourceLimit if that lcm grows past
+    period_guard.
     """
     syntax.check_well_formed(formula)
     body = syntax.desugar(formula.body)
@@ -328,7 +289,7 @@ def evaluate_hyperltl(
     for t in traces:
         loop_len = math.lcm(loop_len, len(t.loop))
         if loop_len > period_guard:
-            raise PeriodGuardExceeded(loop_len, period_guard)
+            raise ResourceLimit("period", loop_len, period_guard)
     variables = tuple(var for _, var in formula.prefix)
     kernel = _Kernel(body, variables, traces, stem_len, loop_len)
     choices = range(len(traces))
@@ -342,16 +303,6 @@ def evaluate_hyperltl(
         return all(branches)
 
     return expand(0, ())
-
-
-def extract_model(lasso: UltimatelyPeriodicTrace, reduction) -> TraceSet:
-    """Turn a satisfying lasso of a reduced LTL formula back into a trace
-    set for the original formula."""
-    if reduction.substitution is None:
-        return TraceSet(frozenset({lasso}))
-    from .reductions import project
-
-    return project(lasso, reduction.substitution)
 
 
 # ---------------------------------------------------------------------------

@@ -104,21 +104,9 @@ class PairAlphabet:
         return [self.prop(x, y) for x in syms for y in syms]
 
 
-def _or_chain(parts: list[Formula]) -> Formula:
-    return reduce(Or, parts)
-
-
-def _and_chain(parts: list[Formula]) -> Formula:
-    return reduce(And, parts)
-
-
 def _pairs(pa: PairAlphabet, lefts, rights, trace: str) -> Formula:
-    return _or_chain(
-        [
-            Atom(pa.prop(x, y), trace)
-            for x, y in itertools.product(lefts, rights)
-        ]
-    )
+    pairs = itertools.product(lefts, rights)
+    return reduce(Or, [Atom(pa.prop(x, y), trace) for x, y in pairs])
 
 
 def _nexts(k: int, formula: Formula) -> Formula:
@@ -160,7 +148,7 @@ def _stone_start(
         else:
             rights = [HASH]
         terms.append(_nexts(j, _pairs(pa, lefts, rights, UNIVERSAL)))
-    return _and_chain(terms)
+    return reduce(And, terms)
 
 
 def _stone_encoding(pa: PairAlphabet, top: str, bottom: str) -> Formula:
@@ -194,42 +182,45 @@ def _stone_encoding(pa: PairAlphabet, top: str, bottom: str) -> Formula:
                 )
             )
         )
-    return _and_chain([start] + deletes)
+    return reduce(And, [start] + deletes)
 
 
 def encode_pcp(instance: PcpInstance) -> HyperFormula:
     pa = PairAlphabet(instance.alphabet)
     hash_pair = pa.prop(HASH, HASH)
 
-    solution_start = _or_chain(
+    solution_start = reduce(
+        Or,
         [
             Atom(pa.prop(dotted(s), dotted(s)), SOLUTION)
             for s in instance.alphabet
-        ]
+        ],
     )
-    matched = _or_chain(
+    matched = reduce(
+        Or,
         [
             Atom(pa.prop(x, y), SOLUTION)
             for s in instance.alphabet
             for x, y in itertools.product(pa.variants(s), pa.variants(s))
-        ]
+        ],
     )
     solution = And(
         solution_start,
         Until(matched, Globally(Atom(hash_pair, SOLUTION))),
     )
 
-    stones = _or_chain(
-        [_stone_encoding(pa, top, bottom) for top, bottom in instance.stones]
+    stones = reduce(
+        Or, [_stone_encoding(pa, *stone) for stone in instance.stones]
     )
     stones_or_blank = Or(stones, Globally(Atom(hash_pair, UNIVERSAL)))
 
     props = pa.all_props()
-    singleton = _and_chain(
+    singleton = reduce(
+        And,
         [
             Globally(Not(And(Atom(a, UNIVERSAL), Atom(b, UNIVERSAL))))
             for a, b in itertools.combinations(props, 2)
-        ]
+        ],
     )
 
     body = And(

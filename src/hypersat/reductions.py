@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import AlphabetMismatch, BlowupExceeded, WrongFragment
+from .errors import AlphabetMismatch, ResourceLimit, WrongFragment
 from .fragments import ExistsForall, ExistsStar, ForallStar, classify
 from .models import TraceSet, UltimatelyPeriodicTrace
 from .syntax import (
@@ -144,7 +144,7 @@ def unroll_universals(
         raise WrongFragment(f"unroll_universals needs exists-forall, got {cls.name}")
     required = cls.n**cls.m
     if required > limit:
-        raise BlowupExceeded(required, limit)
+        raise ResourceLimit("unroll", required, limit)
 
     parts = []
     seen = set()
@@ -185,6 +185,16 @@ def project(trace: UltimatelyPeriodicTrace, sub: Substitution) -> TraceSet:
         loop = tuple(split(v, i) for v in trace.loop)
         traces.append(UltimatelyPeriodicTrace(stem, loop))
     return TraceSet(frozenset(traces))
+
+
+def extract_model(
+    lasso: UltimatelyPeriodicTrace, reduction: LtlReduction
+) -> TraceSet:
+    """Turn a satisfying lasso of a reduced LTL formula back into a trace
+    set for the original formula."""
+    if reduction.substitution is None:
+        return TraceSet(frozenset({lasso}))
+    return project(lasso, reduction.substitution)
 
 
 def zip_traces(

@@ -4,7 +4,8 @@ Dispatches on the quantifier prefix: forall-only drops quantifiers,
 exists-only zips, exists-forall unrolls then zips.  Anything with a forall
 before an exists is refused with a diagnostic rather than guessed at.
 Satisfiable verdicts carry a model that is re-checked against the original
-formula by the evaluator unless verification is switched off.
+formula by the evaluator unless verification is switched off.  An
+unrolling or a re-check past its limit raises errors.ResourceLimit.
 """
 
 from __future__ import annotations
@@ -20,15 +21,11 @@ from .fragments import (
     classify,
 )
 from .ltl_engine import build_automaton, check_emptiness
-from .models import (
-    DEFAULT_PERIOD_GUARD,
-    TraceSet,
-    evaluate_hyperltl,
-    extract_model,
-)
+from .models import DEFAULT_PERIOD_GUARD, TraceSet, evaluate_hyperltl
 from .reductions import (
     DEFAULT_UNROLL_LIMIT,
     drop_quantifiers,
+    extract_model,
     unroll_universals,
     zip_exists,
 )
@@ -68,12 +65,6 @@ class UnsupportedFragment(HyperSatResult):
 
 
 @dataclass(frozen=True)
-class BlowupExceeded(HyperSatResult):
-    required: int
-    limit: int
-
-
-@dataclass(frozen=True)
 class SolveStats:
     conjuncts: int | None = None
     automaton_states: int | None = None
@@ -98,14 +89,9 @@ def solve(
             reduction = zip_exists(formula)
         case ExistsForall(n, m):
             conjuncts = n**m
-            try:
-                unrolled = unroll_universals(formula, opts.unroll_limit)
-            except errors.BlowupExceeded as e:
-                return (
-                    BlowupExceeded(e.required, e.limit),
-                    SolveStats(conjuncts=conjuncts),
-                )
-            reduction = zip_exists(unrolled)
+            reduction = zip_exists(
+                unroll_universals(formula, opts.unroll_limit)
+            )
         case _:
             message = (
                 f"the {cls.name} fragment is undecidable for "

@@ -19,6 +19,9 @@ memory, not by the interpreter's recursion limit:
   node_count read the same listing.
 * Node hashes are cached and computed bottom-up, and equality compares
   node pairs from an explicit stack.
+* core_table compiles a desugared formula into one hash-consed post-order
+  table of rows; the tableau closure and the evaluator kernel both start
+  from it.
 """
 
 from __future__ import annotations
@@ -569,3 +572,65 @@ def rename_trace_variable(formula: Formula, old: str, new: str) -> Formula:
     return map_atoms(
         formula, lambda a: Atom(a.name, new) if a.trace == old else a
     )
+
+
+# ---------------------------------------------------------------------------
+# The core node table
+
+# Operation codes of the core connectives, in the rank order of the
+# canonical formula order.
+ATOM, CONST, NOT, NEXT, AND, OR, UNTIL, RELEASE = range(8)
+_CORE = {
+    Atom: ATOM, Const: CONST, Not: NOT, Next: NEXT,
+    And: AND, Or: OR, Until: UNTIL, Release: RELEASE,
+}
+
+
+def core_table(formula: Formula):
+    """A desugared formula as a hash-consed table: (nodes, ops, lhs, rhs,
+    root).  Row i is nodes[i], with operation code ops[i]; a compound row
+    holds its operand rows in lhs and rhs (rhs None for NOT and NEXT), an
+    atom row its name and trace, and a constant row its value and None.
+    Structurally equal subformulas share one row, and rows come in
+    first-encounter post-order, so operands precede the rows that use
+    them.  root is the formula's row."""
+    rows: dict[int, int] = {}  # id(node) -> row
+    by_key: dict[tuple, int] = {}  # (op, lhs, rhs) -> row
+    nodes: list[Formula] = []
+    ops: list[int] = []
+    lhs: list = []
+    rhs: list = []
+    stack = [formula]
+    while stack:
+        f = stack[-1]
+        if id(f) in rows:
+            stack.pop()
+            continue
+        op = _CORE.get(type(f))
+        if op is None:
+            raise ValueError(
+                "the core node table expects a desugared formula, "
+                f"found {f!r}"
+            )
+        if op == ATOM:
+            key = (op, f.name, f.trace)
+        elif op == CONST:
+            key = (op, f.value, None)
+        else:
+            kids = (f.operand,) if op <= NEXT else (f.left, f.right)
+            todo = [k for k in kids if id(k) not in rows]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            right = rows[id(kids[1])] if op >= AND else None
+            key = (op, rows[id(kids[0])], right)
+        stack.pop()
+        row = by_key.get(key)
+        if row is None:
+            row = by_key[key] = len(ops)
+            nodes.append(f)
+            ops.append(op)
+            lhs.append(key[1])
+            rhs.append(key[2])
+        rows[id(f)] = row
+    return nodes, ops, lhs, rhs, rows[id(formula)]

@@ -290,6 +290,43 @@ def test_subprocess_pinned_countermodel(write):
     )
 
 
+BLOWUP_E2A2 = (
+    "exists e1. exists e2. forall u1. forall u2. a_e1 & a_e2 & (a_u1 | a_u2)"
+)
+# Every resource limit exits 4; sat reports an unrolling limit on stdout,
+# every other limit is one stderr line.
+LIMIT_PINS = [
+    (["sat", "{e2a2}", "--max-unroll", "3"],
+     b"BLOWUP: needs 4 conjuncts, limit 3\n", b""),
+    (["sat", "--json", "{e2a2}", "--max-unroll", "3"],
+     b'{"model": null, "stats": {"automaton_states": null, "conjuncts": 4}, '
+     b'"verdict": "BLOWUP: needs 4 conjuncts, limit 3"}\n', b""),
+    (["implies", "{g}", "{f}", "--max-unroll", "3"],
+     b"", b"error: unrolling needs 4 conjuncts, limit is 3\n"),
+    (["sat", "--model", "{alternating}", "--max-period", "1"],
+     b"", b"error: combined evaluation period 2 exceeds guard 1\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, stderr", LIMIT_PINS,
+    ids=["sat", "sat-json", "implies", "period"],
+)
+def test_subprocess_pinned_resource_limits(write, argv, stdout, stderr):
+    files = {
+        "e2a2": write("e2a2.hltl", BLOWUP_E2A2),
+        "g": write("g.hltl", "forall p. forall q. G (a_p <-> a_q)"),
+        "f": write("f.hltl", "forall p. forall q. F (a_p <-> a_q)"),
+        "alternating": write("alt.hltl", "exists p. G (a_p <-> X !a_p)"),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypersat",
+         *(arg.format(**files) for arg in argv)],
+        capture_output=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, stdout, stderr)
+
+
 def test_subprocess_exit_codes(write):
     path = write("fe.hltl", "forall p. exists q. a_p & !a_q")
     proc = subprocess.run(

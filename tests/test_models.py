@@ -6,24 +6,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersat.errors import (
-    ParseError,
-    PeriodGuardExceeded,
-    WellFormednessError,
-)
+from hypersat.errors import ParseError, ResourceLimit, WellFormednessError
 from hypersat.models import (
     TraceSet,
     UltimatelyPeriodicTrace,
     evaluate_hyperltl,
     evaluate_ltl,
-    extract_model,
     format_trace,
     format_trace_set,
     make_trace,
     parse_trace,
     parse_trace_set,
 )
-from hypersat.reductions import Substitution, LtlReduction
+from hypersat.reductions import LtlReduction, Substitution, extract_model
 from hypersat.syntax import (
     And,
     Atom,
@@ -239,8 +234,9 @@ def test_period_guard_trips():
     }
     model = TraceSet(frozenset(traces))
     phi = parse_hyperltl("forall x. F p_x")
-    with pytest.raises(PeriodGuardExceeded):
+    with pytest.raises(ResourceLimit) as exc:
         evaluate_hyperltl(model, phi, period_guard=10_000)
+    assert exc.value.kind == "period"
     assert evaluate_hyperltl(model, phi, period_guard=100_000)
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersat.errors import AlphabetMismatch, BlowupExceeded, WrongFragment
+from hypersat.errors import AlphabetMismatch, ResourceLimit, WrongFragment
 from hypersat.models import TraceSet, UltimatelyPeriodicTrace, make_trace
 from hypersat.reductions import (
     Substitution,
@@ -152,8 +152,9 @@ def test_unroll_blowup_guard():
         "exists e1. exists e2. exists e3. forall u1. forall u2. forall u3. "
         "a_e1 & a_e2 & a_e3 & (a_u1 | a_u2 | a_u3)"
     )
-    with pytest.raises(BlowupExceeded) as exc:
+    with pytest.raises(ResourceLimit) as exc:
         unroll_universals(phi, limit=26)
+    assert exc.value.kind == "unroll"
     assert exc.value.required == 27
     assert exc.value.limit == 26
     assert unroll_universals(phi, limit=27).prefix == (

@@ -1,12 +1,15 @@
 """End-to-end satisfiability over the decidable fragments."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersat.errors import WellFormednessError
+from hypersat import implication, solver
+from hypersat.errors import ResourceLimit, WellFormednessError
 from hypersat.fragments import ForallExists, MultiAlternation
 from hypersat.models import (
     TraceSet,
@@ -15,7 +18,6 @@ from hypersat.models import (
     make_trace,
 )
 from hypersat.solver import (
-    BlowupExceeded,
     Sat,
     SolverOptions,
     Unsat,
@@ -81,13 +83,17 @@ def test_exists_forall_unsatisfiable():
     assert hyper_sat(phi) == Unsat()
 
 
-def test_blowup_returned_not_raised():
+def test_blowup_raised_not_returned():
     phi = parse_hyperltl(
         "exists e1. exists e2. forall u1. forall u2. "
         "a_e1 & a_e2 & (a_u1 | a_u2)"
     )
-    result = hyper_sat(phi, SolverOptions(unroll_limit=3))
-    assert result == BlowupExceeded(required=4, limit=3)
+    with pytest.raises(ResourceLimit) as exc:
+        hyper_sat(phi, SolverOptions(unroll_limit=3))
+    assert (exc.value.kind, exc.value.required, exc.value.limit) == (
+        "unroll", 4, 3
+    )
+    assert str(exc.value) == "unrolling needs 4 conjuncts, limit is 3"
 
 
 def test_verification_can_be_disabled():
@@ -172,3 +178,22 @@ def test_exists_forall_agrees_with_brute_force_sat_direction(seed):
     if brute_force_exists_forall(phi, ("p",), 2):
         result = hyper_sat(phi)
         assert isinstance(result, Sat)
+
+
+def test_tracer_patch_names_resolve():
+    # perfbench/spans.py replaces these names inside hypersat.solver and
+    # hypersat.implication while it traces; the file is read, not imported
+    source = Path(__file__).parent.parent / "perfbench" / "spans.py"
+    tables = {}
+    for node in ast.parse(source.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("SOLVER_CALLS", "IMPLICATION_CALLS"):
+                tables[name] = ast.literal_eval(node.value)
+    assert tables["SOLVER_CALLS"] and tables["IMPLICATION_CALLS"]
+    for module, calls in (
+        (solver, tables["SOLVER_CALLS"]),
+        (implication, tables["IMPLICATION_CALLS"]),
+    ):
+        for name in calls:
+            assert callable(getattr(module, name, None)), (module, name)

@@ -27,8 +27,10 @@ from hypersat.syntax import (
     WeakUntil,
     atom_names,
     check_well_formed,
+    core_table,
     desugar,
     free_trace_variables,
+    map_atoms,
     node_count,
     parse_hyperltl,
     render,
@@ -352,6 +354,54 @@ def test_nnf_negations_only_on_atoms(seed):
             child = getattr(node, field)
             if hasattr(child, "__dataclass_fields__"):
                 stack.append(child)
+
+
+def _first_post_order(formula) -> list:
+    """The distinct subformulas, each at its first post-order visit."""
+    out = []
+
+    def visit(f):
+        for field in f.__dataclass_fields__:
+            child = getattr(f, field)
+            if hasattr(child, "__dataclass_fields__"):
+                visit(child)
+        if f not in out:
+            out.append(f)
+
+    visit(formula)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_core_table_rows_random(seed):
+    rng = random.Random(seed)
+    variables = ("x", "y") if rng.random() < 0.5 else ()
+    phi = desugar(random_ltl(rng, PROPS, rng.randrange(6), variables))
+    nodes, ops, lhs, rhs, root = core_table(phi)
+    # one row per structurally distinct subformula, in first-encounter
+    # post-order, and the root's row is the formula itself
+    assert nodes == _first_post_order(phi)
+    assert nodes[root] == phi
+    kinds = (Atom, Const, Not, Next, And, Or, Until, Release)
+    for i, f in enumerate(nodes):
+        assert kinds[ops[i]] is type(f)
+        if isinstance(f, Atom):
+            assert (lhs[i], rhs[i]) == (f.name, f.trace)
+        elif isinstance(f, Const):
+            assert (lhs[i], rhs[i]) == (f.value, None)
+        elif isinstance(f, (Not, Next)):
+            # operands before parents
+            assert lhs[i] < i and rhs[i] is None
+            assert nodes[lhs[i]] == f.operand
+        else:
+            assert lhs[i] < i and rhs[i] < i
+            assert (nodes[lhs[i]], nodes[rhs[i]]) == (f.left, f.right)
+    # an equal subtree built as separate objects shares the rows
+    twin = map_atoms(phi, lambda a: Atom(a.name, a.trace))
+    pair_nodes, _, pair_lhs, pair_rhs, pair_root = core_table(And(phi, twin))
+    assert pair_nodes == nodes + [And(phi, phi)]
+    assert pair_lhs[pair_root] == pair_rhs[pair_root] == root
 
 
 # The differential parser test parses formulas from a small grammar, with
