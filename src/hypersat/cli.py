@@ -119,8 +119,7 @@ def cmd_sat(args) -> int:
 
 def cmd_implies(args) -> int:
     if args.antecedent == "-" and args.consequent == "-":
-        print("only one input may come from stdin", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("only one input may come from stdin")
     antecedent = parse_hyperltl(_read(args.antecedent))
     consequent = parse_hyperltl(_read(args.consequent))
     verdict = check_implication(antecedent, consequent, _options(args))
@@ -170,8 +169,7 @@ def cmd_encode_pcp(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.model_file == "-" and args.file == "-":
-        print("only one input may come from stdin", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("only one input may come from stdin")
     trace_set = parse_trace_set(_read(args.model_file))
     formula = parse_hyperltl(_read(args.file))
     value = evaluate_hyperltl(trace_set, formula, args.max_period)

@@ -36,6 +36,9 @@ from .syntax import (
 )
 
 
+_FLIP = {EXISTS: FORALL, FORALL: EXISTS}
+
+
 class ImplicationVerdict:
     __slots__ = ()
 
@@ -92,25 +95,11 @@ def check_implication(
                 "checking supports exists-only and forall-only formulas"
             )
 
+    # The antecedent keeps its quantifiers, the consequent's flip, and the
+    # existentials go first; the stable sort keeps each side's order.
     renamed = _rename_apart(consequent, {v for _, v in antecedent.prefix})
-    ante_vars = [v for _, v in antecedent.prefix]
-    cons_vars = [v for _, v in renamed.prefix]
-
-    left_forall = isinstance(left_cls, ForallStar)
-    right_forall = isinstance(right_cls, ForallStar)
-    if left_forall and right_forall:
-        prefix = [(EXISTS, v) for v in cons_vars] + [
-            (FORALL, v) for v in ante_vars
-        ]
-    elif not left_forall and not right_forall:
-        prefix = [(EXISTS, v) for v in ante_vars] + [
-            (FORALL, v) for v in cons_vars
-        ]
-    elif left_forall:
-        prefix = [(FORALL, v) for v in ante_vars + cons_vars]
-    else:
-        prefix = [(EXISTS, v) for v in ante_vars + cons_vars]
-
+    flipped = tuple((_FLIP[q], v) for q, v in renamed.prefix)
+    prefix = sorted(antecedent.prefix + flipped, key=lambda p: p[0] == FORALL)
     check = HyperFormula(
         tuple(prefix), And(antecedent.body, Not(renamed.body))
     )

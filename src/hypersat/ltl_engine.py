@@ -483,11 +483,10 @@ def check_emptiness(
 def ltl_sat(formula: Formula) -> UltimatelyPeriodicTrace | None:
     """Satisfiability of a plain LTL formula; a witness lasso or None.
     Accepts any plain formula; desugars and normalizes internally."""
-    core = to_nnf(desugar(formula))
-    for atom in _atoms(core):
+    for atom in _atoms(formula):
         if atom.trace is not None:
             raise ValueError(
                 f"indexed atom {atom.name}_{atom.trace} in plain LTL input"
             )
-    aut = build_automaton(core)
+    aut = build_automaton(to_nnf(desugar(formula)))
     return check_emptiness(aut)

@@ -268,8 +268,10 @@ def evaluate_hyperltl(
     Each fully quantified body is evaluated on the joint lasso of the
     assigned traces: stem length is the maximum of the stems, loop length
     the lcm of the loops.  Raises ResourceLimit if that lcm grows past
-    period_guard.
+    period_guard, and ValueError if period_guard is below 1.
     """
+    if period_guard < 1:
+        raise ValueError("limits must be at least 1")
     syntax.check_well_formed(formula)
     body = syntax.desugar(formula.body)
     traces = trace_set.sorted()

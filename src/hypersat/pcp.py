@@ -115,39 +115,31 @@ def _nexts(k: int, formula: Formula) -> Formula:
     return formula
 
 
+def _side(pa: PairAlphabet, word: str, j: int, continuing: bool) -> list:
+    """The symbols one side of a stone's start pattern allows at position
+    j: the word, dotted at its start, then a dotted start of the next
+    stone and any symbol (later stones may be shorter on this side and
+    pad it with hash) when continuing, or hash padding when ending."""
+    if j == 0:
+        return [dotted(word[0])]
+    if j < len(word):
+        return [word[j]]
+    if not continuing:
+        return [HASH]
+    return pa.dotted_any() if j == len(word) else pa.symbols()
+
+
 def _stone_start(
     pa: PairAlphabet, top: str, bottom: str, continuing: bool
 ) -> Formula:
     """Pattern pinning positions 0..max(|top|,|bottom|) of a trace that
-    begins with this stone.  The continuing variant expects another stone
-    after it (dotted starts where each word ends, then any symbol, since
-    the later stones may be shorter on that side and pad it with hash);
-    the ending variant expects hash padding instead."""
-    p, q = len(top), len(bottom)
-    span = max(p, q)
-    terms = []
-    for j in range(span + 1):
-        if j == 0:
-            lefts = [dotted(top[0])]
-        elif j < p:
-            lefts = [top[j]]
-        elif j == p and continuing:
-            lefts = pa.dotted_any()
-        elif continuing:
-            lefts = pa.symbols()
-        else:
-            lefts = [HASH]
-        if j == 0:
-            rights = [dotted(bottom[0])]
-        elif j < q:
-            rights = [bottom[j]]
-        elif j == q and continuing:
-            rights = pa.dotted_any()
-        elif continuing:
-            rights = pa.symbols()
-        else:
-            rights = [HASH]
-        terms.append(_nexts(j, _pairs(pa, lefts, rights, UNIVERSAL)))
+    begins with this stone, followed by another stone (continuing) or by
+    hash padding."""
+    terms = [
+        _nexts(j, _pairs(pa, _side(pa, top, j, continuing),
+                         _side(pa, bottom, j, continuing), UNIVERSAL))
+        for j in range(max(len(top), len(bottom)) + 1)
+    ]
     return reduce(And, terms)
 
 
@@ -158,30 +150,18 @@ def _stone_encoding(pa: PairAlphabet, top: str, bottom: str) -> Formula:
     )
     all_syms = pa.symbols()
     deletes = []
-    for base in list(pa.alphabet) + [HASH]:
-        deletes.append(
-            Globally(
-                Implies(
-                    _nexts(
-                        len(top),
-                        _pairs(pa, pa.variants(base), all_syms, UNIVERSAL),
-                    ),
-                    _pairs(pa, pa.variants(base), all_syms, SHIFTED),
+    for side, word in enumerate((top, bottom)):
+        for base in list(pa.alphabet) + [HASH]:
+            pair = [all_syms, all_syms]
+            pair[side] = pa.variants(base)
+            deletes.append(
+                Globally(
+                    Implies(
+                        _nexts(len(word), _pairs(pa, *pair, UNIVERSAL)),
+                        _pairs(pa, *pair, SHIFTED),
+                    )
                 )
             )
-        )
-    for base in list(pa.alphabet) + [HASH]:
-        deletes.append(
-            Globally(
-                Implies(
-                    _nexts(
-                        len(bottom),
-                        _pairs(pa, all_syms, pa.variants(base), UNIVERSAL),
-                    ),
-                    _pairs(pa, all_syms, pa.variants(base), SHIFTED),
-                )
-            )
-        )
     return reduce(And, [start] + deletes)
 
 

@@ -11,17 +11,17 @@ memory, not by the interpreter's recursion limit:
   operator stack.  Two tables keyed by token text drive it: the prefix
   operators ``! X F G``, and the infix operators ``<-> -> | & U W R``,
   each with a precedence, an associativity and a constructor.
-* Rewrites (render, desugar, map_atoms, to_nnf) share one walk in two
-  phases.  Phase one lists the node types in pre-order with a list
-  stack, together with the value of each leaf; phase two folds that list
-  backwards with a value stack and a table from node type to builder.
-  to_nnf carries a polarity bit through phase one.  The atom walk and
-  node_count read the same listing.
+* Rewrites (desugar, map_atoms) share one walk in two phases.  Phase one
+  lists the node types in pre-order with a list stack, together with the
+  value of each leaf; phase two folds that list backwards with a value
+  stack and a table from node type to builder.  The atom walk and
+  node_count read the same listing; render writes from its own stack.
 * Node hashes are cached and computed bottom-up, and equality compares
   node pairs from an explicit stack.
 * core_table compiles a desugared formula into one hash-consed post-order
-  table of rows; the tableau closure and the evaluator kernel both start
-  from it.
+  table of rows, expanding each node once.  to_nnf builds every row in
+  both polarities, so its result shares equal subformulas; the tableau
+  closure and the evaluator kernel also start from the table.
 """
 
 from __future__ import annotations
@@ -504,7 +504,7 @@ def render(formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Desugaring and negation normal form
+# Desugaring
 
 _REBUILD = {t: t for t, arity in _ARITY.items() if arity}
 _DESUGAR = _REBUILD | {
@@ -519,40 +519,6 @@ _DESUGAR = _REBUILD | {
 def desugar(formula: Formula) -> Formula:
     """Rewrite F, G, W, ->, <-> into the core !, &, |, X, U, R connectives."""
     return _fold(*_listing(formula), _DESUGAR)
-
-
-# What each core connective becomes under a negation.
-_DUAL = {And: Or, Or: And, Until: Release, Release: Until, Next: Next}
-
-
-def to_nnf(formula: Formula) -> Formula:
-    """Push negations to the atoms.  Input must be desugared.
-
-    Phase one carries the polarity of each node: a Not flips it and drops
-    out, and a negated connective is listed as its dual."""
-    kinds = []
-    leaves = []
-    stack = [(formula, False)]
-    while stack:
-        f, negated = stack.pop()
-        t = type(f)
-        if t is Not:
-            stack.append((f.operand, not negated))
-        elif t is Atom:
-            kinds.append(t)
-            leaves.append(Not(f) if negated else f)
-        elif t is Const:
-            kinds.append(t)
-            leaves.append(Const(f.value != negated))
-        elif t in _DUAL:
-            kinds.append(_DUAL[t] if negated else t)
-            if t is Next:
-                stack.append((f.operand, negated))
-            else:
-                stack += ((f.right, negated), (f.left, negated))
-        else:
-            raise TypeError(f"to_nnf expects a desugared formula: {f!r}")
-    return _fold(kinds, leaves, _REBUILD)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +541,7 @@ def rename_trace_variable(formula: Formula, old: str, new: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# The core node table
+# The core node table, and negation normal form read from it
 
 # Operation codes of the core connectives, in the rank order of the
 # canonical formula order.
@@ -600,31 +566,35 @@ def core_table(formula: Formula):
     ops: list[int] = []
     lhs: list = []
     rhs: list = []
-    stack = [formula]
+    # A compound node is pushed back as expanded above its operands, and
+    # its row is made when it comes up again, after theirs.
+    stack = [(formula, False)]
     while stack:
-        f = stack[-1]
-        if id(f) in rows:
-            stack.pop()
-            continue
+        f, expanded = stack.pop()
         op = _CORE.get(type(f))
-        if op is None:
+        if expanded:
+            if op <= NEXT:
+                key = (op, rows[id(f.operand)], None)
+            else:
+                key = (op, rows[id(f.left)], rows[id(f.right)])
+        elif id(f) in rows:
+            continue
+        elif op is None:
             raise ValueError(
                 "the core node table expects a desugared formula, "
                 f"found {f!r}"
             )
-        if op == ATOM:
+        elif op == ATOM:
             key = (op, f.name, f.trace)
         elif op == CONST:
             key = (op, f.value, None)
         else:
-            kids = (f.operand,) if op <= NEXT else (f.left, f.right)
-            todo = [k for k in kids if id(k) not in rows]
-            if todo:
-                stack.extend(reversed(todo))
-                continue
-            right = rows[id(kids[1])] if op >= AND else None
-            key = (op, rows[id(kids[0])], right)
-        stack.pop()
+            stack.append((f, True))
+            if op <= NEXT:
+                stack.append((f.operand, False))
+            else:
+                stack += ((f.right, False), (f.left, False))
+            continue
         row = by_key.get(key)
         if row is None:
             row = by_key[key] = len(ops)
@@ -634,3 +604,35 @@ def core_table(formula: Formula):
             rhs.append(key[2])
         rows[id(f)] = row
     return nodes, ops, lhs, rhs, rows[id(formula)]
+
+
+# The node type of each operation code; a negated AND, OR, UNTIL or
+# RELEASE becomes the type at code op ^ 1.
+_TYPES = list(_CORE)
+
+
+def to_nnf(formula: Formula) -> Formula:
+    """Push negations to the atoms.  Input must be desugared.
+
+    Each row of the formula's core table is built in both polarities,
+    operands first: a NOT row swaps its operand's pair, a negated NEXT
+    stays NEXT, and a negated binary connective becomes its dual.  Equal
+    subformulas share one node in the result."""
+    nodes, ops, lhs, rhs, root = core_table(formula)
+    positive: list[Formula] = []
+    negative: list[Formula] = []
+    for f, op, left, right in zip(nodes, ops, lhs, rhs):
+        if op == ATOM:
+            pos, neg = f, Not(f)
+        elif op == CONST:
+            pos, neg = f, Const(not left)
+        elif op == NOT:
+            pos, neg = negative[left], positive[left]
+        elif op == NEXT:
+            pos, neg = Next(positive[left]), Next(negative[left])
+        else:
+            pos = _TYPES[op](positive[left], positive[right])
+            neg = _TYPES[op ^ 1](negative[left], negative[right])
+        positive.append(pos)
+        negative.append(neg)
+    return positive[root]

@@ -585,3 +585,39 @@ def reference_render(formula) -> str:
         head = "".join(f"{q} {v}. " for q, v in formula.prefix)
         return head + reference_render(formula.body)
     return _fold(*_listing(formula, _render_leaf), _REFERENCE_RENDER)
+
+
+# ---------------------------------------------------------------------------
+# Reference negation normal form: one listing that carries each node's
+# polarity, folded into a fresh tree with no sharing.
+
+_REFERENCE_DUAL = {And: Or, Or: And, Until: Release, Release: Until, Next: Next}
+
+
+def reference_nnf(formula: Formula) -> Formula:
+    """Push negations to the atoms of a desugared formula: a Not flips the
+    polarity and drops out, and a negated connective is listed as its
+    dual."""
+    kinds = []
+    leaves = []
+    stack = [(formula, False)]
+    while stack:
+        f, negated = stack.pop()
+        t = type(f)
+        if t is Not:
+            stack.append((f.operand, not negated))
+        elif t is Atom:
+            kinds.append(t)
+            leaves.append(Not(f) if negated else f)
+        elif t is Const:
+            kinds.append(t)
+            leaves.append(Const(f.value != negated))
+        elif t in _REFERENCE_DUAL:
+            kinds.append(_REFERENCE_DUAL[t] if negated else t)
+            if t is Next:
+                stack.append((f.operand, negated))
+            else:
+                stack += ((f.right, negated), (f.left, negated))
+        else:
+            raise TypeError(f"unexpected node {f!r}")
+    return _fold(kinds, leaves, {t: t for t in _REFERENCE_DUAL})

@@ -327,6 +327,33 @@ def test_subprocess_pinned_resource_limits(write, argv, stdout, stderr):
     assert (proc.returncode, proc.stdout, proc.stderr) == (4, stdout, stderr)
 
 
+# A bad argument exits 2 with one "error: " line, whichever command gets it.
+ARGUMENT_PINS = [
+    (["sat", "{phi}", "--max-period", "0"],
+     "error: limits must be at least 1\n"),
+    (["eval", "{model}", "{phi}", "--max-period", "0"],
+     "error: limits must be at least 1\n"),
+    (["eval", "{model}", "{phi}", "--max-period", "-3"],
+     "error: limits must be at least 1\n"),
+    (["implies", "-", "-"], "error: only one input may come from stdin\n"),
+    (["eval", "-", "-"], "error: only one input may come from stdin\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stderr", ARGUMENT_PINS,
+    ids=["sat-period", "eval-period", "eval-negative-period",
+         "implies-stdin", "eval-stdin"],
+)
+def test_bad_arguments_pinned(write, capsys, argv, stderr):
+    files = {
+        "phi": write("phi.hltl", "forall x. F p_x"),
+        "model": write("model.txt", "| {p}\n"),
+    }
+    code, out, err = run_main(capsys, *(arg.format(**files) for arg in argv))
+    assert (code, out, err) == (2, "", stderr)
+
+
 def test_subprocess_exit_codes(write):
     path = write("fe.hltl", "forall p. exists q. a_p & !a_q")
     proc = subprocess.run(

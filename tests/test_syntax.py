@@ -14,6 +14,7 @@ from hypersat.syntax import (
     Eventually,
     FALSE,
     FORALL,
+    Formula,
     Globally,
     HyperFormula,
     Iff,
@@ -42,6 +43,7 @@ from generators import random_ltl, random_quantified
 from oracles import (
     enumerate_lassos,
     naive_eval,
+    reference_nnf,
     reference_parse,
     reference_render,
     reference_tokenize,
@@ -402,6 +404,36 @@ def test_core_table_rows_random(seed):
     pair_nodes, _, pair_lhs, pair_rhs, pair_root = core_table(And(phi, twin))
     assert pair_nodes == nodes + [And(phi, phi)]
     assert pair_lhs[pair_root] == pair_rhs[pair_root] == root
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_nnf_matches_the_reference_listing_random(seed):
+    rng = random.Random(seed)
+    variables = ("x", "y") if rng.random() < 0.5 else ()
+    phi = desugar(random_ltl(rng, PROPS, rng.randrange(6), variables))
+    assert to_nnf(phi) == reference_nnf(phi)
+
+
+def test_nnf_shares_equal_subformulas():
+    # desugaring copies each <->'s right operand, so as a tree the NNF of
+    # a d-deep chain grows like 2^d; the table builds each of its O(d)
+    # distinct subformulas once per polarity
+    depth = 16
+    text = " <-> ".join(f"a{i}" for i in range(depth))
+    normal = to_nnf(desugar(parse_hyperltl(text).body))
+    seen = set()
+    stack = [normal]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for field in node.__dataclass_fields__:
+            child = getattr(node, field)
+            if isinstance(child, Formula):
+                stack.append(child)
+    assert len(seen) <= 8 * depth
 
 
 # The differential parser test parses formulas from a small grammar, with
