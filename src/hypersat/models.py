@@ -4,23 +4,31 @@ A trace is a finite stem followed by a forever-repeated non-empty loop.
 Evaluation computes, per subformula, a truth bitmask over the positions
 0 .. |stem|+|loop|-1 of the (joint) lasso; position i+1 wraps back to the
 loop start at the end.  A least fixpoint decides U, and R as its dual,
-which is equivalent to scanning positions up to |stem| + 2*|loop| with
-loop-aware memoization: truth values are periodic past the stem.
+which is equivalent to scanning positions up to |stem| + 2*|loop|:
+truth values are periodic past the stem.
 
-One kernel serves both entry points.  It runs on the desugared body's
-`syntax.core_table`, the post-order node table that the tableau closure
-also starts from, in which equal subformulas share a row.  Each row
-memoizes its masks keyed by the trace indices that the current assignment
-gives the row's free variables, so a subformula is evaluated once per
-distinct binding of the traces it reads, however many assignments the
-quantifier prefix enumerates.  Plain LTL evaluation is the case of one
-unindexed variable bound to the one trace.
+One forward pass over the desugared body's `syntax.core_table`, the
+post-order node table that the tableau closure also starts from, computes
+every row for every assignment of traces to the prefix variables at once.
+A row's value is one int made of lanes, one lane of |stem|+|loop| bits
+per assignment; the lane index spells the assignment in prefix order, the
+last variable least significant.  An atom row is its per-trace masks laid
+out by that index with repunit multiplications, NOT, AND and OR are single
+int operations, X shifts every lane at once, and U and R share one least
+fixpoint over that shift.  The quantifiers then fold the root's lanes
+innermost first, OR for exists and AND for forall.  Where all the lanes
+would span more than LANE_BITS bits, the outermost variables are
+enumerated as nested any/all, on a loop rather than by recursion, each
+choice a pass over the packed rest, so an early-decided quantifier still
+stops early.  Plain LTL evaluation is the one-lane case.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 from . import syntax
@@ -30,6 +38,7 @@ from .syntax import (
     ATOM,
     CONST,
     EXISTS,
+    FORALL,
     NEXT,
     NOT,
     OR,
@@ -118,143 +127,126 @@ def trace_sort_key(t: UltimatelyPeriodicTrace):
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _no_key(assignment: tuple) -> tuple:
-    return ()
+# The most bits one row value may span.  When the lanes of every assignment
+# would not fit, the outermost variables are enumerated and the rest packed.
+LANE_BITS = 1 << 16
 
 
-class _Kernel:
-    """A desugared formula's `core_table`, evaluated over assignments of
-    trace indices to variables.
-
-    Row i keeps the table's operation code and operands, with an atom's
-    trace replaced by its variable's position, and a memo of truth masks
-    over the joint lasso, keyed by the trace indices that the assignment
-    gives the row's free variables.  Equal subformulas share a row, so a
-    subformula is evaluated once per distinct binding of the traces it
-    reads.
-    """
-
-    def __init__(
-        self,
-        formula: Formula,
-        variables: tuple[str | None, ...],
-        traces: list[UltimatelyPeriodicTrace],
-        stem_len: int,
-        loop_len: int,
-    ):
-        _, ops, lhs, rhs, self.root = core_table(formula)
-        position = {v: k for k, v in enumerate(variables)}
-        frees: list[tuple[int, ...]] = []
-        for i, op in enumerate(ops):
-            if op == ATOM:
-                k = position.get(rhs[i])
-                if k is None:
-                    raise WellFormednessError(
-                        f"indexed atom {lhs[i]}_{rhs[i]} in plain LTL "
-                        "evaluation"
-                    )
-                rhs[i] = k
-                free = (k,)
-            elif op == CONST:
-                free = ()
-            else:
-                free = frees[lhs[i]]
-                if op >= AND and frees[rhs[i]] != free:
-                    free = tuple(sorted({*free, *frees[rhs[i]]}))
-            frees.append(free)
-        getters: dict[tuple, object] = {(): _no_key}
-        for free in frees:
-            if free not in getters:
-                getters[free] = operator.itemgetter(*free)
-        self.ops, self.lhs, self.rhs = ops, lhs, rhs
-        self.keys = [getters[free] for free in frees]
-        self.memos: list[dict] = [{} for _ in ops]
-        self.traces = traces
-        self.stem_len = stem_len
-        self.total = stem_len + loop_len
-
-    def holds(self, assignment: tuple) -> bool:
-        """Truth at position 0 with variable k bound to
-        traces[assignment[k]]."""
-        ops, lhs, rhs, keys, memos = (
-            self.ops, self.lhs, self.rhs, self.keys, self.memos
-        )
-        stem_len, total = self.stem_len, self.total
-        full = (1 << total) - 1
-        # The successor shift, inlined below as m >> 1 | (last if bit
-        # stem_len of m is set): bit i takes bit i+1, and the final
-        # position takes the loop start.
-        last = 1 << (total - 1)
-        masks: dict[int, int] = {}  # row -> mask under this assignment
-        stack = [self.root]
-        while stack:
-            i = stack.pop()
-            if i < 0:
-                # every operand of row ~i is in masks by now
-                i = ~i
-                key = stack.pop()
-                op = ops[i]
-                a = masks[lhs[i]]
-                if op == NOT:
-                    m = a ^ full
-                elif op == NEXT:
-                    m = a >> 1 | (last if a >> stem_len & 1 else 0)
-                elif op == AND:
-                    m = a & masks[rhs[i]]
-                elif op == OR:
-                    m = a | masks[rhs[i]]
-                else:
-                    # a R b is !(!a U !b): one least fixpoint serves both
-                    b = masks[rhs[i]]
-                    if op == RELEASE:
-                        a, b = a ^ full, b ^ full
-                    m = b
-                    while True:
-                        step = b | (a & (m >> 1 | (
-                            last if m >> stem_len & 1 else 0)))
-                        if step == m:
-                            break
-                        m = step
-                    if op == RELEASE:
-                        m ^= full
-                memos[i][key] = masks[i] = m
-                continue
-            if i in masks:
-                continue
-            key = keys[i](assignment)
-            m = memos[i].get(key)
-            if m is None:
-                op = ops[i]
-                if op == ATOM:
-                    m = _atom_mask(
-                        lhs[i], self.traces[assignment[rhs[i]]], total
-                    )
-                    memos[i][key] = m
-                elif op == CONST:
-                    m = full if lhs[i] else 0
-                else:
-                    stack += (key, ~i)
-                    if op >= AND:
-                        stack.append(rhs[i])
-                    stack.append(lhs[i])
-                    continue
-            masks[i] = m
-        return bool(masks[self.root] & 1)
+def _repunit(width: int, count: int) -> int:
+    """Bit 0 of each of count lanes that are width bits wide."""
+    return ((1 << width * count) - 1) // ((1 << width) - 1)
 
 
-def _atom_mask(name: str, trace: UltimatelyPeriodicTrace, total: int) -> int:
-    m = 0
+def _trace_masks(trace: UltimatelyPeriodicTrace, total: int) -> dict[str, int]:
+    """Each proposition's truth mask over positions 0 .. total-1."""
+    masks: dict[str, int] = {}
     for i in range(total):
-        if name in trace.valuation_at(i):
-            m |= 1 << i
-    return m
+        for name in trace.valuation_at(i):
+            masks[name] = masks.get(name, 0) | 1 << i
+    return masks
+
+
+def _holds(body: Formula, prefix: tuple, traces: list, stem_len: int,
+           loop_len: int) -> bool:
+    """Truth of a desugared body at position 0 under the quantifier prefix,
+    every variable ranging over traces, on the joint lasso with the given
+    stem and loop lengths."""
+    _, ops, lhs, rhs, root = core_table(body)
+    n, k = len(traces), len(prefix)
+    width = stem_len + loop_len
+    outer = 0  # the variables enumerated one trace at a time
+    while outer < k and n ** (k - outer) * width > LANE_BITS:
+        outer += 1
+    lanes = n ** (k - outer)
+    ones = _repunit(width, lanes)
+    full = (1 << width * lanes) - 1
+    keep = ones * ((1 << width - 1) - 1)  # all but each lane's last bit
+    last = width - 1
+
+    def succ(m: int) -> int:
+        # the successor shift, per lane: bit i takes bit i+1, and the
+        # final position takes the loop start
+        return m >> 1 & keep | (m >> stem_len & ones) << last
+
+    # A leaf row's lhs becomes its value, with rhs None, or, for an atom of
+    # an enumerated variable, its value per trace, with rhs that variable.
+    position = {var: v for v, (_, var) in enumerate(prefix)}
+    per_trace = [_trace_masks(t, width) for t in traces]
+    for i, op in enumerate(ops):
+        if op == CONST:
+            lhs[i] = full if lhs[i] else 0
+        elif op == ATOM:
+            v = position.get(rhs[i])
+            if v is None:
+                raise WellFormednessError(
+                    f"indexed atom {lhs[i]}_{rhs[i]} in plain LTL "
+                    "evaluation"
+                )
+            masks = [m.get(lhs[i], 0) for m in per_trace]
+            if v < outer:
+                lhs[i], rhs[i] = [m * ones for m in masks], v
+            else:
+                # lane l binds v to trace (l // block) % n
+                block = n ** (k - 1 - v)
+                run = sum(m << t * block * width for t, m in enumerate(masks))
+                lhs[i] = run * _repunit(width, block) * _repunit(
+                    width * block * n, lanes // (block * n)
+                )
+                rhs[i] = None
+
+    # The enumerated variables nest like any (exists) and all (forall): a
+    # variable's value is the first value that decides it, True for
+    # exists and False for forall, or else the value at its last trace.
+    decides = [quant == EXISTS for quant, _ in prefix]
+    chosen = [0] * outer  # the trace of each enumerated variable
+    while True:
+        values: list[int] = []
+        for op, a, b in zip(ops, lhs, rhs):
+            if op <= CONST:
+                m = a if b is None else a[chosen[b]]
+            elif op == NOT:
+                m = values[a] ^ full
+            elif op == NEXT:
+                m = succ(values[a])
+            elif op == AND:
+                m = values[a] & values[b]
+            elif op == OR:
+                m = values[a] | values[b]
+            else:
+                # a R b is !(!a U !b): one least fixpoint serves both
+                a, b = values[a], values[b]
+                if op == RELEASE:
+                    a, b = a ^ full, b ^ full
+                m, step = None, b
+                while step != m:
+                    m = step
+                    step = b | a & succ(m)
+                if op == RELEASE:
+                    m ^= full
+            values.append(m)
+        # Fold the packed variables innermost first: each group of n
+        # neighbouring lanes joins its lane starts into its first.  Only
+        # bit 0 is read at the end, so the other bits need no mask.
+        m, span = values[root], width
+        for v in reversed(range(outer, k)):
+            join = operator.or_ if decides[v] else operator.and_
+            m = functools.reduce(join, [m >> t * span for t in range(n)])
+            span *= n
+        value = bool(m & 1)
+        v = outer - 1
+        while v >= 0 and (chosen[v] == n - 1 or value == decides[v]):
+            chosen[v] = 0
+            v -= 1
+        if v < 0:
+            return value
+        chosen[v] += 1
 
 
 def evaluate_ltl(trace: UltimatelyPeriodicTrace, formula: Formula) -> bool:
     """Truth of a desugared plain LTL formula at position 0 of the trace:
-    the kernel with the one unindexed variable bound to the trace."""
+    the one-lane case, one unindexed variable bound to the trace."""
     stem_len, loop_len = len(trace.stem), len(trace.loop)
-    return _Kernel(formula, (None,), [trace], stem_len, loop_len).holds((0,))
+    return _holds(formula, ((FORALL, None),), [trace], stem_len, loop_len)
 
 
 def evaluate_hyperltl(
@@ -264,11 +256,16 @@ def evaluate_hyperltl(
 ) -> bool:
     """Truth of a closed formula over a finite trace set.
 
-    Quantifiers are expanded by exhaustive enumeration of the trace set.
-    Each fully quantified body is evaluated on the joint lasso of the
-    assigned traces: stem length is the maximum of the stems, loop length
-    the lcm of the loops.  Raises ResourceLimit if that lcm grows past
-    period_guard, and ValueError if period_guard is below 1.
+    Every assignment of traces to the prefix variables is evaluated on one
+    joint lasso: its stem is the longest stem in the set and its loop
+    length the lcm of all loops, so each trace is periodic within it.
+    One pass over the body's core table computes each row for all
+    assignments at once, one lane per assignment, and the quantifiers
+    fold the root's lanes.  Where the lanes would span more than
+    LANE_BITS, the outermost variables are enumerated instead, stopping
+    as soon as an exists or forall is decided.  Raises ResourceLimit if
+    the lcm grows past period_guard, and ValueError if period_guard is
+    below 1.
     """
     if period_guard < 1:
         raise ValueError("limits must be at least 1")
@@ -283,28 +280,13 @@ def evaluate_hyperltl(
             )
         return evaluate_ltl(traces[0], body)
 
-    # One product lasso covers every assignment: its stem is the longest
-    # stem in the set and its loop length the lcm of all loops, so each
-    # trace is periodic within it.
     stem_len = max(len(t.stem) for t in traces)
     loop_len = 1
     for t in traces:
         loop_len = math.lcm(loop_len, len(t.loop))
         if loop_len > period_guard:
             raise ResourceLimit("period", loop_len, period_guard)
-    variables = tuple(var for _, var in formula.prefix)
-    kernel = _Kernel(body, variables, traces, stem_len, loop_len)
-    choices = range(len(traces))
-
-    def expand(k: int, assignment: tuple) -> bool:
-        if k == len(formula.prefix):
-            return kernel.holds(assignment)
-        branches = (expand(k + 1, assignment + (t,)) for t in choices)
-        if formula.prefix[k][0] == EXISTS:
-            return any(branches)
-        return all(branches)
-
-    return expand(0, ())
+    return _holds(body, formula.prefix, traces, stem_len, loop_len)
 
 
 # ---------------------------------------------------------------------------
@@ -321,31 +303,42 @@ def format_trace(t: UltimatelyPeriodicTrace) -> str:
     return f"{stem} | {loop}" if stem else f"| {loop}"
 
 
-def parse_trace(line: str) -> UltimatelyPeriodicTrace:
-    if line.count("|") != 1:
-        raise ParseError(0, "a trace needs exactly one '|' separator")
-    stem_text, loop_text = line.split("|")
-    stem = tuple(_parse_valuations(stem_text))
-    loop = tuple(_parse_valuations(loop_text))
+def parse_trace(line: str, at: int = 0) -> UltimatelyPeriodicTrace:
+    """A trace from one line; a ParseError counts its position from at,
+    the line's offset in the model text."""
+    bars = [i for i, c in enumerate(line) if c == "|"]
+    if len(bars) != 1:
+        # the second '|', or the end of a line without one
+        raise ParseError(
+            at + (bars[1] if bars else len(line)),
+            "a trace needs exactly one '|' separator",
+        )
+    bar = bars[0]
+    stem = tuple(_parse_valuations(line[:bar], at))
+    loop = tuple(_parse_valuations(line[bar + 1 :], at + bar + 1))
     if not loop:
-        raise ParseError(0, "a trace needs a non-empty loop")
+        raise ParseError(at + len(line), "a trace needs a non-empty loop")
     return UltimatelyPeriodicTrace(stem, loop)
 
 
-def _parse_valuations(text: str) -> list[frozenset[str]]:
+def _parse_valuations(text: str, at: int) -> list[frozenset[str]]:
     out = []
-    for part in text.split():
+    for match in re.finditer(r"\S+", text):
+        part, start = match.group(), at + match.start()
         if not (part.startswith("{") and part.endswith("}")):
-            raise ParseError(0, f"expected a {{...}} valuation, found {part!r}")
-        inner = part[1:-1]
-        names = [n for n in inner.split(",") if n]
+            raise ParseError(
+                start, f"expected a {{...}} valuation, found {part!r}"
+            )
+        names = part[1:-1].split(",")
+        start += 1  # the offset of the next name
         for n in names:
-            ok = (n[0].isalpha() or n[0] == "_") and all(
+            ok = not n or (n[0].isalpha() or n[0] == "_") and all(
                 c.isalnum() or c in "_@" for c in n
             )
             if not ok:
-                raise ParseError(0, f"bad proposition name {n!r}")
-        out.append(frozenset(names))
+                raise ParseError(start, f"bad proposition name {n!r}")
+            start += len(n) + 1
+        out.append(frozenset(n for n in names if n))
     return out
 
 
@@ -354,7 +347,12 @@ def format_trace_set(ts: TraceSet) -> str:
 
 
 def parse_trace_set(text: str) -> TraceSet:
-    traces = [parse_trace(line) for line in text.splitlines() if line.strip()]
+    traces = []
+    at = 0  # the offset of the line in text
+    for line, ended in zip(text.splitlines(), text.splitlines(True)):
+        if line.strip():
+            traces.append(parse_trace(line, at))
+        at += len(ended)
     if not traces:
-        raise ParseError(0, "empty trace set")
+        raise ParseError(len(text), "empty trace set")
     return TraceSet(frozenset(traces))

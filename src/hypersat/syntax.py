@@ -10,7 +10,8 @@ memory, not by the interpreter's recursion limit:
 * The parser is one loop over the tokens with an operand stack and an
   operator stack.  Two tables keyed by token text drive it: the prefix
   operators ``! X F G``, and the infix operators ``<-> -> | & U W R``,
-  each with a precedence, an associativity and a constructor.
+  each with a precedence, an associativity and a constructor.  Each
+  distinct identifier text becomes one Atom object per parse.
 * Rewrites (desugar, map_atoms) share one walk in two phases.  Phase one
   lists the node types in pre-order with a list stack, together with the
   value of each leaf; phase two folds that list backwards with a value
@@ -21,7 +22,7 @@ memory, not by the interpreter's recursion limit:
 * core_table compiles a desugared formula into one hash-consed post-order
   table of rows, expanding each node once.  to_nnf builds every row in
   both polarities, so its result shares equal subformulas; the tableau
-  closure and the evaluator kernel also start from the table.
+  closure and the evaluator also start from the table.
 """
 
 from __future__ import annotations
@@ -291,6 +292,7 @@ def _parse_body(
     operands: list[Formula] = []
     operators: list[tuple] = [_OPEN]  # the whole body is one group
     depth = 0  # open parentheses
+    atoms: dict[str, Atom] = {}  # identifier text -> its atom
     while True:
         # An operand is due: prefix operators and '(' stack up before it.
         kind, text, at = tokens[pos]
@@ -313,7 +315,10 @@ def _parse_body(
         elif text in RESERVED:
             raise ParseError(at, f"{text!r} is a keyword, not a proposition")
         else:
-            operands.append(_make_atom(text, bound))
+            atom = atoms.get(text)
+            if atom is None:
+                atom = atoms[text] = _make_atom(text, bound)
+            operands.append(atom)
         # An operator is due.  Each finished operand takes the prefix
         # operators before it, and ')' finishes the group it closes.
         while True:

@@ -354,6 +354,38 @@ def test_bad_arguments_pinned(write, capsys, argv, stderr):
     assert (code, out, err) == (2, "", stderr)
 
 
+# A malformed model exits 2 and names the offset of the fault in its text.
+MODEL_ERROR_PINS = [
+    ("| {p}\n{p} {q}\n",
+     b"error: parse error at position 13: "
+     b"a trace needs exactly one '|' separator\n"),
+    ("| {p}\n{p} | {p} | {}\n",
+     b"error: parse error at position 16: "
+     b"a trace needs exactly one '|' separator\n"),
+    ("| {p}\n{p} |  \n",
+     b"error: parse error at position 13: a trace needs a non-empty loop\n"),
+    ("| {p}\n| {p}, {q}\n",
+     b"error: parse error at position 8: "
+     b"expected a {...} valuation, found '{p},'\n"),
+    ("| {p}\n\n{p,2q} | {}\n",
+     b"error: parse error at position 10: bad proposition name '2q'\n"),
+    ("\n  \n", b"error: parse error at position 4: empty trace set\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "model, stderr", MODEL_ERROR_PINS,
+    ids=["no-bar", "two-bars", "no-loop", "valuation", "name", "empty"],
+)
+def test_subprocess_pinned_model_errors(write, model, stderr):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypersat", "eval",
+         write("model.txt", model), write("phi.hltl", "forall x. F p_x")],
+        capture_output=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", stderr)
+
+
 def test_subprocess_exit_codes(write):
     path = write("fe.hltl", "forall p. exists q. a_p & !a_q")
     proc = subprocess.run(

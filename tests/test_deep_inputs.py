@@ -53,3 +53,18 @@ def test_import_leaves_the_recursion_limit_alone():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout == "True\n"
+
+
+def test_long_prefix_enumerates_on_a_loop(tmp_path, capsys):
+    # 1,200 variables over two traces: all but the innermost 15 are
+    # enumerated, and the forall fails at its first assignment
+    names = [f"x{i}" for i in range(1_200)]
+    text = " ".join(f"forall {x}." for x in names) + " " + " & ".join(
+        f"F a_{x}" for x in names
+    )
+    model = tmp_path / "model.txt"
+    model.write_text("| {}\n{} | {a}\n", encoding="utf-8")
+    formula = tmp_path / "formula.hltl"
+    formula.write_text(text, encoding="utf-8")
+    assert main(["eval", str(model), str(formula)]) == 0
+    assert capsys.readouterr().out == "FALSE\n"

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypersat import models
 from hypersat.errors import ParseError, ResourceLimit, WellFormednessError
 from hypersat.models import (
     TraceSet,
@@ -225,6 +227,57 @@ def test_hyper_evaluator_agrees_with_expanded_semantics(quantifiers, seed):
     phi = HyperFormula(tuple(zip(quantifiers, variables)), body)
     ts = random_trace_set(rng, PROPS, rng.randint(1, 3), 2, 3)
     assert evaluate_hyperltl(ts, phi) == naive_holds(ts.sorted(), phi)
+
+
+@pytest.mark.parametrize(
+    "lane_bits", [0, 24, 1 << 30], ids=["enumerated", "mixed", "packed"]
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_hyper_evaluator_agrees_across_width_bounds(lane_bits, seed):
+    # a width bound of 0 enumerates every variable one trace at a time,
+    # 24 bits leave some variables enumerated and some packed, and an
+    # unreachable bound packs every assignment into lanes of one pass
+    rng = random.Random(seed)
+    count = rng.randint(1, 4)
+    variables = ("w", "x", "y", "z")[:count]
+    quantifiers = tuple(rng.choice((FORALL, EXISTS)) for _ in variables)
+    body = random_ltl(rng, PROPS, 3, variables)
+    phi = HyperFormula(tuple(zip(quantifiers, variables)), body)
+    ts = random_trace_set(rng, PROPS, rng.randint(1, 4), 2, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "LANE_BITS", lane_bits)
+        assert evaluate_hyperltl(ts, phi) == naive_holds(ts.sorted(), phi)
+
+
+def _numbered_traces(count: int, p_on_first: bool) -> TraceSet:
+    # trace i loops on the bits of i and p; the trace for 0 sorts first,
+    # and holds p only if p_on_first
+    traces = set()
+    for i in range(count):
+        props = {f"b{j}" for j in range(4) if i >> j & 1}
+        if i or p_on_first:
+            props.add("p")
+        traces.add(tr([], [props]))
+    return TraceSet(frozenset(traces))
+
+
+@pytest.mark.parametrize(
+    "p_on_first, expected", [(False, False), (True, True)],
+    ids=["fails-first", "all-true"],
+)
+def test_wide_forall_over_twelve_traces(p_on_first, expected):
+    # 12**5 assignments overflow the width bound, so the outer variable is
+    # enumerated: the failing forall stops at its first trace, the true one
+    # folds twelve packed passes
+    phi = parse_hyperltl(
+        "forall v. forall w. forall x. forall y. forall z. "
+        "G F (p_v & p_w & p_x & p_y & p_z)"
+    )
+    model = _numbered_traces(12, p_on_first)
+    start = time.perf_counter()
+    assert evaluate_hyperltl(model, phi) is expected
+    assert time.perf_counter() - start < 2.0
 
 
 def test_period_guard_trips():
