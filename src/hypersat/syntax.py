@@ -7,16 +7,25 @@ HyperFormula with an empty prefix and unindexed atoms.
 No pass over a formula recurses, so the depth of an input is bounded by
 memory, not by the interpreter's recursion limit:
 
-* The parser is one loop over the tokens with an operand stack and an
+* The parser reads the text with one C-level regular-expression scan into
+  token strings, then runs one loop over them with an operand stack and an
   operator stack.  Two tables keyed by token text drive it: the prefix
   operators ``! X F G``, and the infix operators ``<-> -> | & U W R``,
   each with a precedence, an associativity and a constructor.  Each
-  distinct identifier text becomes one Atom object per parse.
+  distinct identifier text becomes one Atom object per parse, checked to
+  start with a letter or '_' when it is made, and the closing
+  well-formedness check reads those atoms instead of walking the tree.
+  Positions are found only when parsing fails: the positioned tokenizer
+  then runs over the whole text, so a bad character anywhere is still the
+  error reported, and otherwise it gives the failing token's position.
 * Rewrites (desugar, map_atoms) share one walk in two phases.  Phase one
-  lists the node types in pre-order with a list stack, together with the
-  value of each leaf; phase two folds that list backwards with a value
-  stack and a table from node type to builder.  The atom walk and
-  node_count read the same listing; render writes from its own stack.
+  lists the nodes in pre-order with a list stack, together with the value
+  of each leaf; phase two folds that list backwards with a value stack and
+  a table from node type to builder.  A node whose builder is its own type
+  and whose operands came back as the same objects is kept, not rebuilt,
+  so desugar returns a core formula itself and rebuilds only the sugar
+  nodes and their ancestors.  The atom walk and node_count read the same
+  listing; render writes from its own stack.
 * Node hashes are cached and computed bottom-up, and equality compares
   node pairs from an explicit stack.
 * core_table compiles a desugared formula into one hash-consed post-order
@@ -222,6 +231,8 @@ _SYMBOLS = {
 # matches digits and characters such as '²', so a word must still start
 # with a letter or '_'.
 _TOKEN = re.compile(r"(<->|->|[()!&|.])|(\w+)|(\S)")
+# The same tokens as plain strings, for the parser's one C-level scan.
+_TOKEN_TEXT = re.compile(r"<->|->|[()!&|.]|\w+|\S")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -263,9 +274,30 @@ _CONSTANTS = {"true": TRUE, "false": FALSE}
 # parenthesis sits below every operator; a prefix operator above all.
 _OPEN = (0, None)
 _PREFIX_LEVEL = 6
+# What an operand's place on the stack gets from '(' or a prefix operator.
+_OPENERS = {"(": _OPEN} | {
+    op: (_PREFIX_LEVEL, t) for op, t in _PREFIX.items()
+}
+# What an infix operator reduces the stack to before it is pushed, and its
+# entry.  Equal precedence binds to the left unless right-associative.
+_INFIX_STEPS = {
+    op: (precedence - (not right), (precedence, t))
+    for op, (precedence, right, t) in _INFIX.items()
+}
 
 
-def _make_atom(text: str, bound: tuple[str, ...]) -> Atom:
+def _make_atom(text: str, at: int, bound: tuple[str, ...]) -> Atom:
+    """The atom named by token number at, the first occurrence of its text;
+    raises ParseError, giving the token number, or WellFormednessError if
+    the token names no atom."""
+    if not (text[:1].isalpha() or text[:1] == "_"):
+        raise ParseError(at, f"expected a formula, found {text!r}")
+    if text in (FORALL, EXISTS):
+        raise WellFormednessError(
+            "quantifiers must form a prefix; found one inside the body"
+        )
+    if text in RESERVED:
+        raise ParseError(at, f"{text!r} is a keyword, not a proposition")
     # name_var is an indexed atom only when var is bound in the prefix;
     # split points are tried right to left so names may contain '_'.
     cut = len(text)
@@ -286,90 +318,90 @@ def _reduce(operands: list, operators: list, floor: int) -> None:
 
 
 def _parse_body(
-    tokens: list[tuple[str, str, int]], pos: int, bound: tuple[str, ...]
-) -> Formula:
-    """The formula body from tokens[pos] on, by operator precedence."""
+    tokens: list[str], pos: int, bound: tuple[str, ...]
+) -> tuple[Formula, dict[str, Atom]]:
+    """The formula body from tokens[pos] on, by operator precedence, and
+    its atoms by identifier text in first-occurrence order."""
     operands: list[Formula] = []
-    operators: list[tuple] = [_OPEN]  # the whole body is one group
-    depth = 0  # open parentheses
+    operators: list[tuple] = [_OPEN]  # operators[0] is the whole body
     atoms: dict[str, Atom] = {}  # identifier text -> its atom
     while True:
         # An operand is due: prefix operators and '(' stack up before it.
-        kind, text, at = tokens[pos]
+        text = tokens[pos]
         pos += 1
-        if text in _PREFIX:
-            operators.append((_PREFIX_LEVEL, _PREFIX[text]))
+        opener = _OPENERS.get(text)
+        if opener is not None:
+            operators.append(opener)
             continue
-        if kind == "LPAREN":
-            operators.append(_OPEN)
-            depth += 1
-            continue
-        if kind != "IDENT":
-            raise ParseError(at, f"expected a formula, found {text!r}")
-        if text in (FORALL, EXISTS):
-            raise WellFormednessError(
-                "quantifiers must form a prefix; found one inside the body"
-            )
-        if text in _CONSTANTS:
-            operands.append(_CONSTANTS[text])
-        elif text in RESERVED:
-            raise ParseError(at, f"{text!r} is a keyword, not a proposition")
-        else:
-            atom = atoms.get(text)
-            if atom is None:
-                atom = atoms[text] = _make_atom(text, bound)
-            operands.append(atom)
+        operand = atoms.get(text) or _CONSTANTS.get(text)
+        if operand is None:
+            operand = atoms[text] = _make_atom(text, pos - 1, bound)
+        operands.append(operand)
         # An operator is due.  Each finished operand takes the prefix
         # operators before it, and ')' finishes the group it closes.
         while True:
             while operators[-1][0] == _PREFIX_LEVEL:
                 operands[-1] = operators.pop()[1](operands[-1])
-            kind, text, at = tokens[pos]
+            text = tokens[pos]
             pos += 1
-            if kind != "RPAREN" or not depth:
+            if text != ")":
                 break
             _reduce(operands, operators, 0)
+            if len(operators) == 1:  # no '(' left to close
+                raise ParseError(pos - 1, "unexpected trailing input ')'")
             operators.pop()
-            depth -= 1
-        if text in _INFIX:
-            precedence, right, constructor = _INFIX[text]
-            # equal precedence binds to the left unless right-associative
-            _reduce(operands, operators, precedence - (not right))
-            operators.append((precedence, constructor))
-        elif depth:
-            raise ParseError(at, f"expected RPAREN, found {text!r}")
-        elif kind != "EOF":
-            raise ParseError(at, f"unexpected trailing input {text!r}")
+        infix = _INFIX_STEPS.get(text)
+        if infix is not None:
+            floor, entry = infix
+            _reduce(operands, operators, floor)
+            operators.append(entry)
+        elif _OPEN in operators[1:]:
+            raise ParseError(pos - 1, f"expected RPAREN, found {text!r}")
+        elif text:
+            raise ParseError(pos - 1, f"unexpected trailing input {text!r}")
         else:
             _reduce(operands, operators, 0)
-            return operands[0]
+            return operands[0], atoms
 
 
-def parse_hyperltl(text: str) -> HyperFormula:
-    """Parse a formula; raises ParseError or WellFormednessError."""
-    tokens = _tokenize(text)
+def _parse(tokens: list[str]) -> HyperFormula:
+    """The formula of a token list.  A ParseError raised here gives the
+    failing token's number in place of its position."""
     prefix = []
     seen = set()
     pos = 0
-    while tokens[pos][0] == "IDENT" and tokens[pos][1] in (FORALL, EXISTS):
-        quant = tokens[pos][1]
+    while tokens[pos] in (FORALL, EXISTS):
+        quant, var = tokens[pos : pos + 2]
         pos += 1
-        kind, var, at = tokens[pos]
-        if kind != "IDENT" or var in RESERVED:
-            raise ParseError(at, f"expected a trace variable, found {var!r}")
+        if not (var[:1].isalpha() or var[:1] == "_") or var in RESERVED:
+            raise ParseError(pos, f"expected a trace variable, found {var!r}")
         if var in seen:
             raise WellFormednessError(f"duplicate trace variable {var!r}")
         seen.add(var)
         pos += 1
-        if tokens[pos][0] != "DOT":
-            raise ParseError(tokens[pos][2], "expected '.' after trace variable")
+        if tokens[pos] != ".":
+            raise ParseError(pos, "expected '.' after trace variable")
         pos += 1
         prefix.append((quant, var))
 
-    body = _parse_body(tokens, pos, tuple(var for _, var in prefix))
-    formula = HyperFormula(tuple(prefix), body)
-    check_well_formed(formula)
-    return formula
+    body, atoms = _parse_body(tokens, pos, tuple(var for _, var in prefix))
+    _check_atoms(prefix, atoms.values())
+    return HyperFormula(tuple(prefix), body)
+
+
+def parse_hyperltl(text: str) -> HyperFormula:
+    """Parse a formula; raises ParseError or WellFormednessError."""
+    tokens = _TOKEN_TEXT.findall(text)
+    tokens.append("")  # the end of the text
+    try:
+        return _parse(tokens)
+    except ParseError as e:
+        # A bad character anywhere in the text is reported first, as the
+        # positioned tokens are made; else they give the token's position.
+        raise ParseError(_tokenize(text)[e.position][2], e.message) from None
+    except WellFormednessError:
+        _tokenize(text)
+        raise
 
 
 def check_well_formed(formula: HyperFormula) -> None:
@@ -381,9 +413,15 @@ def check_well_formed(formula: HyperFormula) -> None:
     for quant, _ in formula.prefix:
         if quant not in (FORALL, EXISTS):
             raise WellFormednessError(f"unknown quantifier {quant!r}")
+    _check_atoms(formula.prefix, _atoms(formula.body))
+
+
+def _check_atoms(prefix, atoms) -> None:
+    """The well-formedness rule on a body's atoms, given left to right
+    (repeats make no difference)."""
     free: set[str] = set()
     plain = indexed = None  # the first unindexed and first indexed atom
-    for atom in _atoms(formula.body):
+    for atom in atoms:
         if atom.trace is None:
             if plain is None:
                 plain = atom
@@ -391,8 +429,8 @@ def check_well_formed(formula: HyperFormula) -> None:
             free.add(atom.trace)
             if indexed is None:
                 indexed = atom
-    if formula.prefix:
-        unbound = free - set(bound)
+    if prefix:
+        unbound = free - {v for _, v in prefix}
         if unbound:
             raise WellFormednessError(
                 f"unbound trace variable {sorted(unbound)[0]!r}"
@@ -417,41 +455,48 @@ def _itself(leaf: Formula) -> Formula:
 
 
 def _listing(formula: Formula, leaf=_itself) -> tuple[list, list]:
-    """Phase one: the type of every node in pre-order (each node before its
-    operands, left before right), and leaf(node) for each leaf, left to
-    right."""
-    kinds = []
+    """Phase one: every node in pre-order (each node before its operands,
+    left before right), and leaf(node) for each leaf, left to right."""
+    nodes = []
     leaves = []
     stack = [formula]
     while stack:
         f = stack.pop()
-        t = type(f)
-        arity = _ARITY.get(t)
+        arity = _ARITY.get(type(f))
         if arity is None:
             raise TypeError(f"not a formula node: {f!r}")
-        kinds.append(t)
+        nodes.append(f)
         if arity == 2:
             stack += (f.right, f.left)
         elif arity:
             stack.append(f.operand)
         else:
             leaves.append(leaf(f))
-    return kinds, leaves
+    return nodes, leaves
 
 
-def _fold(kinds: list, leaves: list, build: dict):
+def _fold(nodes: list, leaves: list, build: dict):
     """Phase two: fold a listing bottom-up with a value stack.  build maps
-    each compound node type to a function of its operands' values."""
+    each compound node type to a function of its operands' values.  Where
+    that function is the type itself and the operands came back as the
+    same objects, the node is kept instead of rebuilt."""
     values = []
-    for t in reversed(kinds):
+    for f in reversed(nodes):
+        t = type(f)
         arity = _ARITY[t]
         if not arity:
             values.append(leaves.pop())
         elif arity == 1:
-            values[-1] = build[t](values[-1])
+            operand = values[-1]
+            if build[t] is not t or operand is not f.operand:
+                f = build[t](operand)
+            values[-1] = f
         else:
             left = values.pop()
-            values[-1] = build[t](left, values[-1])
+            right = values[-1]
+            if build[t] is not t or left is not f.left or right is not f.right:
+                f = build[t](left, right)
+            values[-1] = f
     return values[0]
 
 

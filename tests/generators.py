@@ -1,10 +1,12 @@
-"""Seeded random formula and trace generators for the test suite."""
+"""Seeded random formula and trace generators for the test suite, and one
+fixed workload-size correspondence instance."""
 
 from __future__ import annotations
 
 import random
 
 from hypersat.models import TraceSet, UltimatelyPeriodicTrace
+from hypersat.pcp import PcpInstance
 from hypersat.syntax import (
     And,
     Atom,
@@ -105,3 +107,11 @@ def random_trace_set(
         random_trace(rng, props, max_stem, max_loop) for _ in range(count)
     }
     return TraceSet(frozenset(traces))
+
+
+# Six stones over three letters, solved by 1..6 (abcacbac on both sides).
+# Its encoding renders to about 65 KB with parentheses nested 1,179 deep.
+SIX_STONES = PcpInstance(
+    ("a", "b", "c"),
+    (("ab", "a"), ("c", "bc"), ("a", "a"), ("cb", "c"), ("a", "ba"), ("c", "c")),
+)

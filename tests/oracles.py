@@ -38,9 +38,8 @@ from hypersat.syntax import (
     Release,
     Until,
     WeakUntil,
-    _fold,
+    _ARITY,
     _INFIX,
-    _listing,
     _PREFIX,
     check_well_formed,
     desugar,
@@ -565,6 +564,63 @@ def reference_parse(text: str) -> HyperFormula:
 
 
 # ---------------------------------------------------------------------------
+# A two-phase walk whose listing holds node types and whose fold rebuilds
+# every compound node, so it shares no node-keeping logic with the library's
+# fold.  The reference renderer, NNF and desugaring fold with it.
+
+
+def reference_listing(formula: Formula, leaf=lambda f: f) -> tuple[list, list]:
+    """The type of every node in pre-order, and leaf(node) for each leaf,
+    left to right."""
+    kinds = []
+    leaves = []
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        t = type(f)
+        arity = _ARITY[t]
+        kinds.append(t)
+        if arity == 2:
+            stack += (f.right, f.left)
+        elif arity:
+            stack.append(f.operand)
+        else:
+            leaves.append(leaf(f))
+    return kinds, leaves
+
+
+def reference_fold(kinds: list, leaves: list, build: dict):
+    """Fold a type listing bottom-up, calling build[type] on every compound
+    node's operand values."""
+    values = []
+    for t in reversed(kinds):
+        arity = _ARITY[t]
+        if not arity:
+            values.append(leaves.pop())
+        elif arity == 1:
+            values[-1] = build[t](values[-1])
+        else:
+            left = values.pop()
+            values[-1] = build[t](left, values[-1])
+    return values[0]
+
+
+_REFERENCE_DESUGAR = {t: t for t, arity in _ARITY.items() if arity} | {
+    Implies: lambda a, b: Or(Not(a), b),
+    Iff: lambda a, b: And(Or(Not(a), b), Or(Not(b), a)),
+    WeakUntil: lambda a, b: Or(Until(a, b), Release(FALSE, a)),
+    Eventually: lambda e: Until(TRUE, e),
+    Globally: lambda e: Release(FALSE, e),
+}
+
+
+def reference_desugar(formula: Formula) -> Formula:
+    """F, G, W, -> and <-> rewritten into the core connectives, every node
+    built afresh."""
+    return reference_fold(*reference_listing(formula), _REFERENCE_DESUGAR)
+
+
+# ---------------------------------------------------------------------------
 # Reference renderer: the fold that hypersat.syntax.render must match byte
 # for byte.  Each fold step copies its operands' strings, so it is
 # quadratic in depth.
@@ -584,7 +640,9 @@ def reference_render(formula) -> str:
     if isinstance(formula, HyperFormula):
         head = "".join(f"{q} {v}. " for q, v in formula.prefix)
         return head + reference_render(formula.body)
-    return _fold(*_listing(formula, _render_leaf), _REFERENCE_RENDER)
+    return reference_fold(
+        *reference_listing(formula, _render_leaf), _REFERENCE_RENDER
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -620,4 +678,4 @@ def reference_nnf(formula: Formula) -> Formula:
                 stack += ((f.right, negated), (f.left, negated))
         else:
             raise TypeError(f"unexpected node {f!r}")
-    return _fold(kinds, leaves, {t: t for t in _REFERENCE_DUAL})
+    return reference_fold(kinds, leaves, {t: t for t in _REFERENCE_DUAL})

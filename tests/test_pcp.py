@@ -16,8 +16,9 @@ from hypersat.pcp import (
     parse_solution,
 )
 from hypersat.solver import UnsupportedFragment, hyper_sat
-from hypersat.syntax import EXISTS, FORALL, render
+from hypersat.syntax import EXISTS, FORALL, parse_hyperltl, render
 
+from generators import SIX_STONES
 from oracles import naive_holds
 
 EXAMPLE = PcpInstance(("a", "b"), (("a", "baa"), ("ab", "aa"), ("bba", "bb")))
@@ -184,3 +185,33 @@ def test_parse_solution_json():
         parse_solution(json.dumps({"indices": "321"}))
     with pytest.raises(InvalidInstance):
         parse_solution("[]")
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        EXAMPLE,
+        PcpInstance(("a",), (("a", "a"),)),
+        PcpInstance(("a", "b"), (("a", "b"),)),
+        PcpInstance(("a", "b"), (("ab", "a"), ("b", "bb"))),
+        PcpInstance(("a", "b"), (("ba", "b"), ("a", "aa"), ("a", "a"))),
+        SIX_STONES,
+    ],
+    ids=["example", "one-stone", "mismatch", "two-stones", "padded",
+         "six-stones"],
+)
+def test_full_encoding_round_trips_through_text(instance):
+    # the six-stone text nests parentheses 1,179 deep, past the reach of
+    # the recursive reference parser
+    formula = encode_pcp(instance)
+    text = render(formula)
+    reparsed = parse_hyperltl(text)
+    assert reparsed == formula
+    assert render(reparsed) == text
+
+
+def test_six_stone_witness_satisfies_its_reparsed_encoding():
+    text = render(encode_pcp(SIX_STONES))
+    assert len(text) > 60_000
+    model = encode_solution_traceset(SIX_STONES, [1, 2, 3, 4, 5, 6])
+    assert evaluate_hyperltl(model, parse_hyperltl(text))

@@ -25,9 +25,15 @@ from hypersat.solver import (
     hyper_sat,
     solve,
 )
-from hypersat.syntax import HyperFormula, parse_hyperltl
+from hypersat.syntax import (
+    EXISTS,
+    FORALL,
+    HyperFormula,
+    parse_hyperltl,
+    rename_trace_variable,
+)
 
-from generators import random_quantified
+from generators import random_ltl, random_quantified
 from oracles import all_valuations, enumerate_lassos
 
 FORALL_GOLDEN = "forall p1. forall p2. (G b_p1) & (G !b_p2)"
@@ -157,6 +163,39 @@ def test_exists_forall_models_verify_random(seed):
     result = hyper_sat(phi)
     if isinstance(result, Sat):
         assert result.verified
+
+
+# Two satisfiability identities of the paper's fragments, checked without
+# brute force.  A one-variable body holds on some trace iff it holds on
+# every trace of some (singleton) set, so exists and forall agree; and a
+# forall-only formula has a model iff it has a singleton one, where every
+# variable names the same trace.
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_exists_and_forall_of_one_variable_agree(seed):
+    rng = random.Random(seed)
+    body = random_ltl(rng, ("p", "q"), rng.randrange(1, 4), ("x",))
+    verdicts = {
+        isinstance(hyper_sat(HyperFormula(((quant, "x"),), body)), Sat)
+        for quant in (EXISTS, FORALL)
+    }
+    assert len(verdicts) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_forall_pair_agrees_with_its_diagonal(seed):
+    rng = random.Random(seed)
+    body = random_ltl(rng, ("p", "q"), rng.randrange(1, 4), ("x", "y"))
+    pair = HyperFormula(((FORALL, "x"), (FORALL, "y")), body)
+    diagonal = HyperFormula(
+        ((EXISTS, "x"),), rename_trace_variable(body, "y", "x")
+    )
+    assert isinstance(hyper_sat(pair), Sat) == isinstance(
+        hyper_sat(diagonal), Sat
+    )
 
 
 def brute_force_exists_forall(phi, props, n):

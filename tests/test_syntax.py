@@ -1,6 +1,7 @@
 """Parser, printer, desugaring, and negation normal form."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,12 +38,15 @@ from hypersat.syntax import (
     render,
     to_nnf,
 )
+from hypersat.pcp import encode_pcp
 from hypersat.syntax import _tokenize
 
-from generators import random_ltl, random_quantified
+from generators import SIX_STONES, random_ltl, random_quantified
 from oracles import (
     enumerate_lassos,
     naive_eval,
+    reference_desugar,
+    reference_listing,
     reference_nnf,
     reference_parse,
     reference_render,
@@ -202,6 +206,46 @@ def test_desugar_fixed_point_on_core():
     assert desugar(core) == core
 
 
+def test_desugar_keeps_core_nodes():
+    core = And(Until(Atom("p"), Not(Atom("q"))), Next(Release(FALSE, Atom("q"))))
+    assert desugar(core) is core
+    # only the sugar node and its ancestors are rebuilt
+    plain = Or(Atom("p"), Next(Atom("q")))
+    phi = And(plain, Eventually(Atom("q")))
+    cored = desugar(phi)
+    assert cored == And(plain, Until(TRUE, Atom("q")))
+    assert cored.left is plain
+    assert cored.right.right is phi.right.operand
+
+
+BINARY_CORE = (And, Or, Until, Release)
+
+
+def _has_sugar(formula) -> bool:
+    sugar = (Implies, Iff, WeakUntil, Eventually, Globally)
+    return any(t in sugar for t in reference_listing(formula)[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_desugar_matches_the_reference_fold_random(seed):
+    rng = random.Random(seed)
+    variables = ("x", "y") if rng.random() < 0.5 else ()
+    phi = random_ltl(rng, PROPS, rng.randrange(6), variables)
+    cored = desugar(phi)
+    assert cored == reference_desugar(phi)
+    # a subformula with no sugar below it comes back as the same object
+    stack = [(phi, cored)]
+    while stack:
+        before, after = stack.pop()
+        if not _has_sugar(before):
+            assert after is before
+        elif type(before) is type(after) and type(before) in BINARY_CORE:
+            stack += ((before.left, after.left), (before.right, after.right))
+        elif type(before) is type(after) and type(before) in (Not, Next):
+            stack.append((before.operand, after.operand))
+
+
 def test_desugar_implies_and_iff():
     assert desugar(Implies(Atom("a"), Atom("b"))) == Or(
         Not(Atom("a")), Atom("b")
@@ -277,6 +321,61 @@ def test_deep_conjunction_chain_parses():
     text = "exists p. " + " & ".join(["a_p"] * 25_000)
     body = parse_hyperltl(text).body
     assert free_trace_variables(body) == {"p"}
+
+
+def _large_text_cases() -> dict:
+    text = render(encode_pcp(SIX_STONES))
+    middle = text.index(" ", len(text) // 2)
+    stray = text[:middle] + " )" + text[middle:]
+    atom = re.compile(r"p_\w+").search(text, middle)
+    quantified = text[: atom.start()] + "forall" + text[atom.end() :]
+    return {
+        # the stray ')' closes a group early, so the text's last ')' is
+        # the one left unmatched
+        "stray-paren": stray,
+        "stray-paren-bad-char": stray + "$",
+        "dangling-and": text[:middle] + " & )" + text[middle:],
+        "quantifier-in-body": quantified,
+        "quantifier-in-body-bad-char": quantified + "$",
+    }
+
+
+# The (type, message, position) that each case raises.
+PINNED_ERRORS = {
+    "stray-paren": (
+        ParseError,
+        "parse error at position 64893: unexpected trailing input ')'",
+        64893,
+    ),
+    "stray-paren-bad-char": (
+        ParseError,
+        "parse error at position 64894: unexpected character '$'",
+        64894,
+    ),
+    "dangling-and": (
+        ParseError,
+        "parse error at position 32455: expected a formula, found ')'",
+        32455,
+    ),
+    "quantifier-in-body": (
+        WellFormednessError,
+        "quantifiers must form a prefix; found one inside the body",
+        None,
+    ),
+    "quantifier-in-body-bad-char": (
+        ParseError,
+        "parse error at position 64886: unexpected character '$'",
+        64886,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_ERRORS)
+def test_errors_on_a_workload_size_text_pinned(case):
+    # the positions come from the tokenizer only once parsing fails, and a
+    # bad character anywhere still wins over a parse error before it
+    text = _large_text_cases()[case]
+    assert _outcome(parse_hyperltl, text) == PINNED_ERRORS[case]
 
 
 def test_atom_names():
