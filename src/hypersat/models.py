@@ -7,20 +7,21 @@ loop start at the end.  A least fixpoint decides U, and R as its dual,
 which is equivalent to scanning positions up to |stem| + 2*|loop|:
 truth values are periodic past the stem.
 
-One forward pass over the desugared body's `syntax.core_table`, the
-post-order node table that the tableau closure also starts from, computes
-every row for every assignment of traces to the prefix variables at once.
-A row's value is one int made of lanes, one lane of |stem|+|loop| bits
-per assignment; the lane index spells the assignment in prefix order, the
-last variable least significant.  An atom row is its per-trace masks laid
-out by that index with repunit multiplications, NOT, AND and OR are single
-int operations, X shifts every lane at once, and U and R share one least
-fixpoint over that shift.  The quantifiers then fold the root's lanes
-innermost first, OR for exists and AND for forall.  Where all the lanes
-would span more than LANE_BITS bits, the outermost variables are
-enumerated as nested any/all, on a loop rather than by recursion, each
-choice a pass over the packed rest, so an early-decided quantifier still
-stops early.  Plain LTL evaluation is the one-lane case.
+The body is checked and compiled in one walk into `syntax.core_table`'s
+post-order node table, its sugar expanded into core rows, not desugared
+first.  One forward pass over the rows computes every row for every
+assignment of traces to the prefix variables at once.  A row's value is
+one int made of lanes, one lane of |stem|+|loop| bits per assignment; the
+lane index spells the assignment in prefix order, the last variable least
+significant.  An atom row is its per-trace masks laid out by that index
+with repunit multiplications, NOT, AND and OR are single int operations, X
+shifts every lane at once, and U and R share one least fixpoint over that
+shift.  The quantifiers then fold the root's lanes innermost first, OR for
+exists and AND for forall.  Where all the lanes would span more than
+LANE_BITS bits, the outermost variables are enumerated as nested any/all,
+on a loop rather than by recursion, each choice a pass over the packed
+rest, so an early-decided quantifier still stops early.  Plain LTL
+evaluation is the one-lane case.
 """
 
 from __future__ import annotations
@@ -146,12 +147,18 @@ def _trace_masks(trace: UltimatelyPeriodicTrace, total: int) -> dict[str, int]:
     return masks
 
 
-def _holds(body: Formula, prefix: tuple, traces: list, stem_len: int,
-           loop_len: int) -> bool:
-    """Truth of a desugared body at position 0 under the quantifier prefix,
-    every variable ranging over traces, on the joint lasso with the given
-    stem and loop lengths."""
-    _, ops, lhs, rhs, root = core_table(body)
+def _holds(table: tuple, prefix: tuple, traces: list, guard: float) -> bool:
+    """Truth of a body, given as its core table, at position 0 under the
+    quantifier prefix, every variable ranging over traces, on their joint
+    lasso, whose loop may be at most guard long.  The table's leaf rows
+    are overwritten with their values."""
+    stem_len = max(len(t.stem) for t in traces)
+    loop_len = 1
+    for t in traces:
+        loop_len = math.lcm(loop_len, len(t.loop))
+        if loop_len > guard:
+            raise ResourceLimit("period", loop_len, guard)
+    _, ops, lhs, rhs, root = table
     n, k = len(traces), len(prefix)
     width = stem_len + loop_len
     outer = 0  # the variables enumerated one trace at a time
@@ -245,8 +252,7 @@ def _holds(body: Formula, prefix: tuple, traces: list, stem_len: int,
 def evaluate_ltl(trace: UltimatelyPeriodicTrace, formula: Formula) -> bool:
     """Truth of a desugared plain LTL formula at position 0 of the trace:
     the one-lane case, one unindexed variable bound to the trace."""
-    stem_len, loop_len = len(trace.stem), len(trace.loop)
-    return _holds(formula, ((FORALL, None),), [trace], stem_len, loop_len)
+    return _holds(core_table(formula), ((FORALL, None),), [trace], math.inf)
 
 
 def evaluate_hyperltl(
@@ -259,34 +265,24 @@ def evaluate_hyperltl(
     Every assignment of traces to the prefix variables is evaluated on one
     joint lasso: its stem is the longest stem in the set and its loop
     length the lcm of all loops, so each trace is periodic within it.
-    One pass over the body's core table computes each row for all
-    assignments at once, one lane per assignment, and the quantifiers
-    fold the root's lanes.  Where the lanes would span more than
-    LANE_BITS, the outermost variables are enumerated instead, stopping
-    as soon as an exists or forall is decided.  Raises ResourceLimit if
-    the lcm grows past period_guard, and ValueError if period_guard is
-    below 1.
+    The body is checked and compiled in one walk, its sugar expanded into
+    core table rows, not desugared first.  One pass over the rows computes
+    each for all assignments at once, one lane per assignment, and the
+    quantifiers fold the root's lanes.  Where the lanes would span more
+    than LANE_BITS, the outermost variables are enumerated instead,
+    stopping as soon as an exists or forall is decided.  Raises
+    ResourceLimit if the lcm grows past period_guard, and ValueError if
+    period_guard is below 1.
     """
     if period_guard < 1:
         raise ValueError("limits must be at least 1")
-    syntax.check_well_formed(formula)
-    body = syntax.desugar(formula.body)
+    table = syntax.compile_formula(formula)
     traces = trace_set.sorted()
-
-    if not formula.prefix:
-        if len(traces) != 1:
-            raise ValueError(
-                "an unquantified formula needs a single-trace model"
-            )
-        return evaluate_ltl(traces[0], body)
-
-    stem_len = max(len(t.stem) for t in traces)
-    loop_len = 1
-    for t in traces:
-        loop_len = math.lcm(loop_len, len(t.loop))
-        if loop_len > period_guard:
-            raise ResourceLimit("period", loop_len, period_guard)
-    return _holds(body, formula.prefix, traces, stem_len, loop_len)
+    if formula.prefix:
+        return _holds(table, formula.prefix, traces, period_guard)
+    if len(traces) != 1:
+        raise ValueError("an unquantified formula needs a single-trace model")
+    return _holds(table, ((FORALL, None),), traces, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -28,16 +28,18 @@ memory, not by the interpreter's recursion limit:
   listing; render writes from its own stack.
 * Node hashes are cached and computed bottom-up, and equality compares
   node pairs from an explicit stack.
-* core_table compiles a desugared formula into one hash-consed post-order
-  table of rows, expanding each node once.  to_nnf builds every row in
-  both polarities, so its result shares equal subformulas; the tableau
-  closure and the evaluator also start from the table.
+* core_table compiles a formula into one hash-consed post-order table of
+  rows, expanding each node once, and on request F, G, W, -> and <-> into
+  core rows by steps read off desugar's rules; compile_formula checks a
+  formula from that table.  to_nnf builds every row in both polarities,
+  so its result shares equal subformulas; the tableau closure and the
+  evaluator also start from the table.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ParseError, WellFormednessError
 
@@ -353,7 +355,8 @@ def _parse_body(
         infix = _INFIX_STEPS.get(text)
         if infix is not None:
             floor, entry = infix
-            _reduce(operands, operators, floor)
+            if operators[-1][0] > floor:
+                _reduce(operands, operators, floor)
             operators.append(entry)
         elif _OPEN in operators[1:]:
             raise ParseError(pos - 1, f"expected RPAREN, found {text!r}")
@@ -407,13 +410,27 @@ def parse_hyperltl(text: str) -> HyperFormula:
 def check_well_formed(formula: HyperFormula) -> None:
     """Prefix variables distinct; atoms indexed iff the prefix is non-empty;
     every index bound."""
-    bound = [v for _, v in formula.prefix]
+    _check_prefix(formula.prefix)
+    _check_atoms(formula.prefix, _atoms(formula.body))
+
+
+def compile_formula(formula: HyperFormula):
+    """The body's core_table with its sugar expanded; raises what
+    check_well_formed raises, in the same order, reading the atom rows."""
+    _check_prefix(formula.prefix)
+    table = core_table(formula.body, expand=True)
+    atoms = [f for f, op in zip(*table[:2]) if op == ATOM]
+    _check_atoms(formula.prefix, atoms)
+    return table
+
+
+def _check_prefix(prefix) -> None:
+    bound = [v for _, v in prefix]
     if len(bound) != len(set(bound)):
         raise WellFormednessError("duplicate trace variable in prefix")
-    for quant, _ in formula.prefix:
+    for quant, _ in prefix:
         if quant not in (FORALL, EXISTS):
             raise WellFormednessError(f"unknown quantifier {quant!r}")
-    _check_atoms(formula.prefix, _atoms(formula.body))
 
 
 def _check_atoms(prefix, atoms) -> None:
@@ -602,49 +619,82 @@ _CORE = {
 }
 
 
-def core_table(formula: Formula):
-    """A desugared formula as a hash-consed table: (nodes, ops, lhs, rhs,
-    root).  Row i is nodes[i], with operation code ops[i]; a compound row
-    holds its operand rows in lhs and rhs (rhs None for NOT and NEXT), an
-    atom row its name and trace, and a constant row its value and None.
+def _expansion(t: type) -> tuple:
+    """core_table's steps for sugar type t's rewrite in _DESUGAR: the root's
+    operation code, and the steps above it, an operand as its field name."""
+    stack = [_DESUGAR[t](*[Atom(field.name) for field in fields(t)])]
+    steps = []
+    while stack:
+        f = stack.pop()
+        op = _CORE[type(f)]
+        if op > CONST:
+            steps.append((op, None))
+            stack += (f.left, f.right) if op > NEXT else (f.operand,)
+        else:
+            steps.append(f.name if op == ATOM else (None, f))
+    return steps[0][0], steps[1:]
+
+
+_EXPANSIONS = {t: _expansion(t) for t in _DESUGAR.keys() - _CORE.keys()}
+
+
+def core_table(formula: Formula, expand: bool = False):
+    """A formula as a hash-consed table: (nodes, ops, lhs, rhs, root).  Row
+    i has operation code ops[i] and was first made for nodes[i]; a compound
+    row holds its operand rows in lhs and rhs (rhs None for NOT and NEXT),
+    an atom row its name and trace, and a constant row its value and None.
     Structurally equal subformulas share one row, and rows come in
     first-encounter post-order, so operands precede the rows that use
-    them.  root is the formula's row."""
+    them.  root is the formula's row.  Sugar raises ValueError unless
+    expand is set; then the rows are those of desugar(formula), a row made
+    below the root of an expansion has no node (None), and a node that is
+    no formula raises TypeError."""
     rows: dict[int, int] = {}  # id(node) -> row
     by_key: dict[tuple, int] = {}  # (op, lhs, rhs) -> row
-    nodes: list[Formula] = []
+    nodes: list = []
     ops: list[int] = []
     lhs: list = []
     rhs: list = []
-    # A compound node is pushed back as expanded above its operands, and
-    # its row is made when it comes up again, after theirs.
-    stack = [(formula, False)]
+    values: list[int] = []  # the rows of the operands made so far
+    # A step (None, node) walks the node; (op, node) makes its row from the
+    # operand rows on top of values, and sits below the operands' walks.
+    stack = [(None, formula)]
     while stack:
-        f, expanded = stack.pop()
-        op = _CORE.get(type(f))
-        if expanded:
-            if op <= NEXT:
-                key = (op, rows[id(f.operand)], None)
-            else:
-                key = (op, rows[id(f.left)], rows[id(f.right)])
+        op, f = stack.pop()
+        if op is not None:
+            right = values.pop() if op > NEXT else None
+            key = (op, values.pop(), right)
         elif id(f) in rows:
+            values.append(rows[id(f)])
             continue
-        elif op is None:
-            raise ValueError(
-                "the core node table expects a desugared formula, "
-                f"found {f!r}"
-            )
-        elif op == ATOM:
-            key = (op, f.name, f.trace)
-        elif op == CONST:
-            key = (op, f.value, None)
         else:
-            stack.append((f, True))
-            if op <= NEXT:
-                stack.append((f.operand, False))
+            op = _CORE.get(type(f))
+            if op == ATOM:
+                key = (op, f.name, f.trace)
+            elif op == CONST:
+                key = (op, f.value, None)
+            elif op is not None:
+                stack.append((op, f))
+                if op <= NEXT:
+                    stack.append((None, f.operand))
+                else:
+                    stack += ((None, f.right), (None, f.left))
+                continue
+            elif not expand:
+                raise ValueError(
+                    "the core node table expects a desugared formula, "
+                    f"found {f!r}"
+                )
+            elif type(f) not in _EXPANSIONS:
+                raise TypeError(f"not a formula node: {f!r}")
             else:
-                stack += ((f.right, False), (f.left, False))
-            continue
+                op, steps = _EXPANSIONS[type(f)]
+                stack.append((op, f))
+                stack += [
+                    (None, getattr(f, s)) if type(s) is str else s
+                    for s in steps
+                ]
+                continue
         row = by_key.get(key)
         if row is None:
             row = by_key[key] = len(ops)
@@ -652,8 +702,10 @@ def core_table(formula: Formula):
             ops.append(op)
             lhs.append(key[1])
             rhs.append(key[2])
-        rows[id(f)] = row
-    return nodes, ops, lhs, rhs, rows[id(formula)]
+        if f is not None:
+            rows[id(f)] = row
+        values.append(row)
+    return nodes, ops, lhs, rhs, values[0]
 
 
 # The node type of each operation code; a negated AND, OR, UNTIL or

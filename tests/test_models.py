@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersat import models
+from hypersat import models, syntax
 from hypersat.errors import ParseError, ResourceLimit, WellFormednessError
 from hypersat.models import (
     TraceSet,
@@ -30,15 +30,24 @@ from hypersat.syntax import (
     Globally,
     HyperFormula,
     Iff,
+    Implies,
     Next,
     Not,
+    Or,
     Until,
+    WeakUntil,
+    check_well_formed,
     desugar,
     parse_hyperltl,
 )
 
 from generators import random_ltl, random_trace, random_trace_set
-from oracles import enumerate_lassos, naive_eval, naive_holds
+from oracles import (
+    enumerate_lassos,
+    naive_eval,
+    naive_eval_hyper,
+    naive_holds,
+)
 
 PROPS = ("p", "q")
 
@@ -121,6 +130,91 @@ def test_evaluate_ltl_rejects_sugar_before_indexed_atoms():
         evaluate_ltl(tr([], [{"a"}]), phi)
     with pytest.raises(WellFormednessError, match="indexed atom a_pi"):
         evaluate_ltl(tr([], [{"a"}]), desugar(phi))
+
+
+# Hand-built formulas reach the evaluator unchecked by the parser; each
+# fault must be reported as check_well_formed reports it, where several
+# faults compete too.
+UNCHECKED = [
+    (
+        HyperFormula(((EXISTS, "x"), (FORALL, "x")), Not("b")),
+        WellFormednessError,
+        "duplicate trace variable in prefix",
+    ),
+    (
+        HyperFormula((("some", "x"),), Eventually(Atom("a", "x"))),
+        WellFormednessError,
+        "unknown quantifier 'some'",
+    ),
+    (
+        HyperFormula(
+            ((EXISTS, "x"),),
+            Iff(Atom("a", "z"), And(Atom("b"), Globally(Atom("a", "y")))),
+        ),
+        WellFormednessError,
+        "unbound trace variable 'y'",
+    ),
+    (
+        HyperFormula(
+            ((EXISTS, "x"),),
+            Implies(Atom("a", "x"), WeakUntil(Atom("b"), Atom("c"))),
+        ),
+        WellFormednessError,
+        "atom 'b' lacks a trace index in a quantified formula",
+    ),
+    (
+        HyperFormula((), Or(Atom("a"), Globally(Atom("b", "x")))),
+        WellFormednessError,
+        "indexed atom 'b' in an unquantified formula",
+    ),
+    (
+        HyperFormula(((EXISTS, "x"),), And(Atom("a", "x"), Eventually(5))),
+        TypeError,
+        "not a formula node: 5",
+    ),
+]
+
+
+@pytest.mark.parametrize("formula, error, message", UNCHECKED)
+def test_evaluation_reports_faults_as_check_well_formed(
+    formula, error, message
+):
+    model = TraceSet(frozenset({tr([], [{"a"}])}))
+    with pytest.raises(error) as checked:
+        check_well_formed(formula)
+    with pytest.raises(error) as evaluated:
+        evaluate_hyperltl(model, formula)
+    assert str(checked.value) == str(evaluated.value) == message
+
+
+def test_evaluation_compiles_without_the_separate_walks(monkeypatch):
+    # the body is checked and desugared in the table's own walk
+    def walk(*_):
+        raise AssertionError("a separate walk over the formula")
+
+    monkeypatch.setattr(syntax, "check_well_formed", walk)
+    monkeypatch.setattr(syntax, "desugar", walk)
+    model = TraceSet(frozenset({tr([], [{"a"}])}))
+    assert evaluate_hyperltl(model, parse_hyperltl("exists p. G F a_p"))
+    assert evaluate_hyperltl(model, parse_hyperltl("F a -> G a"))
+
+
+def test_sugar_chain_verdict_matches_the_naive_evaluator():
+    # the chain and model of the CI's linear-evaluation step: 41 atoms
+    # under <->, with ->, W, F and G; every trace refutes it, so FALSE
+    text = (
+        "exists p. (a0_p -> F a1_p) <-> (a2_p W G a3_p) <-> "
+        + " <-> ".join(f"a{i}_p" for i in range(4, 41))
+    )
+    model = parse_trace_set(
+        "| {a1,a3}\n{a0,a2,a4} | {a3}\n{a2} | {a3}\n| {"
+        + ",".join(f"a{i}" for i in range(0, 41, 2))
+        + "}"
+    )
+    phi = parse_hyperltl(text)
+    naive = [naive_eval_hyper({"p": t}, phi.body) for t in model]
+    assert naive == [False] * 4
+    assert evaluate_hyperltl(model, phi) is False
 
 
 def test_shared_subformulas_evaluated_once():

@@ -28,7 +28,11 @@ from hypersat.solver import (
 from hypersat.syntax import (
     EXISTS,
     FORALL,
+    And,
+    Atom,
+    Globally,
     HyperFormula,
+    Not,
     parse_hyperltl,
     rename_trace_variable,
 )
@@ -196,6 +200,40 @@ def test_forall_pair_agrees_with_its_diagonal(seed):
     assert isinstance(hyper_sat(pair), Sat) == isinstance(
         hyper_sat(diagonal), Sat
     )
+
+
+# exists x exists y. phi(x) & psi(y) has a model iff exists x. phi and
+# exists y. psi both have one: the union of their models.  Unlike the two
+# relations above, it binds two existential traces, which the zipped
+# alphabet must keep apart.
+
+
+def _independent_pair_agrees(phi, psi):
+    pair = HyperFormula(((EXISTS, "x"), (EXISTS, "y")), And(phi, psi))
+    alone = [
+        isinstance(hyper_sat(HyperFormula(((EXISTS, var),), body)), Sat)
+        for var, body in (("x", phi), ("y", psi))
+    ]
+    return isinstance(hyper_sat(pair), Sat) == all(alone)
+
+
+def test_independent_pair_needs_two_traces():
+    # G a and G !a: each alone is satisfiable, together only on two traces
+    phi = Globally(Atom("a", "x"))
+    psi = Globally(Not(Atom("a", "y")))
+    assert _independent_pair_agrees(phi, psi)
+    result = hyper_sat(HyperFormula(((EXISTS, "x"), (EXISTS, "y")),
+                                    And(phi, psi)))
+    assert isinstance(result, Sat) and len(result.model) == 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_independent_pair_agrees_with_its_halves(seed):
+    rng = random.Random(seed)
+    phi = random_ltl(rng, ("p", "q"), rng.randrange(1, 4), ("x",))
+    psi = random_ltl(rng, ("p", "q"), rng.randrange(1, 4), ("y",))
+    assert _independent_pair_agrees(phi, psi)
 
 
 def brute_force_exists_forall(phi, props, n):

@@ -1,13 +1,16 @@
 """Parser, printer, desugaring, and negation normal form."""
 
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersat.errors import ParseError, WellFormednessError
 from hypersat.syntax import (
+    CONST,
     And,
     Atom,
     Const,
@@ -29,6 +32,7 @@ from hypersat.syntax import (
     WeakUntil,
     atom_names,
     check_well_formed,
+    compile_formula,
     core_table,
     desugar,
     free_trace_variables,
@@ -38,7 +42,7 @@ from hypersat.syntax import (
     render,
     to_nnf,
 )
-from hypersat.pcp import encode_pcp
+from hypersat.pcp import encode_pcp, parse_instance
 from hypersat.syntax import _tokenize
 
 from generators import SIX_STONES, random_ltl, random_quantified
@@ -533,6 +537,77 @@ def test_nnf_shares_equal_subformulas():
             if isinstance(child, Formula):
                 stack.append(child)
     assert len(seen) <= 8 * depth
+
+
+def _assert_sugar_table_matches(phi):
+    """Expanding sugar in the table's own walk gives the rows of the
+    desugared formula's table: ops, operands and root, in the same
+    order, and the same atoms and constants as leaf nodes."""
+    expanded = core_table(phi, expand=True)
+    desugared = core_table(desugar(phi))
+    assert expanded[1:] == desugared[1:]
+    nodes, ops = expanded[:2]
+    leaves = [n for n, op in zip(nodes, ops) if op <= CONST]
+    assert leaves == [n for n, op in zip(*desugared[:2]) if op <= CONST]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_sugar_expanding_table_matches_desugared_table_random(seed):
+    rng = random.Random(seed)
+    variables = ("x", "y") if rng.random() < 0.5 else ()
+
+    def part():
+        return random_ltl(rng, PROPS, rng.randrange(4), variables)
+
+    # every connective that desugars, around random parts that may hold
+    # more of them, shared operands included
+    shared = part()
+    sugar = [
+        Implies(part(), shared),
+        Iff(shared, part()),
+        WeakUntil(part(), Eventually(shared)),
+        Globally(part()),
+    ]
+    rng.shuffle(sugar)
+    phi = sugar[0]
+    for other in sugar[1:]:
+        phi = rng.choice((And, Or, Until, Iff))(phi, other)
+    _assert_sugar_table_matches(phi)
+    _assert_sugar_table_matches(part())
+
+
+def test_sugar_expanding_table_matches_on_pcp_encodings():
+    # the eight correspondence encodings of the eval-pcp benchmark, parsed
+    # back from their printed text as an evaluation reads them
+    keys = Path(__file__).parent.parent / "perfbench" / "keys.json"
+    instances = json.loads(keys.read_text(encoding="utf-8"))["eval_pcp"]
+    assert len(instances["instances"]) == 8
+    for inst in instances["instances"]:
+        instance = parse_instance(json.dumps(
+            {"alphabet": inst["alphabet"], "stones": inst["stones"]}
+        ))
+        phi = parse_hyperltl(render(encode_pcp(instance)))
+        _assert_sugar_table_matches(phi.body)
+        assert compile_formula(phi)[1:] == core_table(desugar(phi.body))[1:]
+
+
+def test_sugar_chain_compiles_to_linear_rows():
+    # each <-> uses both operands twice, so as a tree a 41-deep chain has
+    # about 2**41 nodes; the walk expands each distinct node once
+    depth = 41
+    phi = parse_hyperltl(" <-> ".join(f"a{i}" for i in range(depth))).body
+    _, ops, _, _, root = core_table(phi, expand=True)
+    # per level: an atom, two negations, two ors and an and
+    assert len(ops) == 6 * (depth - 1) + 1
+    assert root == len(ops) - 1
+
+
+def test_core_table_modes_reject_what_they_cannot_compile():
+    with pytest.raises(ValueError, match="expects a desugared formula"):
+        core_table(And(Atom("a"), Eventually(Atom("b"))))
+    with pytest.raises(TypeError, match="not a formula node: 'b'"):
+        core_table(And(Atom("a"), Eventually("b")), expand=True)
 
 
 # The differential parser test parses formulas from a small grammar, with
