@@ -152,13 +152,7 @@ def cmd_encode_pcp(args) -> int:
         trace_set = pcp.encode_solution_traceset(instance, indices)
         trace_lines = _model_lines(trace_set)
     if args.json:
-        obj = {
-            "verdict": "OK",
-            "formula": formula_text,
-            "model": trace_lines,
-            "stats": {"conjuncts": None, "automaton_states": None},
-        }
-        print(json.dumps(obj, sort_keys=True))
+        _emit(args, "OK", trace_lines, None, {"formula": formula_text})
     elif trace_lines is not None:
         for line in trace_lines:
             print(line)
@@ -264,26 +258,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        errors.ParseError,
-        errors.WellFormednessError,
-        errors.WrongFragment,
-        errors.AlphabetMismatch,
-        errors.InvalidInstance,
-        errors.NotASolution,
-        ValueError,
-    ) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except errors.ResourceLimit as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LIMIT
     except errors.InternalError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    except (errors.HypersatError, ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except Exception as e:  # a bug: one line, never a traceback
         print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

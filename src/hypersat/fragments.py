@@ -71,9 +71,7 @@ def classify(formula: HyperFormula) -> FragmentClass:
             runs.append([quant, 1])
 
     if prefix[0][0] == FORALL and len(runs) > 1:
-        for i, (quant, _) in enumerate(prefix):
-            if quant == FORALL and any(q == EXISTS for q, _ in prefix[i + 1 :]):
-                return ForallExists(i)
+        return ForallExists(0)  # the second run is an exists
     if len(runs) > 2:
         # starts with exists and alternates at least twice
         return MultiAlternation(runs[0][1] + runs[1][1])

@@ -18,19 +18,18 @@ memory, not by the interpreter's recursion limit:
   Positions are found only when parsing fails: the positioned tokenizer
   then runs over the whole text, so a bad character anywhere is still the
   error reported, and otherwise it gives the failing token's position.
-* Rewrites (desugar, map_atoms) share one walk in two phases.  Phase one
-  lists the nodes in pre-order with a list stack, together with the value
-  of each leaf; phase two folds that list backwards with a value stack and
-  a table from node type to builder.  A node whose builder is its own type
-  and whose operands came back as the same objects is kept, not rebuilt,
-  so desugar returns a core formula itself and rebuilds only the sugar
-  nodes and their ancestors.  The atom walk and node_count read the same
-  listing; render writes from its own stack.
+* Every other pass is one fold, _walk, over a formula's distinct node
+  objects, operands first, so a formula with shared subformulas (as
+  desugar and to_nnf build them) costs its distinct nodes, not its size
+  as a tree.  desugar, map_atoms, the atom walk, node_count and core_table
+  differ only in the function that makes a node's value.  The rewrites
+  keep a node whose operands came back as the same objects, so desugar
+  returns a core formula itself.  render writes from its own stack.
 * Node hashes are cached and computed bottom-up, and equality compares
-  node pairs from an explicit stack.
+  each pair of nodes once, from an explicit stack.
 * core_table compiles a formula into one hash-consed post-order table of
-  rows, expanding each node once, and on request F, G, W, -> and <-> into
-  core rows by steps read off desugar's rules; compile_formula checks a
+  rows; with expand, it and desugar replace F, G, W, -> and <-> by the
+  same steps, read once off desugar's rules.  compile_formula checks a
   formula from that table.  to_nnf builds every row in both polarities,
   so its result shares equal subformulas; the tableau closure and the
   evaluator also start from the table.
@@ -95,8 +94,10 @@ class Formula:
             return NotImplemented
         if hash(self) != hash(other):
             return False
-        # Every node below either root has its hash cached by now.
+        # Every node below either root has its hash cached by now.  A pair
+        # of compound nodes is compared once, however many paths reach it.
         stack = [self, other]
+        seen = {}  # id(a) -> the node b it was last compared with
         while stack:
             b = stack.pop()
             a = stack.pop()
@@ -106,15 +107,18 @@ class Formula:
             if type(b) is not t or a._hash != b._hash:
                 return False
             arity = _ARITY[t]
-            if arity == 2:
-                stack += (a.left, b.left, a.right, b.right)
-            elif arity == 1:
-                stack += (a.operand, b.operand)
-            elif t is Atom:
-                if a.name != b.name or a.trace != b.trace:
+            if not arity:
+                if t is Atom:
+                    if a.name != b.name or a.trace != b.trace:
+                        return False
+                elif a.value != b.value:
                     return False
-            elif a.value != b.value:
-                return False
+            elif seen.get(id(a)) is not b:
+                seen[id(a)] = b
+                if arity == 2:
+                    stack += (a.left, b.left, a.right, b.right)
+                else:
+                    stack += (a.operand, b.operand)
         return True
 
 
@@ -191,7 +195,7 @@ class Globally(Formula):
     operand: Formula
 
 
-# Operand count of each node type; every walk dispatches on it.
+# Operand count of each node type; hashing and equality dispatch on it.
 _ARITY = {
     Atom: 0, Const: 0,
     Not: 1, Next: 1, Eventually: 1, Globally: 1,
@@ -464,62 +468,88 @@ def _check_atoms(prefix, atoms) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The walk: phase one lists, phase two folds.
+# The walk: one fold over the distinct nodes, operands first.
+
+# The node type of each operation code: the core connectives in the rank
+# order of the canonical formula order, each binary one's dual at op ^ 1,
+# then the sugar.
+ATOM, CONST, NOT, NEXT, AND, OR, UNTIL, RELEASE = range(8)
+_TYPES = [Atom, Const, Not, Next, And, Or, Until, Release,
+          Implies, Iff, WeakUntil, Eventually, Globally]
+_CODES = {t: op for op, t in enumerate(_TYPES)}
+_CORE = {t: op for op, t in enumerate(_TYPES[: RELEASE + 1])}
+_BINARY = [_ARITY[t] == 2 for t in _TYPES]
 
 
-def _itself(leaf: Formula) -> Formula:
-    return leaf
-
-
-def _listing(formula: Formula, leaf=_itself) -> tuple[list, list]:
-    """Phase one: every node in pre-order (each node before its operands,
-    left before right), and leaf(node) for each leaf, left to right."""
-    nodes = []
-    leaves = []
+def _walk(formula: Formula, make, expand: bool | None = False):
+    """Fold a formula bottom-up, each distinct node object once, in
+    first-encounter post-order: a node's value is make(op, node, left,
+    right).  For a compound node left and right are its operands' values
+    (right None for NOT, NEXT, F and G); for an atom they are its name and
+    trace, and for a constant its value and None.  F, G, W, -> and <-> are
+    folded as nodes of their own; expand replaces each by the steps of its
+    rule in _DESUGAR (the values made below the rule's root have node
+    None), and expand=None rejects them with ValueError."""
+    codes = _CORE if expand is None else _CODES
+    done: dict[int, object] = {}  # id(node) -> its value
+    values: list = []  # the values of the operands walked so far
+    # A node on the stack is still to walk; a step (op, node) makes the
+    # node's value from the operand values on top of values, and sits
+    # below the operands' walks.
     stack = [formula]
     while stack:
         f = stack.pop()
-        arity = _ARITY.get(type(f))
-        if arity is None:
-            raise TypeError(f"not a formula node: {f!r}")
-        nodes.append(f)
-        if arity == 2:
-            stack += (f.right, f.left)
-        elif arity:
-            stack.append(f.operand)
-        else:
-            leaves.append(leaf(f))
-    return nodes, leaves
-
-
-def _fold(nodes: list, leaves: list, build: dict):
-    """Phase two: fold a listing bottom-up with a value stack.  build maps
-    each compound node type to a function of its operands' values.  Where
-    that function is the type itself and the operands came back as the
-    same objects, the node is kept instead of rebuilt."""
-    values = []
-    for f in reversed(nodes):
-        t = type(f)
-        arity = _ARITY[t]
-        if not arity:
-            values.append(leaves.pop())
-        elif arity == 1:
-            operand = values[-1]
-            if build[t] is not t or operand is not f.operand:
-                f = build[t](operand)
-            values[-1] = f
-        else:
+        if type(f) is tuple:
+            op, f = f
+            right = values.pop() if _BINARY[op] else None
             left = values.pop()
-            right = values[-1]
-            if build[t] is not t or left is not f.left or right is not f.right:
-                f = build[t](left, right)
-            values[-1] = f
+        elif id(f) in done:
+            values.append(done[id(f)])
+            continue
+        else:
+            op = codes.get(type(f))
+            if op is None:
+                if expand is None:
+                    raise ValueError(
+                        "the core node table expects a desugared formula, "
+                        f"found {f!r}"
+                    )
+                raise TypeError(f"not a formula node: {f!r}")
+            if op == ATOM:
+                left, right = f.name, f.trace
+            elif op == CONST:
+                left, right = f.value, None
+            elif op > RELEASE and expand:
+                op, steps = _EXPANSIONS[op]
+                stack.append((op, f))
+                stack += [
+                    getattr(f, s) if type(s) is str else s for s in steps
+                ]
+                continue
+            else:
+                stack.append((op, f))
+                if _BINARY[op]:
+                    stack += (f.right, f.left)
+                else:
+                    stack.append(f.operand)
+                continue
+        value = make(op, f, left, right)
+        if f is not None:
+            done[id(f)] = value
+        values.append(value)
     return values[0]
 
 
 def _atoms(formula: Formula) -> list[Atom]:
-    """The atoms of the formula, left to right."""
-    return [f for f in _listing(formula)[1] if type(f) is Atom]
+    """The atom objects of the formula, left to right, each once."""
+    atoms = []
+
+    def make(op, f, left, right):
+        if op == ATOM:
+            atoms.append(f)
+
+    _walk(formula, make)
+    return atoms
 
 
 def free_trace_variables(formula: Formula) -> set[str]:
@@ -530,8 +560,13 @@ def atom_names(formula: Formula) -> set[str]:
     return {a.name for a in _atoms(formula)}
 
 
+def _size(op, f, left, right) -> int:
+    return 1 if op <= CONST else 1 + left + (right or 0)
+
+
 def node_count(formula: Formula) -> int:
-    return len(_listing(formula)[0])
+    """The formula's size as a tree: shared nodes count once per use."""
+    return _walk(formula, _size)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +606,9 @@ def render(formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Desugaring
+# Desugaring, and the other rewrites
 
-_REBUILD = {t: t for t, arity in _ARITY.items() if arity}
-_DESUGAR = _REBUILD | {
+_DESUGAR = {
     Implies: lambda a, b: Or(Not(a), b),
     Iff: lambda a, b: And(Or(Not(a), b), Or(Not(b), a)),
     WeakUntil: lambda a, b: Or(Until(a, b), Release(FALSE, a)),
@@ -583,22 +617,33 @@ _DESUGAR = _REBUILD | {
 }
 
 
+def _keep(op, f, left, right) -> Formula:
+    """The node of type op over the operand values: f itself where its
+    operands came back as the same objects."""
+    if op <= CONST:
+        return f
+    t = _TYPES[op]
+    if right is None:
+        return f if type(f) is t and f.operand is left else t(left)
+    if type(f) is t and f.left is left and f.right is right:
+        return f
+    return t(left, right)
+
+
 def desugar(formula: Formula) -> Formula:
-    """Rewrite F, G, W, ->, <-> into the core !, &, |, X, U, R connectives."""
-    return _fold(*_listing(formula), _DESUGAR)
-
-
-# ---------------------------------------------------------------------------
-# Structural helpers used across the package
+    """Rewrite F, G, W, ->, <-> into the core !, &, |, X, U, R connectives,
+    by the steps that core_table(formula, expand=True) runs.  A subformula
+    with no sugar below it comes back as itself."""
+    return _walk(formula, _keep, True)
 
 
 def map_atoms(formula: Formula, fn) -> Formula:
     """Rebuild the formula with every atom replaced by fn(atom)."""
 
-    def leaf(f: Formula) -> Formula:
-        return fn(f) if type(f) is Atom else f
+    def make(op, f, left, right):
+        return fn(f) if op == ATOM else _keep(op, f, left, right)
 
-    return _fold(*_listing(formula, leaf), _REBUILD)
+    return _walk(formula, make)
 
 
 def rename_trace_variable(formula: Formula, old: str, new: str) -> Formula:
@@ -610,32 +655,24 @@ def rename_trace_variable(formula: Formula, old: str, new: str) -> Formula:
 # ---------------------------------------------------------------------------
 # The core node table, and negation normal form read from it
 
-# Operation codes of the core connectives, in the rank order of the
-# canonical formula order.
-ATOM, CONST, NOT, NEXT, AND, OR, UNTIL, RELEASE = range(8)
-_CORE = {
-    Atom: ATOM, Const: CONST, Not: NOT, Next: NEXT,
-    And: AND, Or: OR, Until: UNTIL, Release: RELEASE,
-}
+
+def _step(op, f, left, right) -> list:
+    """A rule template's walk steps in post-order: an operand as its field
+    name, a constant as itself, a compound node as a making step."""
+    if op <= CONST:
+        return [left if op == ATOM else f]
+    return left + (right or []) + [(op, None)]
 
 
 def _expansion(t: type) -> tuple:
-    """core_table's steps for sugar type t's rewrite in _DESUGAR: the root's
-    operation code, and the steps above it, an operand as its field name."""
-    stack = [_DESUGAR[t](*[Atom(field.name) for field in fields(t)])]
-    steps = []
-    while stack:
-        f = stack.pop()
-        op = _CORE[type(f)]
-        if op > CONST:
-            steps.append((op, None))
-            stack += (f.left, f.right) if op > NEXT else (f.operand,)
-        else:
-            steps.append(f.name if op == ATOM else (None, f))
+    """_walk's steps for sugar type t's rule in _DESUGAR: the root's
+    operation code, and the steps pushed above it, last walked first."""
+    template = _DESUGAR[t](*[Atom(field.name) for field in fields(t)])
+    steps = _walk(template, _step)[::-1]
     return steps[0][0], steps[1:]
 
 
-_EXPANSIONS = {t: _expansion(t) for t in _DESUGAR.keys() - _CORE.keys()}
+_EXPANSIONS = {_CODES[t]: _expansion(t) for t in _DESUGAR}
 
 
 def core_table(formula: Formula, expand: bool = False):
@@ -649,68 +686,25 @@ def core_table(formula: Formula, expand: bool = False):
     expand is set; then the rows are those of desugar(formula), a row made
     below the root of an expansion has no node (None), and a node that is
     no formula raises TypeError."""
-    rows: dict[int, int] = {}  # id(node) -> row
     by_key: dict[tuple, int] = {}  # (op, lhs, rhs) -> row
     nodes: list = []
     ops: list[int] = []
     lhs: list = []
     rhs: list = []
-    values: list[int] = []  # the rows of the operands made so far
-    # A step (None, node) walks the node; (op, node) makes its row from the
-    # operand rows on top of values, and sits below the operands' walks.
-    stack = [(None, formula)]
-    while stack:
-        op, f = stack.pop()
-        if op is not None:
-            right = values.pop() if op > NEXT else None
-            key = (op, values.pop(), right)
-        elif id(f) in rows:
-            values.append(rows[id(f)])
-            continue
-        else:
-            op = _CORE.get(type(f))
-            if op == ATOM:
-                key = (op, f.name, f.trace)
-            elif op == CONST:
-                key = (op, f.value, None)
-            elif op is not None:
-                stack.append((op, f))
-                if op <= NEXT:
-                    stack.append((None, f.operand))
-                else:
-                    stack += ((None, f.right), (None, f.left))
-                continue
-            elif not expand:
-                raise ValueError(
-                    "the core node table expects a desugared formula, "
-                    f"found {f!r}"
-                )
-            elif type(f) not in _EXPANSIONS:
-                raise TypeError(f"not a formula node: {f!r}")
-            else:
-                op, steps = _EXPANSIONS[type(f)]
-                stack.append((op, f))
-                stack += [
-                    (None, getattr(f, s)) if type(s) is str else s
-                    for s in steps
-                ]
-                continue
+
+    def make(op, f, left, right):
+        key = (op, left, right)
         row = by_key.get(key)
         if row is None:
             row = by_key[key] = len(ops)
             nodes.append(f)
             ops.append(op)
-            lhs.append(key[1])
-            rhs.append(key[2])
-        if f is not None:
-            rows[id(f)] = row
-        values.append(row)
-    return nodes, ops, lhs, rhs, values[0]
+            lhs.append(left)
+            rhs.append(right)
+        return row
 
-
-# The node type of each operation code; a negated AND, OR, UNTIL or
-# RELEASE becomes the type at code op ^ 1.
-_TYPES = list(_CORE)
+    root = _walk(formula, make, expand or None)
+    return nodes, ops, lhs, rhs, root
 
 
 def to_nnf(formula: Formula) -> Formula:

@@ -603,6 +603,59 @@ def test_sugar_chain_compiles_to_linear_rows():
     assert root == len(ops) - 1
 
 
+# Desugaring uses both operands of each <-> twice, so a d-link chain
+# desugars to a DAG of O(d) distinct nodes whose tree has 2**(d+2) - 7
+# nodes, and its NNF tree 15 * 2**(d-2) - 6.  At d = 40 every walk below
+# must go by distinct nodes to finish at all.
+
+
+def _iff_chain(depth: int, name: str = "a") -> HyperFormula:
+    links = " <-> ".join(f"{name}{i}_p" for i in range(depth))
+    return parse_hyperltl("exists p. " + links)
+
+
+def test_chain_tree_sizes_follow_the_closed_forms():
+    for depth in range(2, 12):
+        g = desugar(_iff_chain(depth).body)
+        normal = to_nnf(g)
+        assert node_count(g) == len(reference_listing(g)[0])
+        assert node_count(g) == 2 ** (depth + 2) - 7
+        assert node_count(normal) == len(reference_listing(normal)[0])
+        assert node_count(normal) == 15 * 2 ** (depth - 2) - 6
+
+
+def test_shared_chain_node_count_is_linear():
+    g = desugar(_iff_chain(40).body)
+    assert node_count(g) == 2**42 - 7
+    assert node_count(to_nnf(g)) == 15 * 2**38 - 6
+
+
+def test_shared_chain_desugars_to_itself():
+    g = desugar(_iff_chain(40).body)
+    assert desugar(g) is g
+
+
+def test_shared_chain_maps_atoms_linearly():
+    g = desugar(_iff_chain(40).body)
+    renamed = map_atoms(g, lambda a: Atom("b" + a.name[1:], a.trace))
+    assert renamed == desugar(_iff_chain(40, "b").body)
+    assert map_atoms(g, lambda a: a) is g
+
+
+def test_shared_chain_atoms_and_well_formedness_are_linear():
+    phi = _iff_chain(40)
+    g = desugar(phi.body)
+    assert atom_names(g) == {f"a{i}" for i in range(40)}
+    assert free_trace_variables(g) == {"p"}
+    assert check_well_formed(HyperFormula(phi.prefix, to_nnf(g))) is None
+
+
+def test_shared_chain_equality_is_linear():
+    g = desugar(_iff_chain(40).body)
+    twin = desugar(_iff_chain(40).body)
+    assert g is not twin and g == twin
+
+
 def test_core_table_modes_reject_what_they_cannot_compile():
     with pytest.raises(ValueError, match="expects a desugared formula"):
         core_table(And(Atom("a"), Eventually(Atom("b"))))
