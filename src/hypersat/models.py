@@ -7,21 +7,22 @@ loop start at the end.  A least fixpoint decides U, and R as its dual,
 which is equivalent to scanning positions up to |stem| + 2*|loop|:
 truth values are periodic past the stem.
 
-The body is checked and compiled in one walk into `syntax.core_table`'s
-post-order node table, its sugar expanded into core rows, not desugared
-first.  One forward pass over the rows computes every row for every
-assignment of traces to the prefix variables at once.  A row's value is
-one int made of lanes, one lane of |stem|+|loop| bits per assignment; the
-lane index spells the assignment in prefix order, the last variable least
-significant.  An atom row is its per-trace masks laid out by that index
-with repunit multiplications, NOT, AND and OR are single int operations, X
-shifts every lane at once, and U and R share one least fixpoint over that
-shift.  The quantifiers then fold the root's lanes innermost first, OR for
-exists and AND for forall.  Where all the lanes would span more than
-LANE_BITS bits, the outermost variables are enumerated as nested any/all,
-on a loop rather than by recursion, each choice a pass over the packed
-rest, so an early-decided quantifier still stops early.  Plain LTL
-evaluation is the one-lane case.
+The body is evaluated from `syntax.core_table`'s post-order node table,
+its sugar expanded into core rows, not desugared first: the table the
+parser built with the formula, or for a formula built by hand one walk's.
+Well-formedness is checked from its atom rows.  One forward pass over the
+rows computes every row for every assignment of traces to the prefix
+variables at once.  A row's value is one int made of lanes, one lane of
+|stem|+|loop| bits per assignment; the lane index spells the assignment in
+prefix order, the last variable least significant.  An atom row is its
+per-trace masks laid out by that index with repunit multiplications, NOT,
+AND and OR are single int operations, X shifts every lane at once, and U
+and R share one least fixpoint over that shift.  The quantifiers then fold
+the root's lanes innermost first, OR for exists and AND for forall.  Where
+all the lanes would span more than LANE_BITS bits, the outermost variables
+are enumerated as nested any/all, on a loop rather than by recursion, each
+choice a pass over the packed rest, so an early-decided quantifier still
+stops early.  Plain LTL evaluation is the one-lane case.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ def _trace_masks(trace: UltimatelyPeriodicTrace, total: int) -> dict[str, int]:
 def _holds(table: tuple, prefix: tuple, traces: list, guard: float) -> bool:
     """Truth of a body, given as its core table, at position 0 under the
     quantifier prefix, every variable ranging over traces, on their joint
-    lasso, whose loop may be at most guard long.  The table's leaf rows
-    are overwritten with their values."""
+    lasso, whose loop may be at most guard long.  The table is only
+    read: it may be a parsed formula's own."""
     stem_len = max(len(t.stem) for t in traces)
     loop_len = 1
     for t in traces:
@@ -175,31 +176,31 @@ def _holds(table: tuple, prefix: tuple, traces: list, guard: float) -> bool:
         # final position takes the loop start
         return m >> 1 & keep | (m >> stem_len & ones) << last
 
-    # A leaf row's lhs becomes its value, with rhs None, or, for an atom of
-    # an enumerated variable, its value per trace, with rhs that variable.
+    # Each leaf row's value, by its lhs and rhs: a constant's value and
+    # None, an atom's name and trace.  An atom of an enumerated variable
+    # has its value per trace instead, and that variable.
     position = {var: v for v, (_, var) in enumerate(prefix)}
     per_trace = [_trace_masks(t, width) for t in traces]
-    for i, op in enumerate(ops):
+    leaf = {}
+    for op, a, b in zip(ops, lhs, rhs):
         if op == CONST:
-            lhs[i] = full if lhs[i] else 0
+            leaf[a, b] = full if a else 0
         elif op == ATOM:
-            v = position.get(rhs[i])
+            v = position.get(b)
             if v is None:
                 raise WellFormednessError(
-                    f"indexed atom {lhs[i]}_{rhs[i]} in plain LTL "
-                    "evaluation"
+                    f"indexed atom {a}_{b} in plain LTL evaluation"
                 )
-            masks = [m.get(lhs[i], 0) for m in per_trace]
+            masks = [m.get(a, 0) for m in per_trace]
             if v < outer:
-                lhs[i], rhs[i] = [m * ones for m in masks], v
+                leaf[a, b] = [m * ones for m in masks], v
             else:
                 # lane l binds v to trace (l // block) % n
                 block = n ** (k - 1 - v)
                 run = sum(m << t * block * width for t, m in enumerate(masks))
-                lhs[i] = run * _repunit(width, block) * _repunit(
+                leaf[a, b] = run * _repunit(width, block) * _repunit(
                     width * block * n, lanes // (block * n)
                 )
-                rhs[i] = None
 
     # The enumerated variables nest like any (exists) and all (forall): a
     # variable's value is the first value that decides it, True for
@@ -210,7 +211,9 @@ def _holds(table: tuple, prefix: tuple, traces: list, guard: float) -> bool:
         values: list[int] = []
         for op, a, b in zip(ops, lhs, rhs):
             if op <= CONST:
-                m = a if b is None else a[chosen[b]]
+                m = leaf[a, b]
+                if type(m) is tuple:
+                    m = m[0][chosen[m[1]]]
             elif op == NOT:
                 m = values[a] ^ full
             elif op == NEXT:
@@ -265,11 +268,13 @@ def evaluate_hyperltl(
     Every assignment of traces to the prefix variables is evaluated on one
     joint lasso: its stem is the longest stem in the set and its loop
     length the lcm of all loops, so each trace is periodic within it.
-    The body is checked and compiled in one walk, its sugar expanded into
-    core table rows, not desugared first.  One pass over the rows computes
-    each for all assignments at once, one lane per assignment, and the
-    quantifiers fold the root's lanes.  Where the lanes would span more
-    than LANE_BITS, the outermost variables are enumerated instead,
+    The body's core table, its sugar expanded into core rows, comes from
+    syntax.compile_formula: a parsed formula's own table, so evaluating it
+    walks nothing, or one walk's for a formula built by hand.  The
+    well-formedness check reads its atom rows.  One pass over the rows
+    computes each for all assignments at once, one lane per assignment,
+    and the quantifiers fold the root's lanes.  Where the lanes would span
+    more than LANE_BITS, the outermost variables are enumerated instead,
     stopping as soon as an exists or forall is decided.  Raises
     ResourceLimit if the lcm grows past period_guard, and ValueError if
     period_guard is below 1.

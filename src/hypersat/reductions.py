@@ -25,11 +25,15 @@ from .syntax import (
     EXISTS,
     Formula,
     HyperFormula,
-    atom_names,
     map_atoms,
 )
 
 DEFAULT_UNROLL_LIMIT = 1_000_000
+
+
+def _tag(name: str, i: int) -> str:
+    """Proposition name of trace i in the zipped alphabet."""
+    return f"{name}@{i}"
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,7 @@ class Substitution:
     def forward(self, name: str, i: int) -> str:
         if name not in self.alphabet or not 1 <= i <= self.arity:
             raise AlphabetMismatch(f"({name!r}, {i}) outside the substitution")
-        return f"{name}@{i}"
+        return _tag(name, i)
 
     def inverse(self, fresh: str) -> tuple[str, int]:
         name, _, idx = fresh.rpartition("@")
@@ -56,7 +60,7 @@ class Substitution:
 
     def fresh_alphabet(self) -> tuple[str, ...]:
         return tuple(
-            f"{a}@{i}"
+            _tag(a, i)
             for i in range(1, self.arity + 1)
             for a in self.alphabet
         )
@@ -88,11 +92,14 @@ def zip_exists(formula: HyperFormula) -> LtlReduction:
     if not isinstance(cls, ExistsStar):
         raise WrongFragment(f"zip_exists needs exists-only, got {cls.name}")
     position = {var: i + 1 for i, (_, var) in enumerate(formula.prefix)}
-    alphabet = tuple(sorted(atom_names(formula.body)))
-    sub = Substitution(alphabet, cls.n)
-    zipped = map_atoms(
-        formula.body, lambda a: Atom(sub.forward(a.name, position[a.trace]))
-    )
+    names: set[str] = set()
+
+    def tagged(a: Atom) -> Atom:
+        names.add(a.name)
+        return Atom(_tag(a.name, position[a.trace]))
+
+    zipped = map_atoms(formula.body, tagged)
+    sub = Substitution(tuple(sorted(names)), cls.n)
     return LtlReduction(zipped, sub, cls.n)
 
 

@@ -13,8 +13,15 @@ memory, not by the interpreter's recursion limit:
   operators ``! X F G``, and the infix operators ``<-> -> | & U W R``,
   each with a precedence, an associativity and a constructor.  Each
   distinct identifier text becomes one Atom object per parse, checked to
-  start with a letter or '_' when it is made, and the closing
-  well-formedness check reads those atoms instead of walking the tree.
+  start with a letter or '_' when it is made.  The parser makes the nodes
+  in post-order, as core_table's walk meets them, so it builds the body's
+  expanded core table with the tree: a row as each node is made, and for
+  F, G, W, -> and <-> the rows of the rule, split at its first walk of
+  the last operand.  The rows before that split are made when the token
+  is read: F and G make their constant's, -> and <-> their left
+  operand's negation, after the reductions the token triggers.  The
+  returned HyperFormula keeps the table, and the closing well-formedness
+  check reads its atom rows instead of walking the tree.
   Positions are found only when parsing fails: the positioned tokenizer
   then runs over the whole text, so a bad character anywhere is still the
   error reported, and otherwise it gives the failing token's position.
@@ -28,17 +35,20 @@ memory, not by the interpreter's recursion limit:
 * Node hashes are cached and computed bottom-up, and equality compares
   each pair of nodes once, from an explicit stack.
 * core_table compiles a formula into one hash-consed post-order table of
-  rows; with expand, it and desugar replace F, G, W, -> and <-> by the
-  same steps, read once off desugar's rules.  compile_formula checks a
-  formula from that table.  to_nnf builds every row in both polarities,
-  so its result shares equal subformulas; the tableau closure and the
-  evaluator also start from the table.
+  rows; with expand, it, desugar and the parser replace F, G, W, -> and
+  <-> by the same steps, read once off desugar's rules.  compile_formula
+  gives a parsed formula's own table, or walks any other formula's body
+  into one, and checks the formula from its atom rows; check_well_formed
+  reads a parsed formula's atom rows too.  to_nnf builds every row in
+  both polarities, so its result shares equal subformulas; the tableau
+  closure and the evaluator also start from the table.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from itertools import compress
 
 from .errors import ParseError, WellFormednessError
 
@@ -202,6 +212,17 @@ _ARITY = {
     And: 2, Or: 2, Implies: 2, Iff: 2, Until: 2, Release: 2, WeakUntil: 2,
 }
 
+# The node type of each operation code: the core connectives in the rank
+# order of the canonical formula order, each binary one's dual at op ^ 1,
+# then the sugar.
+ATOM, CONST, NOT, NEXT, AND, OR, UNTIL, RELEASE = range(8)
+_TYPES = [Atom, Const, Not, Next, And, Or, Until, Release,
+          Implies, Iff, WeakUntil, Eventually, Globally]
+_CODES = {t: op for op, t in enumerate(_TYPES)}
+_CORE = {t: op for op, t in enumerate(_TYPES[: RELEASE + 1])}
+_BINARY = [_ARITY[t] == 2 for t in _TYPES]
+
+
 FORALL = "forall"
 EXISTS = "exists"
 
@@ -212,6 +233,10 @@ class HyperFormula:
 
     prefix: tuple[tuple[str, str], ...]
     body: Formula
+    # The body's core_table(body, expand=True), which parse_hyperltl
+    # builds as it parses.  It is no field: a formula made any other way,
+    # dataclasses.replace included, has none and is compiled by a walk.
+    _table = None
 
 
 TRUE = Const(True)
@@ -276,18 +301,19 @@ _INFIX = {
     "R": (5, True, Release),
 }
 _CONSTANTS = {"true": TRUE, "false": FALSE}
-# Operator-stack entries are (precedence, constructor).  An open
-# parenthesis sits below every operator; a prefix operator above all.
-_OPEN = (0, None)
+# Operator-stack entries are (precedence, constructor, operation code).
+# An open parenthesis sits below every operator; a prefix operator above
+# all.
+_OPEN = (0, None, None)
 _PREFIX_LEVEL = 6
 # What an operand's place on the stack gets from '(' or a prefix operator.
 _OPENERS = {"(": _OPEN} | {
-    op: (_PREFIX_LEVEL, t) for op, t in _PREFIX.items()
+    op: (_PREFIX_LEVEL, t, _CODES[t]) for op, t in _PREFIX.items()
 }
 # What an infix operator reduces the stack to before it is pushed, and its
 # entry.  Equal precedence binds to the left unless right-associative.
 _INFIX_STEPS = {
-    op: (precedence - (not right), (precedence, t))
+    op: (precedence - (not right), (precedence, t, _CODES[t]))
     for op, (precedence, right, t) in _INFIX.items()
 }
 
@@ -316,21 +342,44 @@ def _make_atom(text: str, at: int, bound: tuple[str, ...]) -> Atom:
     return Atom(text)
 
 
-def _reduce(operands: list, operators: list, floor: int) -> None:
+def _leaf(text: str, at: int, bound: tuple[str, ...], make) -> tuple:
+    """The constant or atom named by token number at, the first occurrence
+    of its text, and its row."""
+    f = _CONSTANTS.get(text)
+    if f is not None:
+        return f, make(CONST, f, f.value, None)
+    f = _make_atom(text, at, bound)
+    return f, make(ATOM, f, f.name, f.trace)
+
+
+def _reduce(operands, rows, operators, floor: int, make, pending) -> None:
     """Apply the stacked infix operators above precedence floor."""
     while operators[-1][0] > floor:
+        _, t, op = operators.pop()
         right = operands.pop()
-        operands[-1] = operators.pop()[1](operands[-1], right)
+        node = operands[-1] = t(operands[-1], right)
+        right = rows.pop()
+        if op <= RELEASE:
+            rows[-1] = make(op, node, rows[-1], right)
+        else:
+            values = _expand_rows(
+                make, _MADE_STEPS[op], (rows[-1], right), pending.pop(), node
+            )
+            rows[-1] = values[-1]
 
 
-def _parse_body(
-    tokens: list[str], pos: int, bound: tuple[str, ...]
-) -> tuple[Formula, dict[str, Atom]]:
+def _parse_body(tokens: list[str], pos: int, bound: tuple[str, ...]) -> tuple:
     """The formula body from tokens[pos] on, by operator precedence, and
-    its atoms by identifier text in first-occurrence order."""
+    its core_table(body, expand=True), whose rows are made as the nodes
+    are: the parser makes the nodes in post-order, and each sugar token
+    makes the rows its rule walks before its last operand."""
+    make, finish = _new_table()
     operands: list[Formula] = []
+    rows: list[int] = []  # the row of each operand
+    # the values made by each stacked sugar operator's token, in order
+    pending: list[list] = []
     operators: list[tuple] = [_OPEN]  # operators[0] is the whole body
-    atoms: dict[str, Atom] = {}  # identifier text -> its atom
+    leaves: dict[str, tuple] = {}  # identifier text -> its node and row
     while True:
         # An operand is due: prefix operators and '(' stack up before it.
         text = tokens[pos]
@@ -338,21 +387,31 @@ def _parse_body(
         opener = _OPENERS.get(text)
         if opener is not None:
             operators.append(opener)
+            if text in _READ_STEPS:
+                pending.append(_expand_rows(make, _READ_STEPS[text], (), []))
             continue
-        operand = atoms.get(text) or _CONSTANTS.get(text)
-        if operand is None:
-            operand = atoms[text] = _make_atom(text, pos - 1, bound)
-        operands.append(operand)
+        leaf = leaves.get(text)
+        if leaf is None:
+            leaf = leaves[text] = _leaf(text, pos - 1, bound, make)
+        operands.append(leaf[0])
+        rows.append(leaf[1])
         # An operator is due.  Each finished operand takes the prefix
         # operators before it, and ')' finishes the group it closes.
         while True:
             while operators[-1][0] == _PREFIX_LEVEL:
-                operands[-1] = operators.pop()[1](operands[-1])
+                _, t, op = operators.pop()
+                node = operands[-1] = t(operands[-1])
+                if op <= RELEASE:
+                    rows[-1] = make(op, node, rows[-1], None)
+                else:
+                    rows[-1] = _expand_rows(
+                        make, _MADE_STEPS[op], (rows[-1],), pending.pop(), node
+                    )[-1]
             text = tokens[pos]
             pos += 1
             if text != ")":
                 break
-            _reduce(operands, operators, 0)
+            _reduce(operands, rows, operators, 0, make, pending)
             if len(operators) == 1:  # no '(' left to close
                 raise ParseError(pos - 1, "unexpected trailing input ')'")
             operators.pop()
@@ -360,15 +419,18 @@ def _parse_body(
         if infix is not None:
             floor, entry = infix
             if operators[-1][0] > floor:
-                _reduce(operands, operators, floor)
+                _reduce(operands, rows, operators, floor, make, pending)
             operators.append(entry)
+            if text in _READ_STEPS:
+                values = _expand_rows(make, _READ_STEPS[text], (rows[-1],), [])
+                pending.append(values)
         elif _OPEN in operators[1:]:
             raise ParseError(pos - 1, f"expected RPAREN, found {text!r}")
         elif text:
             raise ParseError(pos - 1, f"unexpected trailing input {text!r}")
         else:
-            _reduce(operands, operators, 0)
-            return operands[0], atoms
+            _reduce(operands, rows, operators, 0, make, pending)
+            return operands[0], finish(rows[0])
 
 
 def _parse(tokens: list[str]) -> HyperFormula:
@@ -391,9 +453,11 @@ def _parse(tokens: list[str]) -> HyperFormula:
         pos += 1
         prefix.append((quant, var))
 
-    body, atoms = _parse_body(tokens, pos, tuple(var for _, var in prefix))
-    _check_atoms(prefix, atoms.values())
-    return HyperFormula(tuple(prefix), body)
+    body, table = _parse_body(tokens, pos, tuple(var for _, var in prefix))
+    _check_atoms(prefix, _atom_rows(table))
+    formula = HyperFormula(tuple(prefix), body)
+    object.__setattr__(formula, "_table", table)
+    return formula
 
 
 def parse_hyperltl(text: str) -> HyperFormula:
@@ -413,19 +477,33 @@ def parse_hyperltl(text: str) -> HyperFormula:
 
 def check_well_formed(formula: HyperFormula) -> None:
     """Prefix variables distinct; atoms indexed iff the prefix is non-empty;
-    every index bound."""
+    every index bound.  A parsed formula is checked from its table's atom
+    rows, any other by a walk over its body."""
     _check_prefix(formula.prefix)
-    _check_atoms(formula.prefix, _atoms(formula.body))
+    table = formula._table
+    _check_atoms(
+        formula.prefix,
+        _atoms(formula.body) if table is None else _atom_rows(table),
+    )
 
 
 def compile_formula(formula: HyperFormula):
-    """The body's core_table with its sugar expanded; raises what
-    check_well_formed raises, in the same order, reading the atom rows."""
+    """core_table(formula.body, expand=True): the table parse_hyperltl
+    built with the formula, or else one walk's.  Raises what
+    check_well_formed raises, in the same order, reading the atom rows.
+    A parsed formula's table is shared by every call, so callers read it
+    and do not write into it."""
     _check_prefix(formula.prefix)
-    table = core_table(formula.body, expand=True)
-    atoms = [f for f, op in zip(*table[:2]) if op == ATOM]
-    _check_atoms(formula.prefix, atoms)
+    table = formula._table
+    if table is None:
+        table = core_table(formula.body, expand=True)
+    _check_atoms(formula.prefix, _atom_rows(table))
     return table
+
+
+def _atom_rows(table) -> list[Atom]:
+    """The nodes of a table's atom rows, in row order."""
+    return list(compress(table[0], map(ATOM.__eq__, table[1])))
 
 
 def _check_prefix(prefix) -> None:
@@ -469,17 +547,6 @@ def _check_atoms(prefix, atoms) -> None:
 
 # ---------------------------------------------------------------------------
 # The walk: one fold over the distinct nodes, operands first.
-
-# The node type of each operation code: the core connectives in the rank
-# order of the canonical formula order, each binary one's dual at op ^ 1,
-# then the sugar.
-ATOM, CONST, NOT, NEXT, AND, OR, UNTIL, RELEASE = range(8)
-_TYPES = [Atom, Const, Not, Next, And, Or, Until, Release,
-          Implies, Iff, WeakUntil, Eventually, Globally]
-_CODES = {t: op for op, t in enumerate(_TYPES)}
-_CORE = {t: op for op, t in enumerate(_TYPES[: RELEASE + 1])}
-_BINARY = [_ARITY[t] == 2 for t in _TYPES]
-
 
 def _walk(formula: Formula, make, expand: bool | None = False):
     """Fold a formula bottom-up, each distinct node object once, in
@@ -675,6 +742,70 @@ def _expansion(t: type) -> tuple:
 _EXPANSIONS = {_CODES[t]: _expansion(t) for t in _DESUGAR}
 
 
+def _parse_steps(t: type) -> tuple[list, list]:
+    """The steps of sugar type t's rule for the parser, in post-order: an
+    operand as its place, a constant as itself, a made row as (op, root).
+    They are split at the first walk of the last operand: the parser runs
+    the steps before when the token is read, so that their rows come in
+    _walk's order, and the rest when it makes the node."""
+    root, steps = _EXPANSIONS[_CODES[t]]
+    names = [field.name for field in fields(t)]
+    post = [*reversed(steps), (root, True)]
+    split = post.index(names[-1])
+    post = [names.index(s) if type(s) is str else s for s in post]
+    return post[:split], post[split:]
+
+
+def _expand_rows(make, steps, operands: tuple, values: list, node=None):
+    """Run a rule's post-order steps over its operands' rows, on values,
+    the stack of the values made so far, and give it back; the root's
+    row is made for node, the others for None."""
+    for step in steps:
+        if type(step) is int:
+            values.append(operands[step])
+            continue
+        if type(step) is tuple:
+            op, root = step
+            right = values.pop() if _BINARY[op] else None
+            row = make(op, node if root else None, values.pop(), right)
+        else:
+            row = make(CONST, step, step.value, None)
+        values.append(row)
+    return values
+
+
+# Each sugar token's steps for the parser, run when it is read, and each
+# sugar operation code's, run when its node is made.
+_READ_STEPS = {
+    text: _parse_steps(t)[0]
+    for text, t in (
+        _PREFIX | {op: t for op, (_, _, t) in _INFIX.items()}
+    ).items()
+    if t in _DESUGAR
+}
+_MADE_STEPS = {_CODES[t]: _parse_steps(t)[1] for t in _DESUGAR}
+
+
+def _new_table():
+    """make(op, f, left, right), which gives the row of the key (op, left,
+    right) in a new hash-consed table, made for f if it is new, and
+    finish(root), which gives the table (nodes, ops, lhs, rhs, root)."""
+    by_key: dict[tuple, int] = {}  # (op, lhs, rhs) -> row, in row order
+    nodes: list = []
+
+    def make(op, f, left, right):
+        row = by_key.setdefault((op, left, right), len(nodes))
+        if row == len(nodes):
+            nodes.append(f)
+        return row
+
+    def finish(root):
+        ops, lhs, rhs = map(list, zip(*by_key))
+        return nodes, ops, lhs, rhs, root
+
+    return make, finish
+
+
 def core_table(formula: Formula, expand: bool = False):
     """A formula as a hash-consed table: (nodes, ops, lhs, rhs, root).  Row
     i has operation code ops[i] and was first made for nodes[i]; a compound
@@ -686,25 +817,8 @@ def core_table(formula: Formula, expand: bool = False):
     expand is set; then the rows are those of desugar(formula), a row made
     below the root of an expansion has no node (None), and a node that is
     no formula raises TypeError."""
-    by_key: dict[tuple, int] = {}  # (op, lhs, rhs) -> row
-    nodes: list = []
-    ops: list[int] = []
-    lhs: list = []
-    rhs: list = []
-
-    def make(op, f, left, right):
-        key = (op, left, right)
-        row = by_key.get(key)
-        if row is None:
-            row = by_key[key] = len(ops)
-            nodes.append(f)
-            ops.append(op)
-            lhs.append(left)
-            rhs.append(right)
-        return row
-
-    root = _walk(formula, make, expand or None)
-    return nodes, ops, lhs, rhs, root
+    make, finish = _new_table()
+    return finish(_walk(formula, make, expand or None))
 
 
 def to_nnf(formula: Formula) -> Formula:

@@ -1,5 +1,6 @@
 """Trace representations, the evaluator, and model extraction."""
 
+import gc
 import itertools
 import random
 import time
@@ -20,7 +21,9 @@ from hypersat.models import (
     parse_trace,
     parse_trace_set,
 )
+from hypersat.pcp import encode_pcp, encode_solution_traceset
 from hypersat.reductions import LtlReduction, Substitution, extract_model
+from hypersat.solver import solve
 from hypersat.syntax import (
     And,
     Atom,
@@ -39,9 +42,10 @@ from hypersat.syntax import (
     check_well_formed,
     desugar,
     parse_hyperltl,
+    render,
 )
 
-from generators import random_ltl, random_trace, random_trace_set
+from generators import SIX_STONES, random_ltl, random_trace, random_trace_set
 from oracles import (
     enumerate_lassos,
     naive_eval,
@@ -197,6 +201,65 @@ def test_evaluation_compiles_without_the_separate_walks(monkeypatch):
     model = TraceSet(frozenset({tr([], [{"a"}])}))
     assert evaluate_hyperltl(model, parse_hyperltl("exists p. G F a_p"))
     assert evaluate_hyperltl(model, parse_hyperltl("F a -> G a"))
+
+
+def _six_stones():
+    """The 65 KB encoding of the six-stone instance as printed text, and
+    the witness of its solution 1, 2: three traces, each of them needed."""
+    witness = encode_solution_traceset(SIX_STONES, [1, 2]).sorted()
+    return render(encode_pcp(SIX_STONES)), witness
+
+
+def test_parsed_formula_evaluates_without_a_walk(monkeypatch):
+    # the parser builds the table that evaluation reads, so neither
+    # parsing nor evaluating walks the formula
+    text, witness = _six_stones()
+
+    def walk(*_):
+        raise AssertionError("a walk over the formula")
+
+    monkeypatch.setattr(syntax, "_walk", walk)
+    phi = parse_hyperltl(text)
+    assert evaluate_hyperltl(TraceSet(frozenset(witness)), phi) is True
+    assert evaluate_hyperltl(TraceSet(frozenset(witness[1:])), phi) is False
+
+
+def test_one_parsed_formula_evaluates_again_and_again():
+    # evaluation reads the parsed table without writing into it
+    text, witness = _six_stones()
+    phi = parse_hyperltl(text)
+    for model, value in [
+        (witness, True), (witness[:2], False), (witness, True),
+        (witness[1:], False),
+    ]:
+        assert evaluate_hyperltl(TraceSet(frozenset(model)), phi) is value
+    phi = parse_hyperltl("exists p. exists q. G (a_p <-> !a_q) & F b_p")
+    result, _ = solve(phi)
+    assert result.verified
+    assert evaluate_hyperltl(result.model, phi) is True
+    same = TraceSet(frozenset({tr([{"a", "b"}], [{"a"}])}))
+    assert evaluate_hyperltl(same, phi) is False
+    assert evaluate_hyperltl(result.model, phi) is True
+
+
+def test_parse_evaluate_and_solve_leave_no_cycles():
+    # a parsed formula holds its table, and the table its nodes; nothing
+    # may point back, or every parse waits for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        phi = parse_hyperltl("forall p. exists q. G (a_p -> F b_q)")
+        assert evaluate_hyperltl(parse_trace_set("| {a,b}"), phi)
+        for text in (
+            "exists p. exists q. G (a_p <-> !a_q) & F b_p",
+            "exists p. forall q. G (a_q -> X a_p)",
+            "forall p. F a_p & G !a_p",
+        ):
+            solve(parse_hyperltl(text))
+        del phi
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sugar_chain_verdict_matches_the_naive_evaluator():

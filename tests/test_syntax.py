@@ -1,5 +1,6 @@
 """Parser, printer, desugaring, and negation normal form."""
 
+import dataclasses
 import json
 import random
 import re
@@ -592,6 +593,69 @@ def test_sugar_expanding_table_matches_on_pcp_encodings():
         assert compile_formula(phi)[1:] == core_table(desugar(phi.body))[1:]
 
 
+def _assert_same_table(table, walked):
+    """Two core tables agree in ops, operands and root, and each row was
+    first made for the same node object (None below an expansion's
+    root)."""
+    assert table[1:] == walked[1:]
+    assert len(table[0]) == len(walked[0])
+    assert all(a is b for a, b in zip(table[0], walked[0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_parsed_table_is_the_walked_table_random(seed):
+    # the parser builds the expanded table as it builds the tree; it must
+    # be the table a walk over the parsed body builds, row for row
+    rng = random.Random(seed)
+    prefix = ((EXISTS, "x"), (FORALL, "y")) if rng.random() < 0.5 else ()
+    variables = tuple(v for _, v in prefix)
+
+    def part():
+        return random_ltl(rng, PROPS, rng.randrange(4), variables)
+
+    # all five sugar connectives around random parts that may hold more
+    # of them, one operand shared by several
+    shared = part()
+    sugar = [
+        Implies(part(), shared),
+        Iff(shared, part()),
+        WeakUntil(part(), Eventually(shared)),
+        Globally(Implies(shared, part())),
+        Eventually(Iff(part(), shared)),
+    ]
+    rng.shuffle(sugar)
+    body = sugar[0]
+    for other in sugar[1:]:
+        body = rng.choice((And, Or, Until, Iff, Implies, WeakUntil))(
+            body, other
+        )
+    phi = parse_hyperltl(render(HyperFormula(prefix, body)))
+    assert phi.body == body
+    _assert_same_table(
+        compile_formula(phi), core_table(phi.body, expand=True)
+    )
+
+
+def test_a_new_formula_compiles_its_own_body():
+    # the parsed table is no field: neither the constructor nor
+    # dataclasses.replace carries it over to a different body
+    p = parse_hyperltl("exists x. G a_x -> F b_x")
+    other = parse_hyperltl("exists x. a_x W (b_x <-> X a_x)").body
+    for made in (
+        HyperFormula(p.prefix, other),
+        dataclasses.replace(p, body=other),
+    ):
+        _assert_same_table(
+            compile_formula(made), core_table(other, expand=True)
+        )
+        assert made == HyperFormula(p.prefix, other)
+        assert repr(made) == (
+            f"HyperFormula(prefix={p.prefix!r}, body={other!r})"
+        )
+    _assert_same_table(compile_formula(p), core_table(p.body, expand=True))
+
+
 def test_sugar_chain_compiles_to_linear_rows():
     # each <-> uses both operands twice, so as a tree a 41-deep chain has
     # about 2**41 nodes; the walk expands each distinct node once
@@ -711,3 +775,17 @@ def test_parser_agrees_with_reference_parser(head, body, noise):
         text = text[:at] + piece + text[at:]
     assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text)
     assert _outcome(parse_hyperltl, text) == _outcome(reference_parse, text)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.sampled_from(HEADS[:5]), formula_texts)
+def test_parsed_table_is_the_walked_table_by_precedence(head, body):
+    # unparenthesized text, so a sugar token's own reductions run before
+    # it makes the rows of its left operand's negation
+    try:
+        phi = parse_hyperltl(head + body)
+    except (ParseError, WellFormednessError):
+        return
+    _assert_same_table(
+        compile_formula(phi), core_table(phi.body, expand=True)
+    )
