@@ -106,7 +106,9 @@ def zip_exists(formula: HyperFormula) -> LtlReduction:
 def substituted_conjuncts(formula: HyperFormula) -> list[Formula]:
     """exists-forall: one copy of the body per assignment of existential
     variables to the universal ones.  The first universal variable cycles
-    fastest through the existential choices."""
+    fastest through the existential choices.  Only atoms of universal
+    variables are replaced, so a subformula that has none comes back as
+    itself in every copy."""
     cls = classify(formula)
     if not isinstance(cls, ExistsForall):
         raise WrongFragment(
@@ -121,7 +123,9 @@ def substituted_conjuncts(formula: HyperFormula) -> list[Formula]:
         out.append(
             map_atoms(
                 formula.body,
-                lambda a: Atom(a.name, target.get(a.trace, a.trace)),
+                lambda a: (
+                    Atom(a.name, target[a.trace]) if a.trace in target else a
+                ),
             )
         )
     return out

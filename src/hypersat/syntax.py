@@ -11,17 +11,21 @@ memory, not by the interpreter's recursion limit:
   token strings, then runs one loop over them with an operand stack and an
   operator stack.  Two tables keyed by token text drive it: the prefix
   operators ``! X F G``, and the infix operators ``<-> -> | & U W R``,
-  each with a precedence, an associativity and a constructor.  Each
+  each with a precedence, an associativity and a node type.  Each
   distinct identifier text becomes one Atom object per parse, checked to
-  start with a letter or '_' when it is made.  The parser makes the nodes
-  in post-order, as core_table's walk meets them, so it builds the body's
-  expanded core table with the tree: a row as each node is made, and for
-  F, G, W, -> and <-> the rows of the rule, split at its first walk of
-  the last operand.  The rows before that split are made when the token
-  is read: F and G make their constant's, -> and <-> their left
-  operand's negation, after the reductions the token triggers.  The
-  returned HyperFormula keeps the table, and the closing well-formedness
-  check reads its atom rows instead of walking the tree.
+  start with a letter or '_' when it is made.  The parser makes no other
+  node.  It meets the nodes in post-order, as core_table's walk does, so
+  it builds the body's expanded core table on a stack of rows: a row as
+  each node is reduced, and for F, G, W, -> and <-> the rows of the
+  rule, split at its first walk of the last operand.  The rows before
+  that split are made when the token is read: F and G make their
+  constant's, -> and <-> their left operand's negation, after the
+  reductions the token triggers.  Beside the rows it keeps a flat
+  post-order record of the body: each leaf's node, and each compound
+  node's operation code and the row it first made.  The returned
+  HyperFormula keeps the table and the record; its body is made on first
+  read, by one loop over the record, which also fills the table's node
+  column.  The closing well-formedness check reads the atom rows.
   Positions are found only when parsing fails: the positioned tokenizer
   then runs over the whole text, so a bad character anywhere is still the
   error reported, and otherwise it gives the failing token's position.
@@ -32,8 +36,8 @@ memory, not by the interpreter's recursion limit:
   differ only in the function that makes a node's value.  The rewrites
   keep a node whose operands came back as the same objects, so desugar
   returns a core formula itself.  render writes from its own stack.
-* Node hashes are cached and computed bottom-up, and equality compares
-  each pair of nodes once, from an explicit stack.
+* A node's hash is computed when it is made, from its operands' hashes,
+  and equality compares each pair of nodes once, from an explicit stack.
 * core_table compiles a formula into one hash-consed post-order table of
   rows; with expand, it, desugar and the parser replace F, G, W, -> and
   <-> by the same steps, read once off desugar's rules.  compile_formula
@@ -60,41 +64,16 @@ from .errors import ParseError, WellFormednessError
 class Formula:
     """Base class for LTL formula nodes.
 
-    Equality is structural.  A node's hash is computed once, from its
-    operands' cached hashes, and stored on the node."""
+    Equality is structural.  A node's hash is computed when it is made,
+    from its operands' hashes, and stored in its _hash slot.  The node
+    types are frozen dataclasses with no fields of their own: their slots
+    and __init__ come from one base per shape, which sets each slot
+    through its descriptor, past the frozen __setattr__.  An operand that
+    is no formula leaves the node unhashable, as hashing it would fail."""
 
-    __slots__ = ()
-    _hash: int | None = None
+    __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
-        if self._hash is not None:
-            return self._hash
-        stack = [self]
-        while self._hash is None:
-            f = stack[-1]
-            if f._hash is not None:  # a shared operand, already done
-                stack.pop()
-                continue
-            t = type(f)
-            arity = _ARITY[t]
-            if arity == 2:
-                left, right = f.left._hash, f.right._hash
-                if left is None or right is None:
-                    stack += [k for k in (f.left, f.right) if k._hash is None]
-                    continue
-                h = hash((t, left, right))
-            elif arity == 1:
-                operand = f.operand._hash
-                if operand is None:
-                    stack.append(f.operand)
-                    continue
-                h = hash((t, operand))
-            elif t is Atom:
-                h = hash((t, f.name, f.trace))
-            else:
-                h = hash((t, f.value))
-            stack.pop()
-            object.__setattr__(f, "_hash", h)
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -102,10 +81,10 @@ class Formula:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        if hash(self) != hash(other):
+        if self._hash != other._hash:
             return False
-        # Every node below either root has its hash cached by now.  A pair
-        # of compound nodes is compared once, however many paths reach it.
+        # A pair of compound nodes is compared once, however many paths
+        # reach it.
         stack = [self, other]
         seen = {}  # id(a) -> the node b it was last compared with
         while stack:
@@ -132,76 +111,155 @@ class Formula:
         return True
 
 
-@dataclass(frozen=True, eq=False)
-class Atom(Formula):
+class _AtomSlots(Formula):
+    __slots__ = ("name", "trace")
+
+    def __init__(self, name: str, trace: str | None = None) -> None:
+        _set_name(self, name)
+        _set_trace(self, trace)
+        _set_hash(self, hash((type(self), name, trace)))
+
+    def __reduce__(self):
+        return type(self), (self.name, self.trace)
+
+
+class _ConstSlots(Formula):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        _set_value(self, value)
+        _set_hash(self, hash((type(self), value)))
+
+    def __reduce__(self):
+        return type(self), (self.value,)
+
+
+class _Unary(Formula):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Formula) -> None:
+        _set_operand(self, operand)
+        try:
+            _set_hash(self, hash((type(self), operand._hash)))
+        except AttributeError:
+            pass
+
+    def __reduce__(self):
+        return type(self), (self.operand,)
+
+
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+        try:
+            _set_hash(self, hash((type(self), left._hash, right._hash)))
+        except AttributeError:
+            pass
+
+    def __reduce__(self):
+        return type(self), (self.left, self.right)
+
+
+# Each slot's own setter, which the frozen __setattr__ does not stand in.
+_set_hash = Formula._hash.__set__
+_set_name = _AtomSlots.name.__set__
+_set_trace = _AtomSlots.trace.__set__
+_set_value = _ConstSlots.value.__set__
+_set_operand = _Unary.operand.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
+
+# The dataclass decorator of a node type: fields, repr, __match_args__ and
+# the frozen __setattr__ and __delattr__, over its base's slots.
+_node = dataclass(frozen=True, eq=False, init=False)
+
+
+@_node
+class Atom(_AtomSlots):
+    __slots__ = ()
     name: str
-    trace: str | None = None
+    trace: str | None
 
 
-@dataclass(frozen=True, eq=False)
-class Const(Formula):
+@_node
+class Const(_ConstSlots):
+    __slots__ = ()
     value: bool
 
 
-@dataclass(frozen=True, eq=False)
-class Not(Formula):
+@_node
+class Not(_Unary):
+    __slots__ = ()
     operand: Formula
 
 
-@dataclass(frozen=True, eq=False)
-class And(Formula):
+@_node
+class And(_Binary):
+    __slots__ = ()
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
-class Or(Formula):
+@_node
+class Or(_Binary):
+    __slots__ = ()
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
-class Implies(Formula):
+@_node
+class Implies(_Binary):
+    __slots__ = ()
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
-class Iff(Formula):
+@_node
+class Iff(_Binary):
+    __slots__ = ()
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
-class Next(Formula):
+@_node
+class Next(_Unary):
+    __slots__ = ()
     operand: Formula
 
 
-@dataclass(frozen=True, eq=False)
-class Until(Formula):
+@_node
+class Until(_Binary):
+    __slots__ = ()
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
-class Release(Formula):
+@_node
+class Release(_Binary):
+    __slots__ = ()
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
-class WeakUntil(Formula):
+@_node
+class WeakUntil(_Binary):
+    __slots__ = ()
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
-class Eventually(Formula):
+@_node
+class Eventually(_Unary):
+    __slots__ = ()
     operand: Formula
 
 
-@dataclass(frozen=True, eq=False)
-class Globally(Formula):
+@_node
+class Globally(_Unary):
+    __slots__ = ()
     operand: Formula
 
 
@@ -229,7 +287,12 @@ EXISTS = "exists"
 
 @dataclass(frozen=True)
 class HyperFormula:
-    """Prenex formula: quantifier prefix (possibly empty) plus LTL body."""
+    """Prenex formula: quantifier prefix (possibly empty) plus LTL body.
+
+    parse_hyperltl returns one whose body is made on first read, from the
+    parser's record; until then vars() shows the record in its place.
+    The fields, constructor, repr, equality, hashing, pickling and
+    dataclasses.replace are as if the body were there from the start."""
 
     prefix: tuple[tuple[str, str], ...]
     body: Formula
@@ -237,6 +300,22 @@ class HyperFormula:
     # builds as it parses.  It is no field: a formula made any other way,
     # dataclasses.replace included, has none and is compiled by a walk.
     _table = None
+
+    def __getattr__(self, name: str):
+        # A parsed formula has no body until it is first read: it is made
+        # then from the parser's post-order record of it, which fills the
+        # table's node column.  A shallow copy shares the record, so the
+        # record then holds only the body, and the copy reads the same one.
+        record = vars(self).get("_record")
+        if name != "body" or record is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        body = _build_body(record, self._table[0])
+        record[:] = [body]
+        object.__setattr__(self, "body", body)
+        del vars(self)["_record"]
+        return body
 
 
 TRUE = Const(True)
@@ -290,7 +369,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # keywords and cannot be used as propositions or trace variables.
 
 _PREFIX = {"!": Not, "X": Next, "F": Eventually, "G": Globally}
-# token text -> (precedence, right-associative, constructor)
+# token text -> (precedence, right-associative, node type)
 _INFIX = {
     "<->": (1, True, Iff),
     "->": (2, True, Implies),
@@ -301,19 +380,18 @@ _INFIX = {
     "R": (5, True, Release),
 }
 _CONSTANTS = {"true": TRUE, "false": FALSE}
-# Operator-stack entries are (precedence, constructor, operation code).
-# An open parenthesis sits below every operator; a prefix operator above
-# all.
-_OPEN = (0, None, None)
+# Operator-stack entries are (precedence, operation code).  An open
+# parenthesis sits below every operator; a prefix operator above all.
+_OPEN = (0, None)
 _PREFIX_LEVEL = 6
 # What an operand's place on the stack gets from '(' or a prefix operator.
 _OPENERS = {"(": _OPEN} | {
-    op: (_PREFIX_LEVEL, t, _CODES[t]) for op, t in _PREFIX.items()
+    op: (_PREFIX_LEVEL, _CODES[t]) for op, t in _PREFIX.items()
 }
 # What an infix operator reduces the stack to before it is pushed, and its
 # entry.  Equal precedence binds to the left unless right-associative.
 _INFIX_STEPS = {
-    op: (precedence - (not right), (precedence, t, _CODES[t]))
+    op: (precedence - (not right), (precedence, _CODES[t]))
     for op, (precedence, right, t) in _INFIX.items()
 }
 
@@ -352,30 +430,18 @@ def _leaf(text: str, at: int, bound: tuple[str, ...], make) -> tuple:
     return f, make(ATOM, f, f.name, f.trace)
 
 
-def _reduce(operands, rows, operators, floor: int, make, pending) -> None:
-    """Apply the stacked infix operators above precedence floor."""
-    while operators[-1][0] > floor:
-        _, t, op = operators.pop()
-        right = operands.pop()
-        node = operands[-1] = t(operands[-1], right)
-        right = rows.pop()
-        if op <= RELEASE:
-            rows[-1] = make(op, node, rows[-1], right)
-        else:
-            values = _expand_rows(
-                make, _MADE_STEPS[op], (rows[-1], right), pending.pop(), node
-            )
-            rows[-1] = values[-1]
-
-
 def _parse_body(tokens: list[str], pos: int, bound: tuple[str, ...]) -> tuple:
-    """The formula body from tokens[pos] on, by operator precedence, and
-    its core_table(body, expand=True), whose rows are made as the nodes
-    are: the parser makes the nodes in post-order, and each sugar token
-    makes the rows its rule walks before its last operand."""
-    make, finish = _new_table()
-    operands: list[Formula] = []
+    """The formula body from tokens[pos] on, by operator precedence, as its
+    core_table(body, expand=True) and a post-order record of its nodes.
+    The parser meets the nodes in post-order, as core_table's walk does,
+    so it makes each node's row when it reduces the node, from its
+    operands' rows; each sugar token makes the rows its rule walks before
+    its last operand.  The record holds each leaf's node, and for each
+    compound node its operation code and the row it first made, or None
+    if its row was there before: _build_body makes the tree from it."""
+    by_key, nodes, make, finish = _new_table()
     rows: list[int] = []  # the row of each operand
+    record: list = []
     # the values made by each stacked sugar operator's token, in order
     pending: list[list] = []
     operators: list[tuple] = [_OPEN]  # operators[0] is the whole body
@@ -393,48 +459,77 @@ def _parse_body(tokens: list[str], pos: int, bound: tuple[str, ...]) -> tuple:
         leaf = leaves.get(text)
         if leaf is None:
             leaf = leaves[text] = _leaf(text, pos - 1, bound, make)
-        operands.append(leaf[0])
+        record.append(leaf[0])
         rows.append(leaf[1])
-        # An operator is due.  Each finished operand takes the prefix
-        # operators before it, and ')' finishes the group it closes.
+        # An operator is due.  It reduces the stacked operators that bind
+        # tighter, the prefix operators first; ')' and the end reduce all
+        # of them down to the group they finish.
         while True:
-            while operators[-1][0] == _PREFIX_LEVEL:
-                _, t, op = operators.pop()
-                node = operands[-1] = t(operands[-1])
-                if op <= RELEASE:
-                    rows[-1] = make(op, node, rows[-1], None)
-                else:
-                    rows[-1] = _expand_rows(
-                        make, _MADE_STEPS[op], (rows[-1],), pending.pop(), node
-                    )[-1]
             text = tokens[pos]
             pos += 1
-            if text != ")":
+            infix = _INFIX_STEPS.get(text)
+            if infix is not None:
+                floor, entry = infix
+            elif text == ")":
+                floor = 0
+            elif _OPEN in operators[1:]:
+                raise ParseError(pos - 1, f"expected RPAREN, found {text!r}")
+            elif text:
+                raise ParseError(
+                    pos - 1, f"unexpected trailing input {text!r}"
+                )
+            else:
+                floor = 0
+            while operators[-1][0] > floor:
+                op = operators.pop()[1]
+                right = rows.pop() if _BINARY[op] else None
+                new = len(nodes)  # the rows from here on are new
+                if op <= RELEASE:
+                    row = by_key.setdefault((op, rows[-1], right), new)
+                    if row == new:
+                        nodes.append(None)
+                else:
+                    row = _expand_rows(
+                        make, _MADE_STEPS[op], (rows[-1], right), pending.pop()
+                    )[-1]
+                record.append((op, row if row >= new else None))
+                rows[-1] = row
+            if infix is not None:
+                operators.append(entry)
+                if text in _READ_STEPS:
+                    steps = _READ_STEPS[text]
+                    pending.append(_expand_rows(make, steps, (rows[-1],), []))
                 break
-            _reduce(operands, rows, operators, 0, make, pending)
+            if not text:
+                return finish(rows[0]), record
             if len(operators) == 1:  # no '(' left to close
                 raise ParseError(pos - 1, "unexpected trailing input ')'")
             operators.pop()
-        infix = _INFIX_STEPS.get(text)
-        if infix is not None:
-            floor, entry = infix
-            if operators[-1][0] > floor:
-                _reduce(operands, rows, operators, floor, make, pending)
-            operators.append(entry)
-            if text in _READ_STEPS:
-                values = _expand_rows(make, _READ_STEPS[text], (rows[-1],), [])
-                pending.append(values)
-        elif _OPEN in operators[1:]:
-            raise ParseError(pos - 1, f"expected RPAREN, found {text!r}")
-        elif text:
-            raise ParseError(pos - 1, f"unexpected trailing input {text!r}")
+
+
+def _build_body(record: list, nodes: list) -> Formula:
+    """The tree of a post-order record: a leaf entry is its node, and a
+    compound entry (op, first) makes a node of type op over the last one
+    or two made, which fills nodes[first] unless first is None."""
+    stack: list[Formula] = []
+    for entry in record:
+        if type(entry) is not tuple:
+            stack.append(entry)
+            continue
+        op, first = entry
+        if _BINARY[op]:
+            right = stack.pop()
+            node = stack[-1] = _TYPES[op](stack[-1], right)
         else:
-            _reduce(operands, rows, operators, 0, make, pending)
-            return operands[0], finish(rows[0])
+            node = stack[-1] = _TYPES[op](stack[-1])
+        if first is not None:
+            nodes[first] = node
+    return stack[0]
 
 
 def _parse(tokens: list[str]) -> HyperFormula:
-    """The formula of a token list.  A ParseError raised here gives the
+    """The formula of a token list, with its table and the record of its
+    body, which is made on first read.  A ParseError raised here gives the
     failing token's number in place of its position."""
     prefix = []
     seen = set()
@@ -453,10 +548,10 @@ def _parse(tokens: list[str]) -> HyperFormula:
         pos += 1
         prefix.append((quant, var))
 
-    body, table = _parse_body(tokens, pos, tuple(var for _, var in prefix))
+    table, record = _parse_body(tokens, pos, tuple(var for _, var in prefix))
     _check_atoms(prefix, _atom_rows(table))
-    formula = HyperFormula(tuple(prefix), body)
-    object.__setattr__(formula, "_table", table)
+    formula = object.__new__(HyperFormula)
+    vars(formula).update(prefix=tuple(prefix), _table=table, _record=record)
     return formula
 
 
@@ -492,7 +587,9 @@ def compile_formula(formula: HyperFormula):
     built with the formula, or else one walk's.  Raises what
     check_well_formed raises, in the same order, reading the atom rows.
     A parsed formula's table is shared by every call, so callers read it
-    and do not write into it."""
+    and do not write into it.  Its node column holds the leaves from the
+    start, and the compound nodes once the body has been read; nothing in
+    the library reads a parsed table's compound nodes."""
     _check_prefix(formula.prefix)
     table = formula._table
     if table is None:
@@ -744,30 +841,30 @@ _EXPANSIONS = {_CODES[t]: _expansion(t) for t in _DESUGAR}
 
 def _parse_steps(t: type) -> tuple[list, list]:
     """The steps of sugar type t's rule for the parser, in post-order: an
-    operand as its place, a constant as itself, a made row as (op, root).
+    operand as its place, a constant as itself, a made row as (op, None).
     They are split at the first walk of the last operand: the parser runs
     the steps before when the token is read, so that their rows come in
     _walk's order, and the rest when it makes the node."""
     root, steps = _EXPANSIONS[_CODES[t]]
     names = [field.name for field in fields(t)]
-    post = [*reversed(steps), (root, True)]
+    post = [*reversed(steps), (root, None)]
     split = post.index(names[-1])
     post = [names.index(s) if type(s) is str else s for s in post]
     return post[:split], post[split:]
 
 
-def _expand_rows(make, steps, operands: tuple, values: list, node=None):
+def _expand_rows(make, steps, operands: tuple, values: list):
     """Run a rule's post-order steps over its operands' rows, on values,
-    the stack of the values made so far, and give it back; the root's
-    row is made for node, the others for None."""
+    the stack of the values made so far, and give it back.  Every row is
+    made for None: the parser records the node of the root's row."""
     for step in steps:
         if type(step) is int:
             values.append(operands[step])
             continue
         if type(step) is tuple:
-            op, root = step
+            op = step[0]
             right = values.pop() if _BINARY[op] else None
-            row = make(op, node if root else None, values.pop(), right)
+            row = make(op, None, values.pop(), right)
         else:
             row = make(CONST, step, step.value, None)
         values.append(row)
@@ -787,9 +884,10 @@ _MADE_STEPS = {_CODES[t]: _parse_steps(t)[1] for t in _DESUGAR}
 
 
 def _new_table():
-    """make(op, f, left, right), which gives the row of the key (op, left,
-    right) in a new hash-consed table, made for f if it is new, and
-    finish(root), which gives the table (nodes, ops, lhs, rhs, root)."""
+    """A new hash-consed table: its rows by key (op, left, right), its
+    node column, make(op, f, left, right), which gives the row of the
+    key, made for f if it is new, and finish(root), which gives the table
+    (nodes, ops, lhs, rhs, root)."""
     by_key: dict[tuple, int] = {}  # (op, lhs, rhs) -> row, in row order
     nodes: list = []
 
@@ -803,7 +901,7 @@ def _new_table():
         ops, lhs, rhs = map(list, zip(*by_key))
         return nodes, ops, lhs, rhs, root
 
-    return make, finish
+    return by_key, nodes, make, finish
 
 
 def core_table(formula: Formula, expand: bool = False):
@@ -817,7 +915,7 @@ def core_table(formula: Formula, expand: bool = False):
     expand is set; then the rows are those of desugar(formula), a row made
     below the root of an expansion has no node (None), and a node that is
     no formula raises TypeError."""
-    make, finish = _new_table()
+    _, _, make, finish = _new_table()
     return finish(_walk(formula, make, expand or None))
 
 

@@ -10,6 +10,7 @@ can disagree loudly.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from collections import deque
@@ -44,6 +45,48 @@ from hypersat.syntax import (
     check_well_formed,
     desugar,
 )
+
+
+# ---------------------------------------------------------------------------
+# The node types as plain frozen dataclasses, with no slots and no hash of
+# their own: the surface (fields, repr, match, equality, freezing) that the
+# library's node types must keep.  Keyed by the library type they mirror.
+
+
+def _plain(name: str, *names: str, **defaults):
+    return dataclasses.make_dataclass(
+        name,
+        [(n, object, dataclasses.field(default=defaults[n]))
+         if n in defaults else (n, object) for n in names],
+        frozen=True,
+    )
+
+
+PLAIN_NODES = {
+    Atom: _plain("Atom", "name", "trace", trace=None),
+    Const: _plain("Const", "value"),
+    Not: _plain("Not", "operand"),
+    Next: _plain("Next", "operand"),
+    Eventually: _plain("Eventually", "operand"),
+    Globally: _plain("Globally", "operand"),
+    And: _plain("And", "left", "right"),
+    Or: _plain("Or", "left", "right"),
+    Implies: _plain("Implies", "left", "right"),
+    Iff: _plain("Iff", "left", "right"),
+    Until: _plain("Until", "left", "right"),
+    Release: _plain("Release", "left", "right"),
+    WeakUntil: _plain("WeakUntil", "left", "right"),
+}
+
+
+def plain_copy(formula: Formula):
+    """The formula rebuilt from PLAIN_NODES, by recursion."""
+    plain = PLAIN_NODES[type(formula)]
+    if _ARITY[type(formula)] == 0:
+        return plain(*(getattr(formula, f.name)
+                       for f in dataclasses.fields(plain)))
+    return plain(*(plain_copy(getattr(formula, f.name))
+                   for f in dataclasses.fields(plain)))
 
 
 def naive_eval(trace: UltimatelyPeriodicTrace, formula: Formula, pos: int = 0) -> bool:

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypersat import models, syntax
 from hypersat.errors import ParseError, ResourceLimit, WellFormednessError
+from hypersat.implication import Fails, Holds, check_implication
 from hypersat.models import (
     TraceSet,
     UltimatelyPeriodicTrace,
@@ -40,6 +42,7 @@ from hypersat.syntax import (
     Until,
     WeakUntil,
     check_well_formed,
+    compile_formula,
     desugar,
     parse_hyperltl,
     render,
@@ -51,6 +54,7 @@ from oracles import (
     naive_eval,
     naive_eval_hyper,
     naive_holds,
+    reference_parse,
 )
 
 PROPS = ("p", "q")
@@ -240,6 +244,63 @@ def test_one_parsed_formula_evaluates_again_and_again():
     same = TraceSet(frozenset({tr([{"a", "b"}], [{"a"}])}))
     assert evaluate_hyperltl(same, phi) is False
     assert evaluate_hyperltl(result.model, phi) is True
+
+
+def test_parsed_formula_evaluates_without_building_its_body(monkeypatch):
+    # evaluation reads only the parsed table, so the body's tree is made
+    # on its first read, and then it is the reference parser's tree
+    text, witness = _six_stones()
+
+    def build(*_):
+        raise AssertionError("the tree of a parsed body was built")
+
+    monkeypatch.setattr(syntax, "_build_body", build)
+    phi = parse_hyperltl(text)
+    assert evaluate_hyperltl(TraceSet(frozenset(witness)), phi) is True
+    assert evaluate_hyperltl(TraceSet(frozenset(witness[1:])), phi) is False
+    monkeypatch.undo()
+    # the reference parser recurses about 8 frames per parenthesis
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
+    try:
+        reference = reference_parse(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert phi.body == reference.body
+    assert phi == reference
+
+
+def test_solve_and_implication_build_each_parsed_body_once(monkeypatch):
+    built = []  # the node column of each table whose body was built
+    build = syntax._build_body
+
+    def counted(record, nodes):
+        built.append(id(nodes))
+        return build(record, nodes)
+
+    monkeypatch.setattr(syntax, "_build_body", counted)
+    for text, builds in (
+        ("exists p. exists q. G (a_p <-> !a_q) & F b_p", 1),
+        ("exists p. forall q. G (a_q -> X a_p)", 1),
+        ("forall p. F a_p & G !a_p", 1),
+        ("forall p. exists q. G a_p", 0),  # refused from its prefix
+    ):
+        phi = parse_hyperltl(text)
+        solve(phi)
+        assert len(built) == builds
+        assert phi.body is phi.body and len(built) == 1
+        built.clear()
+    for left, right, verdict in (
+        ("forall p. G a_p", "forall p. F a_p", Holds),
+        ("exists p. F a_p", "exists p. G a_p", Fails),
+        ("forall p. G (a_p -> X b_p)", "exists q. F a_q", Fails),
+    ):
+        antecedent, consequent = parse_hyperltl(left), parse_hyperltl(right)
+        assert isinstance(check_implication(antecedent, consequent), verdict)
+        assert sorted(built) == sorted(
+            {id(compile_formula(f)[0]) for f in (antecedent, consequent)}
+        )
+        built.clear()
 
 
 def test_parse_evaluate_and_solve_leave_no_cycles():

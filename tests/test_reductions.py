@@ -140,6 +140,24 @@ def test_unroll_dedup_matches_simplified_form():
     assert unrolled == target
 
 
+def test_unroll_keeps_universal_free_conjuncts_as_they_are():
+    # only atoms of universal variables are substituted, so a conjunct
+    # that has none is the input's own subformula, in every copy
+    phi = parse_hyperltl(FOUR_BLOCK)
+    kept = phi.body.right  # (G c_p1) & (G d_p2)
+    for conjunct in substituted_conjuncts(phi):
+        assert conjunct.right is kept
+    parts = []
+    stack = [unroll_universals(phi).body]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack += (f.right, f.left)
+        else:
+            parts.append(f)
+    assert parts[2] is kept.left and parts[3] is kept.right
+
+
 def test_unroll_wrong_fragment():
     with pytest.raises(WrongFragment):
         unroll_universals(parse_hyperltl("exists p1. exists p2. a_p1 & a_p2"))

@@ -1,7 +1,9 @@
 """Parser, printer, desugaring, and negation normal form."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import random
 import re
 from pathlib import Path
@@ -48,8 +50,10 @@ from hypersat.syntax import _tokenize
 
 from generators import SIX_STONES, random_ltl, random_quantified
 from oracles import (
+    PLAIN_NODES,
     enumerate_lassos,
     naive_eval,
+    plain_copy,
     reference_desugar,
     reference_listing,
     reference_nnf,
@@ -654,6 +658,95 @@ def test_a_new_formula_compiles_its_own_body():
             f"HyperFormula(prefix={p.prefix!r}, body={other!r})"
         )
     _assert_same_table(compile_formula(p), core_table(p.body, expand=True))
+
+
+_COPIES = {
+    "pickle": lambda p: pickle.loads(pickle.dumps(p)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": lambda p: dataclasses.replace(p, prefix=p.prefix),
+}
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+@pytest.mark.parametrize("how", sorted(_COPIES))
+def test_copies_of_a_parsed_formula_keep_its_body_and_table(how, read_first):
+    # a parsed body is made on first read, before or after the copy; each
+    # copy reads an equal body, and a table whose node column holds it
+    text = "exists x. forall y. G (a_x -> F b_y) & (a_y W !(b_x <-> X a_x))"
+    p = parse_hyperltl(text)
+    if read_first:
+        assert p.body == reference_parse(text).body
+    c = _COPIES[how](p)
+    assert c == p and c.body == p.body and hash(c) == hash(p)
+    assert c.body == reference_parse(text).body
+    assert compile_formula(c) == compile_formula(p)
+    for f in (c, p):
+        # the node column holds the formula's own nodes; only a constant
+        # made by an expansion rule may be an equal copy of TRUE or FALSE
+        table = compile_formula(f)
+        walked = core_table(f.body, expand=True)
+        assert table[1:] == walked[1:]
+        assert all(
+            a is b or type(a) is Const and a == b
+            for a, b in zip(table[0], walked[0], strict=True)
+        )
+    flipped = dataclasses.replace(c, prefix=((FORALL, "x"), (FORALL, "y")))
+    assert flipped == HyperFormula(((FORALL, "x"), (FORALL, "y")), p.body)
+
+
+def _node_samples() -> list:
+    """Nodes of every type: for each, two equal objects and a third that
+    differs from them."""
+    a, b = Atom("a", "p"), Not(Atom("b"))
+    samples = [
+        Atom("a", "p"), Atom("a", "p"), Atom("a"),
+        Const(True), Const(True), Const(False),
+    ]
+    for t in (Not, Next, Eventually, Globally):
+        samples += [t(a), t(Atom("a", "p")), t(b)]
+    for t in (And, Or, Implies, Iff, Until, Release, WeakUntil):
+        samples += [t(a, b), t(Atom("a", "p"), Not(Atom("b"))), t(b, a)]
+    return samples
+
+
+def test_nodes_keep_the_surface_of_plain_dataclasses():
+    # slotted nodes with a hash made on construction read, print, match,
+    # compare and refuse writes as the plain frozen dataclasses do
+    samples = _node_samples()
+    assert {type(f) for f in samples} == set(PLAIN_NODES)
+    plain = [plain_copy(f) for f in samples]
+    for f, g in zip(samples, plain):
+        assert repr(f) == repr(g)
+        names = [field.name for field in dataclasses.fields(f)]
+        assert names == [field.name for field in dataclasses.fields(g)]
+        assert type(f).__match_args__ == type(g).__match_args__
+        assert not hasattr(f, "__dict__")
+        for name in [*names, "_hash"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(f, name, getattr(f, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(f, name)
+    for f, g in zip(samples, plain):
+        for f2, g2 in zip(samples, plain):
+            assert (f == f2) is (g == g2)
+            assert (f != f2) is (g != g2)
+            if f == f2:
+                assert hash(f) == hash(f2)
+    match Iff(Const(False), Atom("a", "p")):
+        case Iff(Const(True), _) | Iff(_, Atom(_, None)):
+            raise AssertionError("matched the wrong node")
+        case Iff(Const(False), Atom(name, trace)):
+            assert (name, trace) == ("a", "p")
+
+
+def test_nodes_pickle_and_copy():
+    for f in _node_samples():
+        for g in (
+            pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f),
+        ):
+            assert type(g) is type(f) and g is not f
+            assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
 
 
 def test_sugar_chain_compiles_to_linear_rows():
