@@ -7,9 +7,12 @@ that postpone an eventuality forever.
 
 The closure is indexed once: each distinct subformula gets one bit, and
 bits are numbered in the canonical formula order, so the tableau runs on
-int bitmasks and ascending bit order is formula order.  Each bit's
-expansion alternatives are closed once, up front, under the bits that
-leave no choice, so saturation only searches over real branches.  The
+int bitmasks and ascending bit order is formula order.  Set-up reads
+each bit's operation code from the core node table and dispatches on it.
+Each bit's expansion alternatives are closed once, up front, under the
+bits that leave no choice, so saturation only searches over real
+branches, and a saturation with nothing to branch on is its closed start
+alone (or nothing, if the start clashes), with no search at all.  The
 reachable states are numbered 0..N-1 by one sort of their masks in the
 canonical state order, and emptiness runs on those numbers, so identical
 inputs yield identical automata and witnesses across processes.  Formula
@@ -21,24 +24,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import count
 from typing import NamedTuple
 
 from .models import UltimatelyPeriodicTrace
 from .syntax import (
+    AND,
     ATOM,
     CONST,
     NEXT,
     NOT,
-    And,
-    Atom,
-    Const,
+    OR,
+    UNTIL,
     Formula,
-    Next,
-    Not,
-    Or,
-    Release,
-    Until,
     _atoms,
     core_table,
     desugar,
@@ -70,8 +67,8 @@ def _order(mask: int) -> str:
 
 def _index(formula: Formula):
     """The distinct subformulas of a desugared NNF formula in canonical
-    order, with each one's operand positions, the root's position, and
-    every position listed operands first.
+    order, with each one's operand positions, the root's position, every
+    position listed operands first, and each position's operation code.
 
     The rows of `core_table` are the distinct subformulas, operands
     first, and a row's operation code is its rank.  The canonical order
@@ -116,6 +113,7 @@ def _index(formula: Formula):
         [tuple(position[p] for p in operands[n]) for n in order],
         position[root],
         position,
+        [ops[n] for n in order],
     )
 
 
@@ -131,18 +129,18 @@ class _Tableau:
     is consistent with a state exactly when the two masks do not meet."""
 
     def __init__(self, formula: Formula):
-        self.nodes, operands, root, topological = _index(formula)
+        self.nodes, operands, root, topological, codes = _index(formula)
         self.root = 1 << root
         n = len(self.nodes)
         # bits that contradict a literal: its complement.  Ranks order the
         # closure, so the negated atoms follow the leaves, before the rest.
         clash = [0] * n
-        for i, f in enumerate(self.nodes):
-            if isinstance(f, Not):
+        for i, op in enumerate(codes):
+            if op == NOT:
                 atom = operands[i][0]
                 clash[i] = 1 << atom
                 clash[atom] |= 1 << i
-            elif not isinstance(f, (Atom, Const)):
+            elif op > NOT:
                 break
         # next-step obligation of a temporal bit, and the bit discharging it
         self.step = [0] * n
@@ -156,37 +154,38 @@ class _Tableau:
         # each bit's closure under deterministic bits, and its clash mask
         closure = self._closure = [(0, 0)] * n
 
-        def joined(left, right):
-            return (
-                closure[left][0] | closure[right][0],
-                closure[left][1] | closure[right][1],
-            )
-
         for i in topological:  # operands before the bits that use them
-            f, parts, bit = self.nodes[i], operands[i], 1 << i
-            alternatives = ((0, 0),)
-            match f:
-                case Atom():
+            op, bit = codes[i], 1 << i
+            if op <= NEXT:  # a leaf, a literal or a Next leaves no choice
+                if op == ATOM:
                     self.atoms |= bit
-                case Const(False):
-                    alternatives = ()
-                case Next():
-                    self.step[i] = 1 << parts[0]
+                elif op == CONST and not self.nodes[i].value:
+                    clash[i] = bit  # FALSE clashes with itself
+                elif op == NEXT:
+                    self.step[i] = 1 << operands[i][0]
                     self.temporal |= bit
-                case And():
-                    alternatives = (joined(*parts),)
-                case Or():
-                    alternatives = (closure[parts[0]], closure[parts[1]])
-                case Until():
-                    alternatives = (closure[parts[1]], closure[parts[0]])
+                closure[i] = (bit, clash[i])
+                continue
+            left, right = operands[i]
+            if op == OR:
+                alternatives = (closure[left], closure[right])
+            elif op == UNTIL:
+                alternatives = (closure[right], closure[left])
+                self.step[i] = bit
+                self.guard[i] = 1 << right
+                self.temporal |= bit
+                self.untils.append((bit, 1 << right))
+            else:
+                both = (
+                    closure[left][0] | closure[right][0],
+                    closure[left][1] | closure[right][1],
+                )
+                if op == AND:
+                    alternatives = (both,)
+                else:  # RELEASE
+                    alternatives = (both, closure[right])
                     self.step[i] = bit
-                    self.guard[i] = 1 << parts[1]
-                    self.temporal |= bit
-                    self.untils.append((bit, 1 << parts[1]))
-                case Release():
-                    alternatives = (joined(*parts), closure[parts[1]])
-                    self.step[i] = bit
-                    self.guard[i] = 1 << parts[0]
+                    self.guard[i] = 1 << left
                     self.temporal |= bit
             alive = tuple(a for a in alternatives if not a[0] & a[1])
             if len(alive) == 2:
@@ -195,7 +194,7 @@ class _Tableau:
                 closure[i] = (bit, clash[i])
             elif alive:
                 closure[i] = (bit | alive[0][0], clash[i] | alive[0][1])
-            else:  # FALSE, or no consistent alternative: clashes with itself
+            else:  # no consistent alternative: clashes with itself
                 closure[i] = (bit, bit)
         self.untils.sort()  # canonical order, as the acceptance sets go
         # the states found so far, numbered in order of discovery, and the
@@ -212,9 +211,13 @@ class _Tableau:
         done = self._saturated.get(seed)
         if done is not None:
             return done
+        closure = self._closure
         start = start_clash = 0
-        for i in _bits(seed):
-            mask, clashes = self._closure[i]
+        rest = seed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            mask, clashes = closure[low.bit_length() - 1]
             start |= mask
             start_clash |= clashes
         done = self._saturated.get(start)
@@ -231,13 +234,17 @@ class _Tableau:
         self._saturated[seed] = done
         return done
 
-    def _search(self, start: int, start_clash: int) -> set[int]:
-        """Depth-first over (members, pending branching bits) from a closed,
-        consistent start: every member keeps one alternative."""
-        results = set()
+    def _search(self, start: int, start_clash: int) -> tuple | set:
+        """The saturated states of a closed start: depth-first over
+        (members, pending branching bits), every member keeping one
+        alternative.  A start that clashes has none, and one with nothing
+        to branch on is its own only state."""
         if start & start_clash:
-            return results
+            return ()
         branching, choices = self.branching, self.choices
+        if not start & branching:
+            return (start,)
+        results = set()
         first = (start, start & branching)
         seen = {first}
         stack = [first]
@@ -259,15 +266,6 @@ class _Tableau:
                     seen.add(item)
                     stack.append(item)
         return results
-
-    def obligations(self, state: int) -> int:
-        """What a state leaves for the next position: the operand of each
-        Next, and each Until/Release not yet discharged here."""
-        out = 0
-        for i in _bits(state & self.temporal):
-            if not state & self.guard[i]:
-                out |= self.step[i]
-        return out
 
 
 class FormulaSets(NamedTuple):
@@ -328,11 +326,24 @@ class GeneralizedBuchiAutomaton:
 def build_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
     """Formula must be plain LTL, desugared, in NNF."""
     tableau = _Tableau(formula)
-    first = tableau.saturate(tableau.root)
+    saturate, saturated = tableau.saturate, tableau._saturated
+    temporal, guard, step = tableau.temporal, tableau.guard, tableau.step
+    first = saturate(tableau.root)
     masks = tableau.masks
     successors = []
     for state in masks:  # grows as states are found: the breadth-first queue
-        successors.append(tableau.saturate(tableau.obligations(state)))
+        # what the state leaves for the next position: the operand of each
+        # Next, and each Until/Release not yet discharged here
+        seed = 0
+        rest = state & temporal
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            if not state & guard[i]:
+                seed |= step[i]
+        done = saturated.get(seed)
+        successors.append(saturate(seed) if done is None else done)
 
     # one sort renumbers the states from discovery order to canonical order
     keys = [_order(mask) for mask in masks]
@@ -367,32 +378,36 @@ def build_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
 def _tarjan_sccs(successors: list[tuple[int, ...]]) -> list[list[int]]:
     """Strongly connected components of states 0..N-1.  A state's index is
     its visiting rank from 1, 0 before its visit, and N + 1 once its
-    component is complete, so no finished state lowers a low-link."""
+    component is complete, so no finished state lowers a low-link.  The
+    low-link of the state being explored is a local; a suspended state's
+    waits with it on the work stack."""
     done = len(successors) + 1
     index = [0] * len(successors)
-    low = [0] * len(successors)
-    rank = count(1)
+    rank = 0
     stack: list[int] = []
+    push = stack.append
     sccs = []
     for root in range(len(successors)):
         if index[root]:
             continue
-        index[root] = low[root] = next(rank)
-        stack.append(root)
-        work = [(root, iter(successors[root]))]
-        while work:
-            v, rest = work[-1]
+        rank += 1
+        index[root] = low = rank
+        push(root)
+        v, rest, work = root, iter(successors[root]), []
+        while True:
             for w in rest:
-                if not index[w]:
-                    index[w] = low[w] = next(rank)
-                    stack.append(w)
-                    work.append((w, iter(successors[w])))
+                visited = index[w]
+                if not visited:
+                    work.append((v, low, rest))
+                    rank += 1
+                    index[w] = low = rank
+                    push(w)
+                    v, rest = w, iter(successors[w])
                     break
-                if index[w] < low[v]:
-                    low[v] = index[w]
+                if visited < low:
+                    low = visited
             else:
-                work.pop()
-                if low[v] == index[v]:
+                if low == index[v]:
                     comp = []
                     while True:
                         w = stack.pop()
@@ -401,8 +416,12 @@ def _tarjan_sccs(successors: list[tuple[int, ...]]) -> list[list[int]]:
                         if w == v:
                             break
                     sccs.append(comp)
-                elif work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
+                if not work:
+                    break
+                child_low = low
+                v, low, rest = work.pop()
+                if child_low < low:
+                    low = child_low
     return sccs
 
 

@@ -301,21 +301,33 @@ class HyperFormula:
     # dataclasses.replace included, has none and is compiled by a walk.
     _table = None
 
-    def __getattr__(self, name: str):
-        # A parsed formula has no body until it is first read: it is made
-        # then from the parser's post-order record of it, which fills the
-        # table's node column.  A shallow copy shares the record, so the
-        # record then holds only the body, and the copy reads the same one.
-        record = vars(self).get("_record")
-        if name != "body" or record is None:
+
+class _ParsedBody:
+    """HyperFormula.body of a parsed formula, which has no body until it
+    is first read: it is made then from the parser's post-order record of
+    it, which fills the table's node column, and put in the instance dict,
+    where every later read finds it without calling this.  A shallow copy
+    shares the record, so the record then holds only the body, and the
+    copy reads the same one.  A non-data descriptor, installed after the
+    dataclass decorator, so that the decorator sees a field with no
+    default and the instance dict takes precedence over it."""
+
+    def __get__(self, formula, owner=None):
+        if formula is None:
+            return self
+        record = vars(formula).get("_record")
+        if record is None:
             raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
+                f"{type(formula).__name__!r} object has no attribute 'body'"
             )
-        body = _build_body(record, self._table[0])
+        body = _build_body(record, formula._table[0])
         record[:] = [body]
-        object.__setattr__(self, "body", body)
-        del vars(self)["_record"]
+        object.__setattr__(formula, "body", body)
+        del vars(formula)["_record"]
         return body
+
+
+HyperFormula.body = _ParsedBody()
 
 
 TRUE = Const(True)

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's evaluation and automaton
 code paths: truth is computed by direct recursion on the semantic clauses,
 satisfiability by enumerating small lassos outright, the reference
-tableau on plain sets of formulas, and the reference parser by recursive
+tableau on plain sets of formulas, its witness lasso by mutual
+reachability and path search, and the reference parser by recursive
 descent.  Slow, obviously correct, and kept separate so the two routes
 can disagree loudly.
 """
@@ -398,6 +399,85 @@ def emerson_lei_nonempty(aut: FormulaSets) -> bool:
         if new == z:
             return not z.isdisjoint(aut.initial)
         z = new
+
+
+def _reachable(succs: dict, state) -> set:
+    """The states reachable from a state in one step or more."""
+    seen = set()
+    frontier = list(succs[state])
+    while frontier:
+        s = frontier.pop()
+        if s not in seen:
+            seen.add(s)
+            frontier += succs[s]
+    return seen
+
+
+def _shortest_path(succs: dict, starts, goal, inside: set, allow_empty):
+    """The first shortest path from the starts to a goal state through
+    states inside: paths grow one layer at a time, each layer's paths in
+    order and each path's successors in the order given, and a state is
+    reached once.  With allow_empty, a start that is a goal is a path of
+    its own, the first such start."""
+    if allow_empty:
+        for s in starts:
+            if goal(s):
+                return [s]
+    layer = [[s] for s in starts]
+    reached = set(starts)
+    while layer:
+        grown = []
+        for path in layer:
+            for s in succs[path[-1]]:
+                if s not in inside:
+                    continue
+                if goal(s):
+                    return path + [s]
+                if s not in reached:
+                    reached.add(s)
+                    grown.append(path + [s])
+        layer = grown
+    raise AssertionError("no goal state reachable")
+
+
+def reference_lasso(aut: FormulaSets) -> UltimatelyPeriodicTrace | None:
+    """The witness lasso the engine must pick, or None for an empty
+    language, by the engine's rules on a set-based automaton: components
+    by mutual reachability; of the cyclic ones that meet every acceptance
+    set, the one holding the least state in canonical order; the first
+    shortest stem from the initial states into it; then from its entry a
+    first shortest path into each acceptance set the cycle has not met
+    yet, in order, and back to the entry, all inside the component.  It
+    uses no SCC algorithm and no code of check_emptiness."""
+    succs = aut.transitions
+    reach = {s: _reachable(succs, s) for s in aut.states}
+    target = None
+    for s in aut.states:  # canonical order: the least state first
+        component = {t for t in reach[s] if s in reach[t]}
+        if s in component and all(not acc.isdisjoint(component)
+                                  for acc in aut.acceptance):
+            target = component
+            break
+    if target is None:
+        return None
+    stem = _shortest_path(succs, aut.initial, target.__contains__,
+                          set(aut.states), True)
+    entry = stem[-1]
+    cycle = [entry]
+    for acc in aut.acceptance:
+        if acc.isdisjoint(cycle):
+            cycle += _shortest_path(succs, [cycle[-1]], acc.__contains__,
+                                    target, False)[1:]
+    cycle += _shortest_path(succs, [cycle[-1]], entry.__eq__, target,
+                            len(cycle) > 1)[1:]
+
+    def valuation(state):
+        return frozenset(f.name for f in state if isinstance(f, Atom))
+
+    return UltimatelyPeriodicTrace(
+        tuple(valuation(s) for s in stem[:-1]),
+        tuple(valuation(s) for s in cycle[:-1]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from oracles import (
     emerson_lei_nonempty,
     naive_eval,
     reference_automaton,
+    reference_lasso,
 )
 
 
@@ -138,9 +139,17 @@ def test_negation_duality_random(seed):
 
 
 def test_non_nnf_input_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError,
+        match=r"^automaton construction needs a desugared NNF formula, "
+        r"found Not\(operand=Until\(",
+    ):
         build_automaton(Not(Until(Atom("p"), Atom("q"))))
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError,
+        match=r"^the core node table expects a desugared formula, "
+        r"found Eventually\(operand=Atom\(",
+    ):
         build_automaton(Eventually(Atom("p")))
 
 
@@ -168,11 +177,18 @@ def test_automaton_equals_reference_tableau_three_atoms(seed):
 # Formulas that reach each path of the closed-alternative saturation: a
 # closed seed shared by every obligation mask (the G F conjunction), an
 # alternative that clashes with itself, a deterministic Release next to a
-# branching Until, and the unrolled, zipped exists-forall body.
+# branching Until, saturations with nothing to branch on (the Next chain
+# beside a deterministic Release), a start that clashes at once, and the
+# unrolled, zipped exists-forall body.  In gf-apart no state meets two
+# acceptance sets, so the witness cycle visits them in order.
 SATURATION_FIXTURES = {
     "gf-conj-4": " & ".join(f"G F b{i}" for i in range(1, 5)),
+    "gf-apart": "G F (p & !q) & G F (q & !p) & G F (!p & !q)",
     "self-clash": "(p & !p) | q",
     "gf-fg": "G F p & F G !p",
+    "no-branching": "X X X p & G !p",
+    "no-branching-sat": "X X X p & G q",
+    "start-clash": "(X q & p) & (G r & !p)",
 }
 E3A2 = (
     "exists p1. exists p2. exists p3. forall q1. forall q2. "
@@ -279,3 +295,26 @@ def test_long_next_chain_has_linear_automaton():
     result, stats = solve(parse_hyperltl("exists p. " + "X " * 800 + "a_p"))
     assert isinstance(result, Sat)
     assert stats.automaton_states == 802
+
+
+def assert_lasso_equals_reference(phi):
+    want = reference_lasso(reference_automaton(phi))
+    assert check_emptiness(build_automaton(phi)) == want
+
+
+@pytest.mark.parametrize("name", sorted(SATURATION_FIXTURES))
+def test_lasso_equals_reference_lasso_fixtures(name):
+    assert_lasso_equals_reference(
+        nnf(parse_hyperltl(SATURATION_FIXTURES[name]).body)
+    )
+
+
+def test_lasso_equals_reference_lasso_unrolled_body():
+    assert_lasso_equals_reference(unrolled_e3a2_body())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_lasso_equals_reference_lasso_random(seed):
+    rng = random.Random(seed)
+    assert_lasso_equals_reference(nnf(random_ltl(rng, ("p", "q", "r"), 3)))

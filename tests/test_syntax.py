@@ -695,6 +695,19 @@ def test_copies_of_a_parsed_formula_keep_its_body_and_table(how, read_first):
     assert flipped == HyperFormula(((FORALL, "x"), (FORALL, "y")), p.body)
 
 
+def test_a_parsed_body_is_made_once_and_other_names_stay_missing():
+    p = parse_hyperltl("exists x. G (a_x -> X b_x)")
+    body = p.body
+    assert p.body is body
+    assert vars(p)["body"] is body and "_record" not in vars(p)
+    for f in (p, HyperFormula(p.prefix, body)):
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            f.missing
+        assert not hasattr(f, "_record")
+    with pytest.raises(AttributeError, match="no attribute 'body'"):
+        object.__new__(HyperFormula).body
+
+
 def _node_samples() -> list:
     """Nodes of every type: for each, two equal objects and a third that
     differs from them."""
