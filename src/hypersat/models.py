@@ -3,24 +3,26 @@
 A trace is a finite stem followed by a forever-repeated non-empty loop.
 Evaluation computes, per subformula, a truth bitmask over the positions
 0 .. |stem|+|loop|-1 of the (joint) lasso; position i+1 wraps back to the
-loop start at the end.  A least fixpoint decides U, and R as its dual,
-which is equivalent to scanning positions up to |stem| + 2*|loop|:
-truth values are periodic past the stem.
+loop start at the end.  One least fixpoint decides every temporal
+connective, which is equivalent to scanning positions up to
+|stem| + 2*|loop|: truth values are periodic past the stem.
 
 The body is evaluated from `syntax.core_table`'s post-order node table,
-its sugar expanded into core rows, not desugared first: the table the
-parser built with the formula, or for a formula built by hand one walk's.
-Well-formedness is checked from its atom rows.  One forward pass over the
-rows computes every row for every assignment of traces to the prefix
-variables at once.  A row's value is one int made of lanes, one lane of
-|stem|+|loop| bits per assignment; the lane index spells the assignment in
-prefix order, the last variable least significant.  An atom row is its
-per-trace masks laid out by that index with repunit multiplications, NOT,
-AND and OR are single int operations, X shifts every lane at once, and U
-and R share one least fixpoint over that shift.  The quantifiers then fold
-the root's lanes innermost first, OR for exists and AND for forall.  Where
-all the lanes would span more than LANE_BITS bits, the outermost variables
-are enumerated as nested any/all, on a loop rather than by recursion, each
+one row per distinct subformula, sugar included, not desugared first:
+the table the parser built with the formula, or for a formula built by
+hand one walk's.  Well-formedness is checked from its atom rows.  One
+forward pass over the rows computes every row for every assignment of
+traces to the prefix variables at once.  A row's value is one int made
+of lanes, one lane of |stem|+|loop| bits per assignment; the lane index
+spells the assignment in prefix order, the last variable least
+significant.  An atom row is its per-trace masks laid out by that index
+with repunit multiplications, NOT, AND, OR, -> and <-> are single int
+operations, X shifts every lane at once, and U, R, F, G and W share one
+least fixpoint over that shift, R, G and W as the complement of a U over
+complemented operands.  The quantifiers then fold the root's lanes
+innermost first, OR for exists and AND for forall.  Where all the lanes
+would span more than LANE_BITS bits, the outermost variables are
+enumerated as nested any/all, on a loop rather than by recursion, each
 choice a pass over the packed rest, so an early-decided quantifier still
 stops early.  Plain LTL evaluation is the one-lane case.
 """
@@ -39,12 +41,17 @@ from .syntax import (
     AND,
     ATOM,
     CONST,
+    EVENTUALLY,
     EXISTS,
     FORALL,
+    GLOBALLY,
+    IFF,
+    IMPLIES,
     NEXT,
     NOT,
     OR,
     RELEASE,
+    UNTIL,
     Formula,
     HyperFormula,
     core_table,
@@ -222,17 +229,32 @@ def _holds(table: tuple, prefix: tuple, traces: list, guard: float) -> bool:
                 m = values[a] & values[b]
             elif op == OR:
                 m = values[a] | values[b]
+            elif op == IMPLIES:
+                m = values[a] ^ full | values[b]
+            elif op == IFF:
+                m = values[a] ^ values[b] ^ full
             else:
-                # a R b is !(!a U !b): one least fixpoint serves both
-                a, b = values[a], values[b]
-                if op == RELEASE:
-                    a, b = a ^ full, b ^ full
-                m, step = None, b
+                # one least fixpoint m = base | grow & X m serves every
+                # temporal row: a U b, F a = true U a, and the complements
+                # a R b = !(!a U !b), G a = !(true U !a) and
+                # a W b = !(!b U (!a & !b))
+                a = values[a]
+                if op == UNTIL:
+                    grow, base, flip = a, values[b], 0
+                elif op == EVENTUALLY:
+                    grow, base, flip = full, a, 0
+                elif op == RELEASE:
+                    grow, base, flip = a ^ full, values[b] ^ full, full
+                elif op == GLOBALLY:
+                    grow, base, flip = full, a ^ full, full
+                else:
+                    grow = values[b] ^ full
+                    base, flip = (a ^ full) & grow, full
+                m, step = None, base
                 while step != m:
                     m = step
-                    step = b | a & succ(m)
-                if op == RELEASE:
-                    m ^= full
+                    step = base | grow & succ(m)
+                m ^= flip
             values.append(m)
         # Fold the packed variables innermost first: each group of n
         # neighbouring lanes joins its lane starts into its first.  Only
@@ -268,7 +290,7 @@ def evaluate_hyperltl(
     Every assignment of traces to the prefix variables is evaluated on one
     joint lasso: its stem is the longest stem in the set and its loop
     length the lcm of all loops, so each trace is periodic within it.
-    The body's core table, its sugar expanded into core rows, comes from
+    The body's core table, one row per distinct subformula, comes from
     syntax.compile_formula: a parsed formula's own table, so evaluating it
     walks nothing, or one walk's for a formula built by hand.  The
     well-formedness check reads its atom rows.  One pass over the rows

@@ -11,24 +11,18 @@ memory, not by the interpreter's recursion limit:
   token strings, then runs one loop over them with an operand stack and an
   operator stack.  Two tables keyed by token text drive it: the prefix
   operators ``! X F G``, and the infix operators ``<-> -> | & U W R``,
-  each with a precedence, an associativity and a node type.  Each
-  distinct identifier text becomes one Atom object per parse, checked to
-  start with a letter or '_' when it is made.  The parser makes no other
-  node.  It meets the nodes in post-order, as core_table's walk does, so
-  it builds the body's expanded core table on a stack of rows: a row as
-  each node is reduced, and for F, G, W, -> and <-> the rows of the
-  rule, split at its first walk of the last operand.  The rows before
-  that split are made when the token is read: F and G make their
-  constant's, -> and <-> their left operand's negation, after the
-  reductions the token triggers.  Beside the rows it keeps a flat
-  post-order record of the body: each leaf's node, and each compound
-  node's operation code and the row it first made.  The returned
-  HyperFormula keeps the table and the record; its body is made on first
-  read, by one loop over the record, which also fills the table's node
-  column.  The closing well-formedness check reads the atom rows.
-  Positions are found only when parsing fails: the positioned tokenizer
-  then runs over the whole text, so a bad character anywhere is still the
-  error reported, and otherwise it gives the failing token's position.
+  each with a precedence, an associativity and a node type.  It meets the
+  nodes in post-order, as core_table's walk does, and builds the body's
+  core table on its operand stack of rows: each distinct identifier text
+  makes one constant or atom row, holding its node, and each reduction
+  one hash-consed row with its own operation code, sugar included.  The
+  returned HyperFormula keeps the table; its body is made on first read,
+  by one loop over the rows that fills the table's node column, so equal
+  subformulas share one node.  The closing well-formedness check reads
+  the atom rows.  Positions are found only when parsing fails: the
+  positioned scan then runs over the whole text, so a bad character
+  anywhere is still the error reported, and otherwise it gives the
+  failing token's position.
 * Every other pass is one fold, _walk, over a formula's distinct node
   objects, operands first, so a formula with shared subformulas (as
   desugar and to_nnf build them) costs its distinct nodes, not its size
@@ -39,19 +33,20 @@ memory, not by the interpreter's recursion limit:
 * A node's hash is computed when it is made, from its operands' hashes,
   and equality compares each pair of nodes once, from an explicit stack.
 * core_table compiles a formula into one hash-consed post-order table of
-  rows; with expand, it, desugar and the parser replace F, G, W, -> and
-  <-> by the same steps, read once off desugar's rules.  compile_formula
-  gives a parsed formula's own table, or walks any other formula's body
-  into one, and checks the formula from its atom rows; check_well_formed
-  reads a parsed formula's atom rows too.  to_nnf builds every row in
-  both polarities, so its result shares equal subformulas; the tableau
-  closure and the evaluator also start from the table.
+  rows, one per distinct subformula; with sugar set, F, G, W, -> and <->
+  are rows of their own, and without it they are refused.
+  compile_formula gives a parsed formula's own table, or walks any other
+  formula's body into one, and checks the formula from its atom rows;
+  check_well_formed reads a parsed formula's atom rows too.  to_nnf
+  builds every row in both polarities, so its result shares equal
+  subformulas; the tableau closure and the evaluator also start from the
+  table.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import compress
 
 from .errors import ParseError, WellFormednessError
@@ -273,7 +268,8 @@ _ARITY = {
 # The node type of each operation code: the core connectives in the rank
 # order of the canonical formula order, each binary one's dual at op ^ 1,
 # then the sugar.
-ATOM, CONST, NOT, NEXT, AND, OR, UNTIL, RELEASE = range(8)
+(ATOM, CONST, NOT, NEXT, AND, OR, UNTIL, RELEASE,
+ IMPLIES, IFF, WEAK_UNTIL, EVENTUALLY, GLOBALLY) = range(13)
 _TYPES = [Atom, Const, Not, Next, And, Or, Until, Release,
           Implies, Iff, WeakUntil, Eventually, Globally]
 _CODES = {t: op for op, t in enumerate(_TYPES)}
@@ -290,13 +286,13 @@ class HyperFormula:
     """Prenex formula: quantifier prefix (possibly empty) plus LTL body.
 
     parse_hyperltl returns one whose body is made on first read, from the
-    parser's record; until then vars() shows the record in its place.
-    The fields, constructor, repr, equality, hashing, pickling and
-    dataclasses.replace are as if the body were there from the start."""
+    parser's table; until then vars() shows no body.  The fields,
+    constructor, repr, equality, hashing, pickling and dataclasses.replace
+    are as if the body were there from the start."""
 
     prefix: tuple[tuple[str, str], ...]
     body: Formula
-    # The body's core_table(body, expand=True), which parse_hyperltl
+    # The body's core_table(body, sugar=True), which parse_hyperltl
     # builds as it parses.  It is no field: a formula made any other way,
     # dataclasses.replace included, has none and is compiled by a walk.
     _table = None
@@ -304,26 +300,25 @@ class HyperFormula:
 
 class _ParsedBody:
     """HyperFormula.body of a parsed formula, which has no body until it
-    is first read: it is made then from the parser's post-order record of
-    it, which fills the table's node column, and put in the instance dict,
-    where every later read finds it without calling this.  A shallow copy
-    shares the record, so the record then holds only the body, and the
-    copy reads the same one.  A non-data descriptor, installed after the
-    dataclass decorator, so that the decorator sees a field with no
-    default and the instance dict takes precedence over it."""
+    is first read: it is made then from the table, filling its node
+    column, and put in the instance dict, where every later read finds it
+    without calling this.  A shallow copy shares the table, so it reads
+    the body the table's root row holds.  A non-data descriptor, installed
+    after the dataclass decorator, so that the decorator sees a field with
+    no default and the instance dict takes precedence over it."""
 
     def __get__(self, formula, owner=None):
         if formula is None:
             return self
-        record = vars(formula).get("_record")
-        if record is None:
+        table = formula._table
+        if table is None:
             raise AttributeError(
                 f"{type(formula).__name__!r} object has no attribute 'body'"
             )
-        body = _build_body(record, formula._table[0])
-        record[:] = [body]
+        body = table[0][table[4]]
+        if body is None:
+            body = _build_body(table)
         object.__setattr__(formula, "body", body)
-        del vars(formula)["_record"]
         return body
 
 
@@ -337,39 +332,28 @@ RESERVED = {"X", "F", "G", "U", "W", "R", FORALL, EXISTS, "true", "false"}
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokens
 
-_SYMBOLS = {
-    "<->": "IFF",
-    "->": "IMPLIES",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "!": "NOT",
-    "&": "AND",
-    "|": "OR",
-    ".": "DOT",
-}
 # A symbol, a word, or any other non-space character (an error).  \w also
 # matches digits and characters such as '²', so a word must still start
 # with a letter or '_'.
-_TOKEN = re.compile(r"(<->|->|[()!&|.])|(\w+)|(\S)")
-# The same tokens as plain strings, for the parser's one C-level scan.
 _TOKEN_TEXT = re.compile(r"<->|->|[()!&|.]|\w+|\S")
+_SYMBOLS = ("<->", "->", "(", ")", "!", "&", "|", ".")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for match in _TOKEN.finditer(text):
+def _positions(text: str) -> list[int]:
+    """The position of each token of the text, and then of its end; raises
+    ParseError at the first token that is no symbol and no word."""
+    positions = []
+    for match in _TOKEN_TEXT.finditer(text):
         word = match.group()
-        at = match.start()
-        if match.lastindex == 1:
-            tokens.append((_SYMBOLS[word], word, at))
-        elif match.lastindex == 2 and (word[0].isalpha() or word[0] == "_"):
-            tokens.append(("IDENT", word, at))
-        else:
-            raise ParseError(at, f"unexpected character {word[0]!r}")
-    tokens.append(("EOF", "", len(text)))
-    return tokens
+        if not (word[0].isalpha() or word[0] == "_" or word in _SYMBOLS):
+            raise ParseError(
+                match.start(), f"unexpected character {word[0]!r}"
+            )
+        positions.append(match.start())
+    positions.append(len(text))
+    return positions
 
 
 # ---------------------------------------------------------------------------
@@ -432,32 +416,26 @@ def _make_atom(text: str, at: int, bound: tuple[str, ...]) -> Atom:
     return Atom(text)
 
 
-def _leaf(text: str, at: int, bound: tuple[str, ...], make) -> tuple:
-    """The constant or atom named by token number at, the first occurrence
-    of its text, and its row."""
+def _leaf(text: str, at: int, bound: tuple[str, ...], make) -> int:
+    """The row of the constant or atom named by token number at, the first
+    occurrence of its text."""
     f = _CONSTANTS.get(text)
     if f is not None:
-        return f, make(CONST, f, f.value, None)
+        return make(CONST, f, f.value, None)
     f = _make_atom(text, at, bound)
-    return f, make(ATOM, f, f.name, f.trace)
+    return make(ATOM, f, f.name, f.trace)
 
 
 def _parse_body(tokens: list[str], pos: int, bound: tuple[str, ...]) -> tuple:
     """The formula body from tokens[pos] on, by operator precedence, as its
-    core_table(body, expand=True) and a post-order record of its nodes.
-    The parser meets the nodes in post-order, as core_table's walk does,
-    so it makes each node's row when it reduces the node, from its
-    operands' rows; each sugar token makes the rows its rule walks before
-    its last operand.  The record holds each leaf's node, and for each
-    compound node its operation code and the row it first made, or None
-    if its row was there before: _build_body makes the tree from it."""
+    core_table(body, sugar=True).  The parser meets the nodes in
+    post-order, as core_table's walk does, so it makes each node's row
+    when it reduces the node, from its operands' rows.  A compound row's
+    node is left None, for _build_body to make."""
     by_key, nodes, make, finish = _new_table()
     rows: list[int] = []  # the row of each operand
-    record: list = []
-    # the values made by each stacked sugar operator's token, in order
-    pending: list[list] = []
     operators: list[tuple] = [_OPEN]  # operators[0] is the whole body
-    leaves: dict[str, tuple] = {}  # identifier text -> its node and row
+    leaves: dict[str, int] = {}  # identifier text -> its row
     while True:
         # An operand is due: prefix operators and '(' stack up before it.
         text = tokens[pos]
@@ -465,14 +443,11 @@ def _parse_body(tokens: list[str], pos: int, bound: tuple[str, ...]) -> tuple:
         opener = _OPENERS.get(text)
         if opener is not None:
             operators.append(opener)
-            if text in _READ_STEPS:
-                pending.append(_expand_rows(make, _READ_STEPS[text], (), []))
             continue
-        leaf = leaves.get(text)
-        if leaf is None:
-            leaf = leaves[text] = _leaf(text, pos - 1, bound, make)
-        record.append(leaf[0])
-        rows.append(leaf[1])
+        row = leaves.get(text)
+        if row is None:
+            row = leaves[text] = _leaf(text, pos - 1, bound, make)
+        rows.append(row)
         # An operator is due.  It reduces the stacked operators that bind
         # tighter, the prefix operators first; ')' and the end reduce all
         # of them down to the group they finish.
@@ -495,54 +470,37 @@ def _parse_body(tokens: list[str], pos: int, bound: tuple[str, ...]) -> tuple:
             while operators[-1][0] > floor:
                 op = operators.pop()[1]
                 right = rows.pop() if _BINARY[op] else None
-                new = len(nodes)  # the rows from here on are new
-                if op <= RELEASE:
-                    row = by_key.setdefault((op, rows[-1], right), new)
-                    if row == new:
-                        nodes.append(None)
-                else:
-                    row = _expand_rows(
-                        make, _MADE_STEPS[op], (rows[-1], right), pending.pop()
-                    )[-1]
-                record.append((op, row if row >= new else None))
+                row = by_key.setdefault((op, rows[-1], right), len(nodes))
+                if row == len(nodes):
+                    nodes.append(None)
                 rows[-1] = row
             if infix is not None:
                 operators.append(entry)
-                if text in _READ_STEPS:
-                    steps = _READ_STEPS[text]
-                    pending.append(_expand_rows(make, steps, (rows[-1],), []))
                 break
             if not text:
-                return finish(rows[0]), record
+                return finish(rows[0])
             if len(operators) == 1:  # no '(' left to close
                 raise ParseError(pos - 1, "unexpected trailing input ')'")
             operators.pop()
 
 
-def _build_body(record: list, nodes: list) -> Formula:
-    """The tree of a post-order record: a leaf entry is its node, and a
-    compound entry (op, first) makes a node of type op over the last one
-    or two made, which fills nodes[first] unless first is None."""
-    stack: list[Formula] = []
-    for entry in record:
-        if type(entry) is not tuple:
-            stack.append(entry)
-            continue
-        op, first = entry
-        if _BINARY[op]:
-            right = stack.pop()
-            node = stack[-1] = _TYPES[op](stack[-1], right)
-        else:
-            node = stack[-1] = _TYPES[op](stack[-1])
-        if first is not None:
-            nodes[first] = node
-    return stack[0]
+def _build_body(table) -> Formula:
+    """The root node of a parsed table, made by filling its node column:
+    one node of each compound row, over its operand rows' nodes."""
+    nodes, ops, lhs, rhs, root = table
+    for i, (op, left, right) in enumerate(zip(ops, lhs, rhs)):
+        if op > CONST:
+            if right is None:
+                nodes[i] = _TYPES[op](nodes[left])
+            else:
+                nodes[i] = _TYPES[op](nodes[left], nodes[right])
+    return nodes[root]
 
 
 def _parse(tokens: list[str]) -> HyperFormula:
-    """The formula of a token list, with its table and the record of its
-    body, which is made on first read.  A ParseError raised here gives the
-    failing token's number in place of its position."""
+    """The formula of a token list, with its table; its body is made on
+    first read.  A ParseError raised here gives the failing token's
+    number in place of its position."""
     prefix = []
     seen = set()
     pos = 0
@@ -560,10 +518,10 @@ def _parse(tokens: list[str]) -> HyperFormula:
         pos += 1
         prefix.append((quant, var))
 
-    table, record = _parse_body(tokens, pos, tuple(var for _, var in prefix))
+    table = _parse_body(tokens, pos, tuple(var for _, var in prefix))
     _check_atoms(prefix, _atom_rows(table))
     formula = object.__new__(HyperFormula)
-    vars(formula).update(prefix=tuple(prefix), _table=table, _record=record)
+    vars(formula).update(prefix=tuple(prefix), _table=table)
     return formula
 
 
@@ -575,10 +533,10 @@ def parse_hyperltl(text: str) -> HyperFormula:
         return _parse(tokens)
     except ParseError as e:
         # A bad character anywhere in the text is reported first, as the
-        # positioned tokens are made; else they give the token's position.
-        raise ParseError(_tokenize(text)[e.position][2], e.message) from None
+        # positions are found; else they give the token's position.
+        raise ParseError(_positions(text)[e.position], e.message) from None
     except WellFormednessError:
-        _tokenize(text)
+        _positions(text)
         raise
 
 
@@ -595,7 +553,7 @@ def check_well_formed(formula: HyperFormula) -> None:
 
 
 def compile_formula(formula: HyperFormula):
-    """core_table(formula.body, expand=True): the table parse_hyperltl
+    """core_table(formula.body, sugar=True): the table parse_hyperltl
     built with the formula, or else one walk's.  Raises what
     check_well_formed raises, in the same order, reading the atom rows.
     A parsed formula's table is shared by every call, so callers read it
@@ -605,7 +563,7 @@ def compile_formula(formula: HyperFormula):
     _check_prefix(formula.prefix)
     table = formula._table
     if table is None:
-        table = core_table(formula.body, expand=True)
+        table = core_table(formula.body, sugar=True)
     _check_atoms(formula.prefix, _atom_rows(table))
     return table
 
@@ -657,16 +615,15 @@ def _check_atoms(prefix, atoms) -> None:
 # ---------------------------------------------------------------------------
 # The walk: one fold over the distinct nodes, operands first.
 
-def _walk(formula: Formula, make, expand: bool | None = False):
+def _walk(formula: Formula, make, sugar: bool = True):
     """Fold a formula bottom-up, each distinct node object once, in
     first-encounter post-order: a node's value is make(op, node, left,
     right).  For a compound node left and right are its operands' values
     (right None for NOT, NEXT, F and G); for an atom they are its name and
     trace, and for a constant its value and None.  F, G, W, -> and <-> are
-    folded as nodes of their own; expand replaces each by the steps of its
-    rule in _DESUGAR (the values made below the rule's root have node
-    None), and expand=None rejects them with ValueError."""
-    codes = _CORE if expand is None else _CODES
+    folded as nodes of their own, or rejected with ValueError if sugar is
+    off."""
+    codes = _CODES if sugar else _CORE
     done: dict[int, object] = {}  # id(node) -> its value
     values: list = []  # the values of the operands walked so far
     # A node on the stack is still to walk; a step (op, node) makes the
@@ -685,7 +642,7 @@ def _walk(formula: Formula, make, expand: bool | None = False):
         else:
             op = codes.get(type(f))
             if op is None:
-                if expand is None:
+                if not sugar:
                     raise ValueError(
                         "the core node table expects a desugared formula, "
                         f"found {f!r}"
@@ -695,13 +652,6 @@ def _walk(formula: Formula, make, expand: bool | None = False):
                 left, right = f.name, f.trace
             elif op == CONST:
                 left, right = f.value, None
-            elif op > RELEASE and expand:
-                op, steps = _EXPANSIONS[op]
-                stack.append((op, f))
-                stack += [
-                    getattr(f, s) if type(s) is str else s for s in steps
-                ]
-                continue
             else:
                 stack.append((op, f))
                 if _BINARY[op]:
@@ -709,9 +659,7 @@ def _walk(formula: Formula, make, expand: bool | None = False):
                 else:
                     stack.append(f.operand)
                 continue
-        value = make(op, f, left, right)
-        if f is not None:
-            done[id(f)] = value
+        value = done[id(f)] = make(op, f, left, right)
         values.append(value)
     return values[0]
 
@@ -784,12 +732,14 @@ def render(formula) -> str:
 # ---------------------------------------------------------------------------
 # Desugaring, and the other rewrites
 
+# Each sugar operation code's rule, over its operands (None for F's and
+# G's second).
 _DESUGAR = {
-    Implies: lambda a, b: Or(Not(a), b),
-    Iff: lambda a, b: And(Or(Not(a), b), Or(Not(b), a)),
-    WeakUntil: lambda a, b: Or(Until(a, b), Release(FALSE, a)),
-    Eventually: lambda e: Until(TRUE, e),
-    Globally: lambda e: Release(FALSE, e),
+    IMPLIES: lambda a, b: Or(Not(a), b),
+    IFF: lambda a, b: And(Or(Not(a), b), Or(Not(b), a)),
+    WEAK_UNTIL: lambda a, b: Or(Until(a, b), Release(FALSE, a)),
+    EVENTUALLY: lambda e, _: Until(TRUE, e),
+    GLOBALLY: lambda e, _: Release(FALSE, e),
 }
 
 
@@ -806,11 +756,18 @@ def _keep(op, f, left, right) -> Formula:
     return t(left, right)
 
 
+def _desugar(op, f, left, right) -> Formula:
+    """The core node of a node over the operand values: a sugar node's
+    rule in _DESUGAR, any other node as _keep makes it."""
+    if op <= RELEASE:
+        return _keep(op, f, left, right)
+    return _DESUGAR[op](left, right)
+
+
 def desugar(formula: Formula) -> Formula:
-    """Rewrite F, G, W, ->, <-> into the core !, &, |, X, U, R connectives,
-    by the steps that core_table(formula, expand=True) runs.  A subformula
-    with no sugar below it comes back as itself."""
-    return _walk(formula, _keep, True)
+    """Rewrite F, G, W, ->, <-> into the core !, &, |, X, U, R connectives.
+    A subformula with no sugar below it comes back as itself."""
+    return _walk(formula, _desugar)
 
 
 def map_atoms(formula: Formula, fn) -> Formula:
@@ -830,69 +787,6 @@ def rename_trace_variable(formula: Formula, old: str, new: str) -> Formula:
 
 # ---------------------------------------------------------------------------
 # The core node table, and negation normal form read from it
-
-
-def _step(op, f, left, right) -> list:
-    """A rule template's walk steps in post-order: an operand as its field
-    name, a constant as itself, a compound node as a making step."""
-    if op <= CONST:
-        return [left if op == ATOM else f]
-    return left + (right or []) + [(op, None)]
-
-
-def _expansion(t: type) -> tuple:
-    """_walk's steps for sugar type t's rule in _DESUGAR: the root's
-    operation code, and the steps pushed above it, last walked first."""
-    template = _DESUGAR[t](*[Atom(field.name) for field in fields(t)])
-    steps = _walk(template, _step)[::-1]
-    return steps[0][0], steps[1:]
-
-
-_EXPANSIONS = {_CODES[t]: _expansion(t) for t in _DESUGAR}
-
-
-def _parse_steps(t: type) -> tuple[list, list]:
-    """The steps of sugar type t's rule for the parser, in post-order: an
-    operand as its place, a constant as itself, a made row as (op, None).
-    They are split at the first walk of the last operand: the parser runs
-    the steps before when the token is read, so that their rows come in
-    _walk's order, and the rest when it makes the node."""
-    root, steps = _EXPANSIONS[_CODES[t]]
-    names = [field.name for field in fields(t)]
-    post = [*reversed(steps), (root, None)]
-    split = post.index(names[-1])
-    post = [names.index(s) if type(s) is str else s for s in post]
-    return post[:split], post[split:]
-
-
-def _expand_rows(make, steps, operands: tuple, values: list):
-    """Run a rule's post-order steps over its operands' rows, on values,
-    the stack of the values made so far, and give it back.  Every row is
-    made for None: the parser records the node of the root's row."""
-    for step in steps:
-        if type(step) is int:
-            values.append(operands[step])
-            continue
-        if type(step) is tuple:
-            op = step[0]
-            right = values.pop() if _BINARY[op] else None
-            row = make(op, None, values.pop(), right)
-        else:
-            row = make(CONST, step, step.value, None)
-        values.append(row)
-    return values
-
-
-# Each sugar token's steps for the parser, run when it is read, and each
-# sugar operation code's, run when its node is made.
-_READ_STEPS = {
-    text: _parse_steps(t)[0]
-    for text, t in (
-        _PREFIX | {op: t for op, (_, _, t) in _INFIX.items()}
-    ).items()
-    if t in _DESUGAR
-}
-_MADE_STEPS = {_CODES[t]: _parse_steps(t)[1] for t in _DESUGAR}
 
 
 def _new_table():
@@ -916,19 +810,18 @@ def _new_table():
     return by_key, nodes, make, finish
 
 
-def core_table(formula: Formula, expand: bool = False):
+def core_table(formula: Formula, sugar: bool = False):
     """A formula as a hash-consed table: (nodes, ops, lhs, rhs, root).  Row
     i has operation code ops[i] and was first made for nodes[i]; a compound
     row holds its operand rows in lhs and rhs (rhs None for NOT and NEXT),
     an atom row its name and trace, and a constant row its value and None.
     Structurally equal subformulas share one row, and rows come in
     first-encounter post-order, so operands precede the rows that use
-    them.  root is the formula's row.  Sugar raises ValueError unless
-    expand is set; then the rows are those of desugar(formula), a row made
-    below the root of an expansion has no node (None), and a node that is
-    no formula raises TypeError."""
+    them.  root is the formula's row.  F, G, W, -> and <-> raise
+    ValueError unless sugar is set; then they are rows of their own, and a
+    node that is no formula raises TypeError."""
     _, _, make, finish = _new_table()
-    return finish(_walk(formula, make, expand or None))
+    return finish(_walk(formula, make, sugar))
 
 
 def to_nnf(formula: Formula) -> Formula:

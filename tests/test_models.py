@@ -2,9 +2,11 @@
 
 import gc
 import itertools
+import json
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,13 +25,14 @@ from hypersat.models import (
     parse_trace,
     parse_trace_set,
 )
-from hypersat.pcp import encode_pcp, encode_solution_traceset
+from hypersat.pcp import encode_pcp, encode_solution_traceset, parse_instance
 from hypersat.reductions import LtlReduction, Substitution, extract_model
 from hypersat.solver import solve
 from hypersat.syntax import (
     And,
     Atom,
     EXISTS,
+    FALSE,
     FORALL,
     Eventually,
     Globally,
@@ -41,8 +44,10 @@ from hypersat.syntax import (
     Or,
     Until,
     WeakUntil,
+    _ARITY,
     check_well_formed,
     compile_formula,
+    core_table,
     desugar,
     parse_hyperltl,
     render,
@@ -54,6 +59,8 @@ from oracles import (
     naive_eval,
     naive_eval_hyper,
     naive_holds,
+    reference_fold,
+    reference_listing,
     reference_parse,
 )
 
@@ -274,9 +281,9 @@ def test_solve_and_implication_build_each_parsed_body_once(monkeypatch):
     built = []  # the node column of each table whose body was built
     build = syntax._build_body
 
-    def counted(record, nodes):
-        built.append(id(nodes))
-        return build(record, nodes)
+    def counted(table):
+        built.append(id(table[0]))
+        return build(table)
 
     monkeypatch.setattr(syntax, "_build_body", counted)
     for text, builds in (
@@ -339,6 +346,111 @@ def test_sugar_chain_verdict_matches_the_naive_evaluator():
     naive = [naive_eval_hyper({"p": t}, phi.body) for t in model]
     assert naive == [False] * 4
     assert evaluate_hyperltl(model, phi) is False
+
+
+def _assert_sugar_rows_agree(traces, phi, expected=None):
+    """A parsed formula, whose table holds its sugar as rows of their own,
+    evaluates as its body desugared by hand and as naive_eval_hyper."""
+    ts = TraceSet(frozenset(traces))
+    value = evaluate_hyperltl(ts, phi)
+    # the values are named, so that a failure prints no formula
+    by_hand = evaluate_hyperltl(ts, HyperFormula(phi.prefix, desugar(phi.body)))
+    naive = naive_holds(ts.sorted(), phi)
+    assert value == by_hand == naive
+    if expected is not None:
+        assert value is expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_sugar_rows_evaluate_as_desugared_random(seed):
+    rng = random.Random(seed)
+    variables = ("x", "y")[: rng.randint(1, 2)]
+    prefix = tuple((rng.choice((FORALL, EXISTS)), v) for v in variables)
+
+    def part():
+        return random_ltl(rng, PROPS, rng.randrange(3), variables)
+
+    # all five sugar connectives around random parts that may hold more
+    # of them, one operand shared by several
+    shared = part()
+    sugar = [
+        Implies(part(), shared),
+        Iff(shared, part()),
+        WeakUntil(part(), shared),
+        WeakUntil(shared, Next(part())),
+        Globally(Implies(shared, part())),
+        Eventually(Iff(part(), shared)),
+    ]
+    rng.shuffle(sugar)
+    body = sugar[0]
+    for other in sugar[1:]:
+        body = rng.choice((And, Or, Until, Iff, Implies, WeakUntil))(
+            body, other
+        )
+    phi = parse_hyperltl(render(HyperFormula(prefix, body)))
+    traces = random_trace_set(rng, PROPS, rng.randint(1, 3), 2, 3).sorted()
+    _assert_sugar_rows_agree(traces, phi)
+
+
+def _globally_as_weak_until(formula):
+    """The formula with every G e written as e W false."""
+    build = {t: t for t, arity in _ARITY.items() if arity}
+    build[Globally] = lambda e: WeakUntil(e, FALSE)
+    return reference_fold(*reference_listing(formula), build)
+
+
+def test_sugar_rows_evaluate_as_desugared_on_pcp_encodings():
+    # the eight correspondence encodings of the eval-pcp benchmark, parsed
+    # back from their printed text as an evaluation reads them: their
+    # witnesses hold, and fail without the solution trace minus its first
+    # stone; so they do with each G written as a W
+    keys = Path(__file__).parent.parent / "perfbench" / "keys.json"
+    instances = json.loads(keys.read_text(encoding="utf-8"))["eval_pcp"]
+    assert len(instances["instances"]) == 8
+    # the naive evaluator and the reference fold recurse per nesting level
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
+    try:
+        for inst in instances["instances"]:
+            instance = parse_instance(json.dumps(
+                {"alphabet": inst["alphabet"], "stones": inst["stones"]}
+            ))
+            encoded = encode_pcp(instance)
+            phi = parse_hyperltl(render(encoded))
+            weak = parse_hyperltl(render(HyperFormula(
+                encoded.prefix, _globally_as_weak_until(encoded.body)
+            )))
+            witness = encode_solution_traceset(
+                instance, inst["indices"]
+            ).sorted()
+            for traces, expected in (
+                (witness, True), (witness[:-2] + witness[-1:], False)
+            ):
+                _assert_sugar_rows_agree(traces, phi, expected)
+                value = evaluate_hyperltl(TraceSet(frozenset(traces)), weak)
+                assert value is expected
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_sugar_chain_has_two_rows_per_link():
+    # each <-> link is one row beside its new atom's, in the parsed table
+    # and in a walk's over the body, though as a tree the chain's core
+    # form has about 2**41 nodes; a W at its head, which a U in its place
+    # would falsify, and the chain's value agree with the naive evaluator
+    depth = 41
+    text = "forall p. (a0_p W b_p) <-> " + " <-> ".join(
+        f"a{i}_p" for i in range(1, depth)
+    )
+    phi = parse_hyperltl(text)
+    for table in (compile_formula(phi), core_table(phi.body, sugar=True)):
+        _, ops, _, _, root = table
+        assert len(ops) == 3 + 2 * (depth - 1)
+        assert ops.count(syntax.IFF) == depth - 1
+        assert root == len(ops) - 1
+    model = [tr([], [{"a0"}]), tr([{"a0"}], [{"b", "a1"}])]
+    _assert_sugar_rows_agree(model, phi, True)
 
 
 def test_shared_subformulas_evaluated_once():

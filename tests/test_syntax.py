@@ -2,18 +2,16 @@
 
 import copy
 import dataclasses
-import json
 import pickle
 import random
 import re
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersat.errors import ParseError, WellFormednessError
+from hypersat.pcp import encode_pcp
 from hypersat.syntax import (
-    CONST,
     And,
     Atom,
     Const,
@@ -45,8 +43,6 @@ from hypersat.syntax import (
     render,
     to_nnf,
 )
-from hypersat.pcp import encode_pcp, parse_instance
-from hypersat.syntax import _tokenize
 
 from generators import SIX_STONES, random_ltl, random_quantified
 from oracles import (
@@ -59,7 +55,6 @@ from oracles import (
     reference_nnf,
     reference_parse,
     reference_render,
-    reference_tokenize,
 )
 
 
@@ -544,63 +539,9 @@ def test_nnf_shares_equal_subformulas():
     assert len(seen) <= 8 * depth
 
 
-def _assert_sugar_table_matches(phi):
-    """Expanding sugar in the table's own walk gives the rows of the
-    desugared formula's table: ops, operands and root, in the same
-    order, and the same atoms and constants as leaf nodes."""
-    expanded = core_table(phi, expand=True)
-    desugared = core_table(desugar(phi))
-    assert expanded[1:] == desugared[1:]
-    nodes, ops = expanded[:2]
-    leaves = [n for n, op in zip(nodes, ops) if op <= CONST]
-    assert leaves == [n for n, op in zip(*desugared[:2]) if op <= CONST]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
-def test_sugar_expanding_table_matches_desugared_table_random(seed):
-    rng = random.Random(seed)
-    variables = ("x", "y") if rng.random() < 0.5 else ()
-
-    def part():
-        return random_ltl(rng, PROPS, rng.randrange(4), variables)
-
-    # every connective that desugars, around random parts that may hold
-    # more of them, shared operands included
-    shared = part()
-    sugar = [
-        Implies(part(), shared),
-        Iff(shared, part()),
-        WeakUntil(part(), Eventually(shared)),
-        Globally(part()),
-    ]
-    rng.shuffle(sugar)
-    phi = sugar[0]
-    for other in sugar[1:]:
-        phi = rng.choice((And, Or, Until, Iff))(phi, other)
-    _assert_sugar_table_matches(phi)
-    _assert_sugar_table_matches(part())
-
-
-def test_sugar_expanding_table_matches_on_pcp_encodings():
-    # the eight correspondence encodings of the eval-pcp benchmark, parsed
-    # back from their printed text as an evaluation reads them
-    keys = Path(__file__).parent.parent / "perfbench" / "keys.json"
-    instances = json.loads(keys.read_text(encoding="utf-8"))["eval_pcp"]
-    assert len(instances["instances"]) == 8
-    for inst in instances["instances"]:
-        instance = parse_instance(json.dumps(
-            {"alphabet": inst["alphabet"], "stones": inst["stones"]}
-        ))
-        phi = parse_hyperltl(render(encode_pcp(instance)))
-        _assert_sugar_table_matches(phi.body)
-        assert compile_formula(phi)[1:] == core_table(desugar(phi.body))[1:]
-
-
 def _assert_same_table(table, walked):
     """Two core tables agree in ops, operands and root, and each row was
-    first made for the same node object (None below an expansion's
-    root)."""
+    first made for the same node object."""
     assert table[1:] == walked[1:]
     assert len(table[0]) == len(walked[0])
     assert all(a is b for a, b in zip(table[0], walked[0]))
@@ -609,8 +550,9 @@ def _assert_same_table(table, walked):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=2**63 - 1))
 def test_parsed_table_is_the_walked_table_random(seed):
-    # the parser builds the expanded table as it builds the tree; it must
-    # be the table a walk over the parsed body builds, row for row
+    # the parser builds the table, one row per distinct subformula, and
+    # the body from it; it must be the table a walk over the parsed body
+    # builds, row for row
     rng = random.Random(seed)
     prefix = ((EXISTS, "x"), (FORALL, "y")) if rng.random() < 0.5 else ()
     variables = tuple(v for _, v in prefix)
@@ -637,7 +579,7 @@ def test_parsed_table_is_the_walked_table_random(seed):
     phi = parse_hyperltl(render(HyperFormula(prefix, body)))
     assert phi.body == body
     _assert_same_table(
-        compile_formula(phi), core_table(phi.body, expand=True)
+        compile_formula(phi), core_table(phi.body, sugar=True)
     )
 
 
@@ -651,13 +593,13 @@ def test_a_new_formula_compiles_its_own_body():
         dataclasses.replace(p, body=other),
     ):
         _assert_same_table(
-            compile_formula(made), core_table(other, expand=True)
+            compile_formula(made), core_table(other, sugar=True)
         )
         assert made == HyperFormula(p.prefix, other)
         assert repr(made) == (
             f"HyperFormula(prefix={p.prefix!r}, body={other!r})"
         )
-    _assert_same_table(compile_formula(p), core_table(p.body, expand=True))
+    _assert_same_table(compile_formula(p), core_table(p.body, sugar=True))
 
 
 _COPIES = {
@@ -682,15 +624,8 @@ def test_copies_of_a_parsed_formula_keep_its_body_and_table(how, read_first):
     assert c.body == reference_parse(text).body
     assert compile_formula(c) == compile_formula(p)
     for f in (c, p):
-        # the node column holds the formula's own nodes; only a constant
-        # made by an expansion rule may be an equal copy of TRUE or FALSE
-        table = compile_formula(f)
-        walked = core_table(f.body, expand=True)
-        assert table[1:] == walked[1:]
-        assert all(
-            a is b or type(a) is Const and a == b
-            for a, b in zip(table[0], walked[0], strict=True)
-        )
+        # the node column holds the formula's own nodes
+        _assert_same_table(compile_formula(f), core_table(f.body, sugar=True))
     flipped = dataclasses.replace(c, prefix=((FORALL, "x"), (FORALL, "y")))
     assert flipped == HyperFormula(((FORALL, "x"), (FORALL, "y")), p.body)
 
@@ -699,11 +634,10 @@ def test_a_parsed_body_is_made_once_and_other_names_stay_missing():
     p = parse_hyperltl("exists x. G (a_x -> X b_x)")
     body = p.body
     assert p.body is body
-    assert vars(p)["body"] is body and "_record" not in vars(p)
+    assert vars(p)["body"] is body
     for f in (p, HyperFormula(p.prefix, body)):
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             f.missing
-        assert not hasattr(f, "_record")
     with pytest.raises(AttributeError, match="no attribute 'body'"):
         object.__new__(HyperFormula).body
 
@@ -760,17 +694,6 @@ def test_nodes_pickle_and_copy():
         ):
             assert type(g) is type(f) and g is not f
             assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
-
-
-def test_sugar_chain_compiles_to_linear_rows():
-    # each <-> uses both operands twice, so as a tree a 41-deep chain has
-    # about 2**41 nodes; the walk expands each distinct node once
-    depth = 41
-    phi = parse_hyperltl(" <-> ".join(f"a{i}" for i in range(depth))).body
-    _, ops, _, _, root = core_table(phi, expand=True)
-    # per level: an atom, two negations, two ors and an and
-    assert len(ops) == 6 * (depth - 1) + 1
-    assert root == len(ops) - 1
 
 
 # Desugaring uses both operands of each <-> twice, so a d-link chain
@@ -830,7 +753,7 @@ def test_core_table_modes_reject_what_they_cannot_compile():
     with pytest.raises(ValueError, match="expects a desugared formula"):
         core_table(And(Atom("a"), Eventually(Atom("b"))))
     with pytest.raises(TypeError, match="not a formula node: 'b'"):
-        core_table(And(Atom("a"), Eventually("b")), expand=True)
+        core_table(And(Atom("a"), Eventually("b")), sugar=True)
 
 
 # The differential parser test parses formulas from a small grammar, with
@@ -879,7 +802,6 @@ def test_parser_agrees_with_reference_parser(head, body, noise):
     for at, piece in noise:
         at %= len(text) + 1
         text = text[:at] + piece + text[at:]
-    assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text)
     assert _outcome(parse_hyperltl, text) == _outcome(reference_parse, text)
 
 
@@ -893,5 +815,5 @@ def test_parsed_table_is_the_walked_table_by_precedence(head, body):
     except (ParseError, WellFormednessError):
         return
     _assert_same_table(
-        compile_formula(phi), core_table(phi.body, expand=True)
+        compile_formula(phi), core_table(phi.body, sugar=True)
     )
