@@ -7,7 +7,9 @@ handlers make, with the CLI's default options, and written as one JSON
 line: the request's text, the verdict, the `stats` the CLI prints
 (conjuncts and automaton_states) and the printed model lines.  The texts
 are the 1,000 random sat queries of the sat-mix pool, copied out of
-perfbench/keys.json, and the eight requests of the large-automata pool.
+perfbench/keys.json, the eight requests of the large-automata pool, and
+200 implication pairs drawn with a fixed seed from the pool's exists-only
+and forall-only queries, the countermodels of the failing ones included.
 test_golden.py reads the lines back and answers every request again; a
 change that alters a line changes behaviour, so it must say so and write
 the corpus again.
@@ -16,9 +18,11 @@ the corpus again.
 from __future__ import annotations
 
 import json
+import random
 import sys
 from pathlib import Path
 
+from hypersat.fragments import ExistsStar, ForallStar, classify
 from hypersat.implication import Fails, Holds, check_implication
 from hypersat.models import format_trace
 from hypersat.solver import Sat, SolverOptions, Unsat, solve
@@ -90,12 +94,28 @@ def answer(request) -> dict:
     return line
 
 
+def implication_pairs(texts: list[str], count: int) -> list[list[str]]:
+    """Pairs of the alternation-free texts, both sides drawn at random with
+    a fixed seed: the implications the implies handler can decide."""
+    free = [
+        text
+        for text in texts
+        if isinstance(
+            classify(parse_hyperltl(text)), (ExistsStar, ForallStar)
+        )
+    ]
+    rng = random.Random(0)
+    return [[rng.choice(free), rng.choice(free)] for _ in range(count)]
+
+
 def corpus() -> dict[str, list]:
     """Each golden file's name and its requests, in order."""
     pool = json.loads(KEYS.read_text(encoding="utf-8"))["sat_mix"]["queries"]
+    texts = [entry["text"] for entry in pool]
     return {
-        "sat_mix.jsonl": [entry["text"] for entry in pool],
+        "sat_mix.jsonl": texts,
         "large_automata.jsonl": LARGE_AUTOMATA,
+        "implies.jsonl": implication_pairs(texts, 200),
     }
 
 

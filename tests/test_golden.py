@@ -12,7 +12,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize(
-    "name, count", [("sat_mix.jsonl", 1000), ("large_automata.jsonl", 8)]
+    "name, count",
+    [
+        ("sat_mix.jsonl", 1000),
+        ("large_automata.jsonl", 8),
+        ("implies.jsonl", 200),
+    ],
 )
 def test_requests_answer_as_recorded(name, count):
     lines = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
