@@ -13,11 +13,18 @@ Each bit's expansion alternatives are closed once, up front, under the
 bits that leave no choice, so saturation only searches over real
 branches, and a saturation with nothing to branch on is its closed start
 alone (or nothing, if the start clashes), with no search at all.  The
-reachable states are numbered 0..N-1 by one sort of their masks in the
-canonical state order, and emptiness runs on those numbers, so identical
-inputs yield identical automata and witnesses across processes.  Formula
-sets are built only on request: valuations for the lasso's states, and
-`GeneralizedBuchiAutomaton.formula_sets` for callers that want them all.
+search decides each branching bit once, every user before its operands,
+so no decision brings in a bit already passed and the search keeps only
+a set of member masks.  The order changes no result: for one choice of
+alternative per bit, a saturation is the least set that holds the start
+and is closed under those choices, in whatever order they are applied.
+
+The reachable states are numbered 0..N-1 by one sort of their masks in
+the canonical state order, and emptiness runs on those numbers, so
+identical inputs yield identical automata and witnesses across processes.
+Formula sets are built only on request: valuations for the lasso's
+states, and `GeneralizedBuchiAutomaton.formula_sets` for callers that
+want them all.
 """
 
 from __future__ import annotations
@@ -148,8 +155,8 @@ class _Tableau:
         self.temporal = 0
         self.atoms = 0
         self.untils: list[tuple[int, int]] = []
-        # the closed alternatives of each branching bit
-        self.choices: list[tuple[tuple[int, int], ...]] = [()] * n
+        # each branching bit with its closed alternatives, users first
+        self.decisions: list[tuple[int, tuple[tuple[int, int], ...]]] = []
         self.branching = 0
         # each bit's closure under deterministic bits, and its clash mask
         closure = self._closure = [(0, 0)] * n
@@ -189,13 +196,14 @@ class _Tableau:
                     self.temporal |= bit
             alive = tuple(a for a in alternatives if not a[0] & a[1])
             if len(alive) == 2:
-                self.choices[i] = alive
+                self.decisions.append((bit, alive))
                 self.branching |= bit
                 closure[i] = (bit, clash[i])
             elif alive:
                 closure[i] = (bit | alive[0][0], clash[i] | alive[0][1])
             else:  # no consistent alternative: clashes with itself
                 closure[i] = (bit, bit)
+        self.decisions.reverse()
         self.untils.sort()  # canonical order, as the acceptance sets go
         # the states found so far, numbered in order of discovery, and the
         # distinct saturations as tuples of those numbers
@@ -235,37 +243,28 @@ class _Tableau:
         return done
 
     def _search(self, start: int, start_clash: int) -> tuple | set:
-        """The saturated states of a closed start: depth-first over
-        (members, pending branching bits), every member keeping one
-        alternative.  A start that clashes has none, and one with nothing
-        to branch on is its own only state."""
+        """The saturated states of a closed start: every branching member
+        keeps one alternative.  The branching bits are decided once each,
+        users before their operands, on one set of member masks: deciding
+        a bit replaces each mask that holds it by its consistent unions
+        with the bit's alternatives.  An alternative holds only subformulas
+        of the bit's operands, decided later in this order, so no decision
+        adds a bit already passed, and every branching member of a mask
+        left at the end has been decided.  A start that clashes has no
+        state, and one with nothing to branch on is its own only state."""
         if start & start_clash:
             return ()
-        branching, choices = self.branching, self.choices
-        if not start & branching:
+        if not start & self.branching:
             return (start,)
-        results = set()
-        first = (start, start & branching)
-        seen = {first}
-        stack = [first]
-        while stack:
-            members, pending = stack.pop()
-            if not pending:
-                results.add(members)
-                continue
-            low = pending & -pending
-            rest = pending ^ low
-            for closure, clashes in choices[low.bit_length() - 1]:
-                if members & clashes:
-                    continue
-                item = (
-                    members | closure,
-                    rest | (closure & ~members & branching),
-                )
-                if item not in seen:
-                    seen.add(item)
-                    stack.append(item)
-        return results
+        layer = {start}
+        for bit, choices in self.decisions:
+            deciding = [members for members in layer if members & bit]
+            layer.difference_update(deciding)
+            for closure, clashes in choices:
+                for members in deciding:
+                    if not members & clashes:
+                        layer.add(members | closure)
+        return layer
 
 
 class FormulaSets(NamedTuple):
@@ -285,10 +284,10 @@ class GeneralizedBuchiAutomaton:
 
     The states are 0..N-1 in canonical order; `states[i]` is state i's
     bitmask over `closure`, the closure formulas in canonical order.
-    `transitions` maps each state to its successors and `initial` lists the
-    initial states, both ascending.  Each acceptance set holds the states
-    that fulfil one Until, in the canonical order of the Untils; `atoms`
-    masks the closure's atoms."""
+    `transitions` maps each state, in state order, to its successors and
+    `initial` lists the initial states, both ascending.  Each acceptance
+    set holds the states that fulfil one Until, in the canonical order of
+    the Untils; `atoms` masks the closure's atoms."""
 
     states: tuple[int, ...]
     initial: tuple[int, ...]
@@ -376,8 +375,9 @@ def build_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
 
 
 def _tarjan_sccs(successors: list[tuple[int, ...]]) -> list[list[int]]:
-    """Strongly connected components of states 0..N-1.  A state's index is
-    its visiting rank from 1, 0 before its visit, and N + 1 once its
+    """The strongly connected components of states 0..N-1 that hold a
+    cycle: more than one state, or one with a self-loop.  A state's index
+    is its visiting rank from 1, 0 before its visit, and N + 1 once its
     component is complete, so no finished state lowers a low-link.  The
     low-link of the state being explored is a local; a suspended state's
     waits with it on the work stack."""
@@ -415,7 +415,8 @@ def _tarjan_sccs(successors: list[tuple[int, ...]]) -> list[list[int]]:
                         comp.append(w)
                         if w == v:
                             break
-                    sccs.append(comp)
+                    if len(comp) > 1 or v in successors[v]:
+                        sccs.append(comp)
                 if not work:
                     break
                 child_low = low
@@ -462,11 +463,10 @@ def check_emptiness(
     acceptance set at least once."""
     if not aut.initial:
         return None
-    successors = [aut.transitions[s] for s in range(len(aut.states))]
+    successors = list(aut.transitions.values())  # keyed 0..N-1 in order
     accepting = []
     for scc in _tarjan_sccs(successors):
-        cyclic = len(scc) > 1 or scc[0] in successors[scc[0]]
-        if cyclic and all(not acc.isdisjoint(scc) for acc in aut.acceptance):
+        if all(not acc.isdisjoint(scc) for acc in aut.acceptance):
             accepting.append(scc)
     if not accepting:
         return None

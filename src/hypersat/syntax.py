@@ -46,7 +46,7 @@ memory, not by the interpreter's recursion limit:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress
 
 from .errors import ParseError, WellFormednessError
@@ -70,6 +70,29 @@ class Formula:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        """The dataclass text, such as `Not(operand=Atom(name='a',
+        trace=None))`, written from an explicit stack, so a formula of any
+        depth prints without recursion.  Shared operands print in full at
+        each use, as a tree."""
+        out = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Formula):
+                out.append(item)
+                continue
+            parts = [type(item).__qualname__ + "("]
+            for k, field in enumerate(fields(item)):
+                value = getattr(item, field.name)
+                parts.append((", " if k else "") + field.name + "=")
+                parts.append(
+                    value if isinstance(value, Formula) else repr(value)
+                )
+            parts.append(")")
+            stack += reversed(parts)
+        return "".join(out)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -167,9 +190,10 @@ _set_operand = _Unary.operand.__set__
 _set_left = _Binary.left.__set__
 _set_right = _Binary.right.__set__
 
-# The dataclass decorator of a node type: fields, repr, __match_args__ and
-# the frozen __setattr__ and __delattr__, over its base's slots.
-_node = dataclass(frozen=True, eq=False, init=False)
+# The dataclass decorator of a node type: fields, __match_args__ and the
+# frozen __setattr__ and __delattr__, over its base's slots.  The repr is
+# Formula's own, which does not recurse.
+_node = dataclass(frozen=True, eq=False, init=False, repr=False)
 
 
 @_node

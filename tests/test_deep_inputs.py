@@ -1,7 +1,7 @@
 """Formulas nested far deeper than the interpreter's recursion limit.
 
-Parsing, rendering, hashing, equality and evaluation all run on explicit
-stacks, so these inputs only cost time and memory."""
+Parsing, rendering, printing with repr, hashing, equality and evaluation
+all run on explicit stacks, so these inputs only cost time and memory."""
 
 import subprocess
 import sys
@@ -42,6 +42,14 @@ def test_deep_formula_evaluates_through_the_cli(text, tmp_path, capsys):
     formula.write_text(text, encoding="utf-8")
     assert main(["eval", str(model), str(formula)]) == 0
     assert capsys.readouterr().out == "TRUE\n"
+
+
+def test_deep_formula_repr_is_the_dataclass_text():
+    # the default recursion limit, 1,000, is below the depth
+    assert sys.getrecursionlimit() < 2_000
+    body = parse_hyperltl("X " * 2000 + "a").body
+    want = "Next(operand=" * 2000 + "Atom(name='a', trace=None)" + ")" * 2000
+    assert repr(body) == want
 
 
 def test_import_leaves_the_recursion_limit_alone():

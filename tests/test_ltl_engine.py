@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersat.ltl_engine import (
+    _Tableau,
     _bits,
     _index,
     _order,
@@ -32,6 +33,8 @@ from hypersat.syntax import (
 
 from generators import random_ltl
 from oracles import (
+    _next_obligations,
+    _saturate,
     _state_key,
     bounded_lasso_sat,
     emerson_lei_nonempty,
@@ -174,13 +177,22 @@ def test_automaton_equals_reference_tableau_three_atoms(seed):
     assert build_automaton(phi).formula_sets() == reference_automaton(phi)
 
 
+def nested_implications(depth: int) -> str:
+    return "G (p -> " * depth + "q" + ")" * depth
+
+
 # Formulas that reach each path of the closed-alternative saturation: a
 # closed seed shared by every obligation mask (the G F conjunction), an
 # alternative that clashes with itself, a deterministic Release next to a
 # branching Until, saturations with nothing to branch on (the Next chain
 # beside a deterministic Release), a start that clashes at once, and the
 # unrolled, zipped exists-forall body.  In gf-apart no state meets two
-# acceptance sets, so the witness cycle visits them in order.
+# acceptance sets, so the witness cycle visits them in order.  The search
+# decides each branching bit once, users before their operands: the nested
+# chain's Ors each bring in the next, a shared Or is brought in by two
+# users, and in operand-clash the inner Or enters only through its user's
+# choice and then clashes on both sides, so a search that decided operands
+# first would keep that choice undecided and consistent.
 SATURATION_FIXTURES = {
     "gf-conj-4": " & ".join(f"G F b{i}" for i in range(1, 5)),
     "gf-apart": "G F (p & !q) & G F (q & !p) & G F (!p & !q)",
@@ -189,6 +201,9 @@ SATURATION_FIXTURES = {
     "no-branching": "X X X p & G !p",
     "no-branching-sat": "X X X p & G q",
     "start-clash": "(X q & p) & (G r & !p)",
+    "nested-chain-6": nested_implications(6),
+    "shared-branching": "G (p | q) & ((p | q) U r)",
+    "operand-clash": "!p & !q & ((p | q) | r)",
 }
 E3A2 = (
     "exists p1. exists p2. exists p3. forall q1. forall q2. "
@@ -205,6 +220,28 @@ def unrolled_e3a2_body():
 def test_automaton_equals_reference_tableau_fixtures(name):
     phi = nnf(parse_hyperltl(SATURATION_FIXTURES[name]).body)
     assert build_automaton(phi).formula_sets() == reference_automaton(phi)
+
+
+def test_saturations_equal_reference_saturations_nested_chain():
+    # every seed the breadth-first build meets, and every closed start
+    # that keys the memo, saturates to the reference's sets
+    phi = nnf(parse_hyperltl(nested_implications(20)).body)
+    tableau = _Tableau(phi)
+    nodes = tableau.nodes
+    bit = {f: 1 << i for i, f in enumerate(nodes)}
+
+    def spelled(mask):
+        return frozenset(nodes[i] for i in _bits(mask))
+
+    tableau.saturate(tableau.root)
+    for state in tableau.masks:  # grows as states are found
+        tableau.saturate(
+            sum(bit[f] for f in _next_obligations(spelled(state)))
+        )
+    assert len(tableau.masks) == 22
+    for seed, place in tableau._saturated.items():
+        got = {spelled(tableau.masks[n]) for n in tableau.saturations[place]}
+        assert got == set(_saturate(spelled(seed)))
 
 
 def test_automaton_equals_reference_tableau_unrolled_body():
