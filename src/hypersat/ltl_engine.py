@@ -22,16 +22,13 @@ and is closed under those choices, in whatever order they are applied.
 The reachable states are numbered 0..N-1 by one sort of their masks in
 the canonical state order, and emptiness runs on those numbers, so
 identical inputs yield identical automata and witnesses across processes.
-Formula sets are built only on request: valuations for the lasso's
-states, and `GeneralizedBuchiAutomaton.formula_sets` for callers that
-want them all.
+The only formula sets built are the valuations of the lasso's states.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .models import UltimatelyPeriodicTrace
 from .syntax import (
@@ -43,7 +40,7 @@ from .syntax import (
     OR,
     UNTIL,
     Formula,
-    _atoms,
+    _atom_rows,
     core_table,
     desugar,
     to_nnf,
@@ -267,17 +264,6 @@ class _Tableau:
         return layer
 
 
-class FormulaSets(NamedTuple):
-    """An automaton with every state spelled out as the frozenset of its
-    closure formulas, states in canonical order."""
-
-    states: tuple[frozenset, ...]
-    initial: tuple[frozenset, ...]
-    transitions: dict
-    acceptance: tuple[frozenset, ...]
-    alphabet: tuple[str, ...]
-
-
 @dataclass
 class GeneralizedBuchiAutomaton:
     """The tableau automaton over dense state numbers.
@@ -293,7 +279,6 @@ class GeneralizedBuchiAutomaton:
     initial: tuple[int, ...]
     transitions: dict[int, tuple[int, ...]]
     acceptance: tuple[frozenset[int], ...]
-    alphabet: tuple[str, ...]
     closure: tuple[Formula, ...]
     atoms: int
 
@@ -302,24 +287,6 @@ class GeneralizedBuchiAutomaton:
         atom obligations; unmentioned propositions stay absent."""
         mask = self.states[state] & self.atoms
         return frozenset([self.closure[i].name for i in _bits(mask)])
-
-    def formula_sets(self) -> FormulaSets:
-        """The same automaton with each state as its set of formulas."""
-        sets = [
-            frozenset([self.closure[i] for i in _bits(mask)])
-            for mask in self.states
-        ]
-
-        def spelled(states):
-            return tuple([sets[i] for i in states])
-
-        return FormulaSets(
-            tuple(sets),
-            spelled(self.initial),
-            {sets[i]: spelled(succs) for i, succs in self.transitions.items()},
-            tuple(frozenset(spelled(acc)) for acc in self.acceptance),
-            self.alphabet,
-        )
 
 
 def build_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
@@ -355,10 +322,6 @@ def build_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
         for sat in tableau.saturations
     ]
     states = tuple([masks[found] for found in order])
-    present = 0
-    for mask in states:
-        present |= mask
-    nodes = tableau.nodes
     acceptance = tuple(
         frozenset([i for i, s in enumerate(states) if not s & u or s & right])
         for u, right in tableau.untils
@@ -368,8 +331,7 @@ def build_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
         saturations[first],
         {i: saturations[successors[found]] for i, found in enumerate(order)},
         acceptance,
-        tuple(sorted({nodes[i].name for i in _bits(present & tableau.atoms)})),
-        tuple(nodes),
+        tuple(tableau.nodes),
         tableau.atoms,
     )
 
@@ -502,7 +464,7 @@ def check_emptiness(
 def ltl_sat(formula: Formula) -> UltimatelyPeriodicTrace | None:
     """Satisfiability of a plain LTL formula; a witness lasso or None.
     Accepts any plain formula; desugars and normalizes internally."""
-    for atom in _atoms(formula):
+    for atom in _atom_rows(core_table(formula, sugar=True)):
         if atom.trace is not None:
             raise ValueError(
                 f"indexed atom {atom.name}_{atom.trace} in plain LTL input"

@@ -50,10 +50,11 @@ class Substitution:
         return _tag(name, i)
 
     def inverse(self, fresh: str) -> tuple[str, int]:
+        """The (name, i) that forward tags as fresh, for 1 <= i <= arity."""
         name, _, idx = fresh.rpartition("@")
-        if not idx.isdigit() or name not in self.alphabet:
+        i = int(idx) if idx.isascii() and idx.isdigit() else 0
+        if name not in self.alphabet or _tag(name, i) != fresh:
             raise AlphabetMismatch(f"{fresh!r} is not a tagged proposition")
-        i = int(idx)
         if not 1 <= i <= self.arity:
             raise AlphabetMismatch(f"{fresh!r} tags trace {i}, arity {self.arity}")
         return name, i
@@ -73,7 +74,6 @@ class LtlReduction:
 
     formula: Formula
     substitution: Substitution | None
-    witness_arity: int
 
 
 def drop_quantifiers(formula: HyperFormula) -> LtlReduction:
@@ -83,7 +83,7 @@ def drop_quantifiers(formula: HyperFormula) -> LtlReduction:
     if not isinstance(cls, ForallStar):
         raise WrongFragment(f"drop_quantifiers needs forall-only, got {cls.name}")
     plain = map_atoms(formula.body, lambda a: Atom(a.name))
-    return LtlReduction(plain, None, 1)
+    return LtlReduction(plain, None)
 
 
 def zip_exists(formula: HyperFormula) -> LtlReduction:
@@ -100,7 +100,7 @@ def zip_exists(formula: HyperFormula) -> LtlReduction:
 
     zipped = map_atoms(formula.body, tagged)
     sub = Substitution(tuple(sorted(names)), cls.n)
-    return LtlReduction(zipped, sub, cls.n)
+    return LtlReduction(zipped, sub)
 
 
 def substituted_conjuncts(formula: HyperFormula) -> list[Formula]:
@@ -174,13 +174,8 @@ def unroll_universals(
 def project(trace: UltimatelyPeriodicTrace, sub: Substitution) -> TraceSet:
     """Split a lasso over the tagged alphabet back into the original
     traces.  Keeps the stem/loop structure of the input; duplicates
-    collapse because the result is a set."""
-    fresh = set(sub.fresh_alphabet())
-    for name in trace.propositions():
-        if name not in fresh:
-            raise AlphabetMismatch(
-                f"proposition {name!r} is not in the tagged alphabet"
-            )
+    collapse because the result is a set.  A proposition that is no tag
+    of the substitution raises AlphabetMismatch, from sub.inverse."""
 
     def split(valuation: frozenset[str], i: int) -> frozenset[str]:
         out = set()

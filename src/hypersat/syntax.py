@@ -26,10 +26,10 @@ memory, not by the interpreter's recursion limit:
 * Every other pass is one fold, _walk, over a formula's distinct node
   objects, operands first, so a formula with shared subformulas (as
   desugar and to_nnf build them) costs its distinct nodes, not its size
-  as a tree.  desugar, map_atoms, the atom walk, node_count and core_table
-  differ only in the function that makes a node's value.  The rewrites
-  keep a node whose operands came back as the same objects, so desugar
-  returns a core formula itself.  render writes from its own stack.
+  as a tree.  desugar, map_atoms, node_count and core_table differ only
+  in the function that makes a node's value.  The rewrites keep a node
+  whose operands came back as the same objects, so desugar returns a
+  core formula itself.  render writes from its own stack.
 * A node's hash is computed when it is made, from its operands' hashes,
   and equality compares each pair of nodes once, from an explicit stack.
 * core_table compiles a formula into one hash-consed post-order table of
@@ -37,10 +37,10 @@ memory, not by the interpreter's recursion limit:
   are rows of their own, and without it they are refused.
   compile_formula gives a parsed formula's own table, or walks any other
   formula's body into one, and checks the formula from its atom rows;
-  check_well_formed reads a parsed formula's atom rows too.  to_nnf
-  builds every row in both polarities, so its result shares equal
-  subformulas; the tableau closure and the evaluator also start from the
-  table.
+  check_well_formed is compile_formula with the table dropped, and the
+  atom queries read a table's atom rows too.  to_nnf builds every row in
+  both polarities, so its result shares equal subformulas; the tableau
+  closure and the evaluator also start from the table.
 """
 
 from __future__ import annotations
@@ -566,20 +566,14 @@ def parse_hyperltl(text: str) -> HyperFormula:
 
 def check_well_formed(formula: HyperFormula) -> None:
     """Prefix variables distinct; atoms indexed iff the prefix is non-empty;
-    every index bound.  A parsed formula is checked from its table's atom
-    rows, any other by a walk over its body."""
-    _check_prefix(formula.prefix)
-    table = formula._table
-    _check_atoms(
-        formula.prefix,
-        _atoms(formula.body) if table is None else _atom_rows(table),
-    )
+    every index bound.  compile_formula's checks, its table dropped."""
+    compile_formula(formula)
 
 
 def compile_formula(formula: HyperFormula):
     """core_table(formula.body, sugar=True): the table parse_hyperltl
-    built with the formula, or else one walk's.  Raises what
-    check_well_formed raises, in the same order, reading the atom rows.
+    built with the formula, or else one walk's.  Checks the prefix, then
+    the atom rows, raising WellFormednessError at the first fault.
     A parsed formula's table is shared by every call, so callers read it
     and do not write into it.  Its node column holds the leaves from the
     start, and the compound nodes once the body has been read; nothing in
@@ -688,24 +682,13 @@ def _walk(formula: Formula, make, sugar: bool = True):
     return values[0]
 
 
-def _atoms(formula: Formula) -> list[Atom]:
-    """The atom objects of the formula, left to right, each once."""
-    atoms = []
-
-    def make(op, f, left, right):
-        if op == ATOM:
-            atoms.append(f)
-
-    _walk(formula, make)
-    return atoms
-
-
 def free_trace_variables(formula: Formula) -> set[str]:
-    return {a.trace for a in _atoms(formula) if a.trace is not None}
+    atoms = _atom_rows(core_table(formula, sugar=True))
+    return {a.trace for a in atoms if a.trace is not None}
 
 
 def atom_names(formula: Formula) -> set[str]:
-    return {a.name for a in _atoms(formula)}
+    return {a.name for a in _atom_rows(core_table(formula, sugar=True))}
 
 
 def _size(op, f, left, right) -> int:

@@ -15,9 +15,9 @@ import dataclasses
 import functools
 import itertools
 from collections import deque
+from typing import NamedTuple
 
 from hypersat.errors import ParseError, WellFormednessError
-from hypersat.ltl_engine import FormulaSets
 from hypersat.models import UltimatelyPeriodicTrace
 from hypersat.syntax import (
     EXISTS,
@@ -339,6 +339,42 @@ def _subformulas(f: Formula):
         case And(a, b) | Or(a, b) | Until(a, b) | Release(a, b):
             yield from _subformulas(a)
             yield from _subformulas(b)
+
+
+class FormulaSets(NamedTuple):
+    """An automaton with every state spelled out as the frozenset of its
+    closure formulas, states in canonical order, and the names of the
+    atoms its states hold, sorted."""
+
+    states: tuple[frozenset, ...]
+    initial: tuple[frozenset, ...]
+    transitions: dict
+    acceptance: tuple[frozenset, ...]
+    alphabet: tuple[str, ...]
+
+
+def formula_sets(aut) -> FormulaSets:
+    """The engine's GeneralizedBuchiAutomaton with each state as its set of
+    closure formulas, read from its states' bitmasks over its closure."""
+    sets = [
+        frozenset(f for i, f in enumerate(aut.closure) if mask >> i & 1)
+        for mask in aut.states
+    ]
+
+    def spelled(states):
+        return tuple(sets[i] for i in states)
+
+    held = 0  # the atoms some state holds
+    for mask in aut.states:
+        held |= mask & aut.atoms
+    alphabet = {f.name for i, f in enumerate(aut.closure) if held >> i & 1}
+    return FormulaSets(
+        tuple(sets),
+        spelled(aut.initial),
+        {sets[i]: spelled(succs) for i, succs in aut.transitions.items()},
+        tuple(frozenset(spelled(acc)) for acc in aut.acceptance),
+        tuple(sorted(alphabet)),
+    )
 
 
 def reference_automaton(formula: Formula) -> FormulaSets:

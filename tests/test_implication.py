@@ -1,7 +1,10 @@
 """Implication and equivalence checking between alternation-free formulas."""
 
+import functools
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,7 @@ from hypersat.implication import (
     check_implication,
 )
 from hypersat.models import TraceSet, evaluate_hyperltl, make_trace
-from hypersat.solver import Sat, SolverOptions
+from hypersat.solver import Sat, SolverOptions, hyper_sat
 from hypersat.syntax import (
     Atom,
     HyperFormula,
@@ -198,3 +201,68 @@ def test_holds_never_contradicted_by_search_random(seed):
             assert not (
                 evaluate_hyperltl(ts, lhs) and not evaluate_hyperltl(ts, rhs)
             )
+
+
+# Relations between verdicts, on formulas of the golden implies corpus:
+# exists-only and forall-only, of one to three variables, countermodels
+# checked by the evaluator.  Only those of at most two variables are
+# drawn, so that no check unrolls more than 2**2 conjuncts.
+
+
+@functools.cache
+def _corpus():
+    """The corpus's pairs of at most two variables a side, with their
+    recorded verdicts, and its distinct formulas of at most two variables,
+    in text order."""
+    lines = (Path(__file__).parent / "golden" / "implies.jsonl").read_text(
+        encoding="utf-8"
+    )
+    pairs = []
+    formulas = {}
+    for line in lines.splitlines():
+        recorded = json.loads(line)
+        sides = [parse_hyperltl(text) for text in recorded["text"]]
+        small = [len(f.prefix) <= 2 for f in sides]
+        for text, f, fits in zip(recorded["text"], sides, small):
+            if fits:
+                formulas[text] = f
+        if all(small):
+            pairs.append((*sides, recorded["verdict"]))
+    return pairs, [formulas[text] for text in sorted(formulas)]
+
+
+def test_holds_is_transitive():
+    # a => b and b => c give a => c, with a => b a recorded HOLDS pair
+    # and c drawn from the corpus on either side of it
+    pairs, formulas = _corpus()
+    rng = random.Random(18)
+    chains = 0
+    for a, b, verdict in pairs:
+        if verdict != "HOLDS":
+            continue
+        assert check_implication(a, b) == Holds()
+        for c in rng.sample(formulas, 12):
+            if check_implication(b, c) == Holds():
+                chains += 1
+                assert check_implication(a, c) == Holds()
+            if check_implication(c, a) == Holds():
+                chains += 1
+                assert check_implication(c, b) == Holds()
+    assert chains >= 20
+
+
+def test_equivalence_is_symmetric():
+    pairs, _ = _corpus()
+    for a, b, _ in pairs:
+        forward = check_equivalence(a, b)
+        assert check_equivalence(b, a) == forward[::-1]
+
+
+def test_unsat_antecedent_implies_anything():
+    _, formulas = _corpus()
+    unsat = [f for f in formulas if not isinstance(hyper_sat(f), Sat)]
+    assert len(unsat) >= 10
+    rng = random.Random(18)
+    for a in unsat:
+        for c in rng.sample(formulas, 12):
+            assert check_implication(a, c) == Holds()

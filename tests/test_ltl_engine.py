@@ -38,6 +38,7 @@ from oracles import (
     _state_key,
     bounded_lasso_sat,
     emerson_lei_nonempty,
+    formula_sets,
     naive_eval,
     reference_automaton,
     reference_lasso,
@@ -55,7 +56,7 @@ def test_contradiction_has_no_initial_state():
 
 def test_eventually_acceptance_set():
     phi = nnf(Eventually(Atom("p")))  # true U p
-    aut = build_automaton(phi).formula_sets()
+    aut = formula_sets(build_automaton(phi))
     assert len(aut.acceptance) == 1
     expected = frozenset(
         s for s in aut.states if phi not in s or Atom("p") in s
@@ -161,7 +162,7 @@ def test_non_nnf_input_rejected():
 def test_automaton_equals_reference_tableau_random(seed):
     rng = random.Random(seed)
     phi = nnf(random_ltl(rng, ("p", "q"), 3))
-    got, want = build_automaton(phi).formula_sets(), reference_automaton(phi)
+    got, want = formula_sets(build_automaton(phi)), reference_automaton(phi)
     assert got.states == want.states
     assert got.initial == want.initial
     assert got.transitions == want.transitions
@@ -174,7 +175,7 @@ def test_automaton_equals_reference_tableau_random(seed):
 def test_automaton_equals_reference_tableau_three_atoms(seed):
     rng = random.Random(seed)
     phi = nnf(random_ltl(rng, ("p", "q", "r"), 4))
-    assert build_automaton(phi).formula_sets() == reference_automaton(phi)
+    assert formula_sets(build_automaton(phi)) == reference_automaton(phi)
 
 
 def nested_implications(depth: int) -> str:
@@ -219,7 +220,7 @@ def unrolled_e3a2_body():
 @pytest.mark.parametrize("name", sorted(SATURATION_FIXTURES))
 def test_automaton_equals_reference_tableau_fixtures(name):
     phi = nnf(parse_hyperltl(SATURATION_FIXTURES[name]).body)
-    assert build_automaton(phi).formula_sets() == reference_automaton(phi)
+    assert formula_sets(build_automaton(phi)) == reference_automaton(phi)
 
 
 def test_saturations_equal_reference_saturations_nested_chain():
@@ -248,7 +249,7 @@ def test_automaton_equals_reference_tableau_unrolled_body():
     phi = unrolled_e3a2_body()
     got = build_automaton(phi)
     assert len(got.states) == 135
-    assert got.formula_sets() == reference_automaton(phi)
+    assert formula_sets(got) == reference_automaton(phi)
 
 
 # (states, transitions, acceptance sets): the sizes the benchmark's tracer

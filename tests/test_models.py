@@ -625,21 +625,21 @@ def test_period_guard_trips():
 
 def test_extract_model_exists_path():
     sub = Substitution(("a", "b"), 2)
-    reduction = LtlReduction(Atom("a@1"), sub, 2)
+    reduction = LtlReduction(Atom("a@1"), sub)
     lasso = tr([], [{"a@1", "b@2"}])
     model = extract_model(lasso, reduction)
     assert model == TraceSet(frozenset({tr([], [{"a"}]), tr([], [{"b"}])}))
 
 
 def test_extract_model_forall_path():
-    reduction = LtlReduction(Atom("b"), None, 1)
+    reduction = LtlReduction(Atom("b"), None)
     lasso = tr([], [{"b"}])
     assert extract_model(lasso, reduction) == TraceSet(frozenset({lasso}))
 
 
 def test_extract_model_collapses_identical_witnesses():
     sub = Substitution(("p",), 2)
-    reduction = LtlReduction(Atom("p@1"), sub, 2)
+    reduction = LtlReduction(Atom("p@1"), sub)
     lasso = tr([], [{"p@1", "p@2"}])
     assert extract_model(lasso, reduction) == TraceSet(
         frozenset({tr([], [{"p"}])})

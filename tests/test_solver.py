@@ -236,6 +236,63 @@ def test_independent_pair_agrees_with_its_halves(seed):
     assert _independent_pair_agrees(phi, psi)
 
 
+
+# Two relations of exists blocks, on random bodies over x and y (and z).
+# A solver that zipped every trace into one would decide each body on its
+# diagonal, where all variables name one trace, and keep both relations;
+# so each draw must also hold bodies whose verdict differs from their
+# diagonal's, the bodies that need distinct traces.  A body is four random
+# conjuncts, which often clash on the diagonal.
+
+
+def _clashing_body(rng, variables):
+    parts = [random_ltl(rng, ("p", "q"), 2, variables, False)
+             for _ in range(4)]
+    return And(And(parts[0], parts[1]), And(parts[2], parts[3]))
+
+
+def _exists_sat(variables, body) -> bool:
+    prefix = tuple((EXISTS, v) for v in variables)
+    return isinstance(hyper_sat(HyperFormula(prefix, body)), Sat)
+
+
+def _diagonal(body, variables):
+    """The body with every variable renamed to the first."""
+    for v in variables[1:]:
+        body = rename_trace_variable(body, v, variables[0])
+    return body
+
+
+def test_pair_is_sat_when_its_diagonal_is():
+    # exists x. phi(x, x) SAT implies exists x. exists y. phi(x, y) SAT
+    rng = random.Random(18)
+    apart = 0
+    for _ in range(150):
+        body = _clashing_body(rng, ("x", "y"))
+        pair = _exists_sat(("x", "y"), body)
+        diagonal = _exists_sat(("x",), _diagonal(body, ("x", "y")))
+        assert pair or not diagonal, body
+        apart += pair != diagonal
+    assert apart >= 5
+
+
+def test_permuting_an_exists_block_keeps_the_verdict():
+    rng = random.Random(18)
+    variables = ("x", "y", "z")
+    apart = 0
+    for _ in range(60):
+        body = _clashing_body(rng, variables)
+        verdicts = {
+            _exists_sat(order, body)
+            for order in itertools.permutations(variables)
+        }
+        assert len(verdicts) == 1, body
+        apart += verdicts != {
+            _exists_sat(variables[:1], _diagonal(body, variables))
+        }
+    assert apart >= 3
+
+
 def brute_force_exists_forall(phi, props, n):
     """Search all trace sets of at most n lassos with tiny stems and loops.
     A hit is a sound Sat certificate; exhaustion proves nothing."""

@@ -1,0 +1,52 @@
+"""The public surface: every name `hypersat` exports, and the fields of
+the exported dataclasses that callers build or read.  A change that adds
+or removes one edits this file, and says so."""
+
+import dataclasses
+
+import pytest
+
+import hypersat
+
+EXPORTS = [
+    "AlphabetMismatch", "And", "Atom", "Const", "Eventually",
+    "ExistsForall", "ExistsStar", "FALSE", "Fails", "ForallExists",
+    "ForallStar", "Formula", "FragmentClass", "GeneralizedBuchiAutomaton",
+    "Globally", "Holds", "HyperFormula", "HyperSatResult", "HypersatError",
+    "Iff", "ImplicationVerdict", "Implies", "InternalError",
+    "InvalidInstance", "LtlReduction", "MultiAlternation", "Next", "Not",
+    "NotASolution", "Or", "PairAlphabet", "ParseError", "PcpInstance",
+    "Release", "ResourceLimit", "Sat", "SolveStats", "SolverOptions",
+    "Substitution", "TRUE", "TraceSet", "UltimatelyPeriodicTrace", "Unsat",
+    "Unsupported", "UnsupportedFragment", "Until", "WeakUntil",
+    "WellFormednessError", "WrongFragment", "build_automaton",
+    "check_emptiness", "check_equivalence", "check_implication",
+    "check_well_formed", "classify", "desugar", "drop_quantifiers",
+    "encode_pcp", "encode_solution_traceset", "errors", "evaluate_hyperltl",
+    "evaluate_ltl", "extract_model", "format_trace", "format_trace_set",
+    "fragments", "free_trace_variables", "hyper_sat", "implication",
+    "ltl_engine", "ltl_sat", "make_trace", "models", "parse_hyperltl",
+    "parse_trace", "parse_trace_set", "pcp", "project", "reductions",
+    "render", "solve", "solver", "substituted_conjuncts", "syntax",
+    "to_nnf", "unroll_universals", "zip_exists", "zip_traces",
+]
+
+FIELDS = {
+    "GeneralizedBuchiAutomaton": [
+        "states", "initial", "transitions", "acceptance", "closure", "atoms",
+    ],
+    "LtlReduction": ["formula", "substitution"],
+    "Substitution": ["alphabet", "arity"],
+    "SolveStats": ["conjuncts", "automaton_states"],
+    "Sat": ["model", "verified"],
+}
+
+
+def test_exported_names():
+    assert hypersat.__all__ == EXPORTS
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_dataclass_fields(name):
+    got = [f.name for f in dataclasses.fields(getattr(hypersat, name))]
+    assert got == FIELDS[name]
