@@ -99,4 +99,26 @@ from .syntax import (
     to_nnf,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public API: every name imported above, and no submodule.
+__all__ = [
+    "AlphabetMismatch", "And", "Atom", "Const", "Eventually",
+    "ExistsForall", "ExistsStar", "FALSE", "Fails", "ForallExists",
+    "ForallStar", "Formula", "FragmentClass", "GeneralizedBuchiAutomaton",
+    "Globally", "Holds", "HyperFormula", "HyperSatResult",
+    "HypersatError", "Iff", "ImplicationVerdict", "Implies",
+    "InternalError", "InvalidInstance", "LtlReduction",
+    "MultiAlternation", "Next", "Not", "NotASolution", "Or",
+    "PairAlphabet", "ParseError", "PcpInstance", "Release",
+    "ResourceLimit", "Sat", "SolveStats", "SolverOptions", "Substitution",
+    "TRUE", "TraceSet", "UltimatelyPeriodicTrace", "Unsat", "Unsupported",
+    "UnsupportedFragment", "Until", "WeakUntil", "WellFormednessError",
+    "WrongFragment", "build_automaton", "check_emptiness",
+    "check_equivalence", "check_implication", "check_well_formed",
+    "classify", "desugar", "drop_quantifiers", "encode_pcp",
+    "encode_solution_traceset", "evaluate_hyperltl", "evaluate_ltl",
+    "extract_model", "format_trace", "format_trace_set",
+    "free_trace_variables", "hyper_sat", "ltl_sat", "make_trace",
+    "parse_hyperltl", "parse_trace", "parse_trace_set", "project",
+    "render", "solve", "substituted_conjuncts", "to_nnf",
+    "unroll_universals", "zip_exists", "zip_traces",
+]

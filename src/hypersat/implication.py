@@ -12,7 +12,10 @@ refuted.  Per quantifier shape of (antecedent, consequent):
     exists => forall:  exists(both)
 
 Each lands in a decidable fragment, so the solver settles it; a satisfying
-model is a countermodel to the implication.  With model verification on,
+model is a countermodel to the implication.  The check formula's table is
+made from the two parsed tables: the consequent's atom rows relabelled
+apart, as the reductions relabel, its rows placed after the antecedent's,
+and one row each for the negation and the conjunction.  With model verification on,
 the countermodel is re-checked against the two input formulas themselves,
 so the renaming and the prefix choice above are checked too.
 """
@@ -24,15 +27,19 @@ from dataclasses import dataclass
 from . import errors
 from .fragments import ExistsStar, ForallStar, classify
 from .models import TraceSet, evaluate_hyperltl
+from .reductions import relabel
 from .solver import Sat, SolverOptions, Unsat, hyper_sat
 from .syntax import (
-    And,
+    AND,
+    CONST,
     EXISTS,
     FORALL,
+    NOT,
+    Atom,
     HyperFormula,
-    Not,
+    _from_table,
+    _table_of,
     check_well_formed,
-    rename_trace_variable,
 )
 
 
@@ -59,20 +66,50 @@ class Unsupported(ImplicationVerdict):
 
 
 def _rename_apart(formula: HyperFormula, taken: set[str]) -> HyperFormula:
-    body = formula.body
+    """The formula with each variable in taken renamed to a fresh one, its
+    atom rows relabelled as the reductions relabel them."""
     prefix = list(formula.prefix)
     used = taken | {v for _, v in prefix}
+    fresh: dict[str, str] = {}  # old variable -> its new name
     for i, (quant, var) in enumerate(prefix):
         if var not in taken:
             continue
         counter = 2
         while f"{var}{counter}" in used:
             counter += 1
-        fresh = f"{var}{counter}"
-        used.add(fresh)
-        prefix[i] = (quant, fresh)
-        body = rename_trace_variable(body, var, fresh)
-    return HyperFormula(tuple(prefix), body)
+        fresh[var] = f"{var}{counter}"
+        used.add(fresh[var])
+        prefix[i] = (quant, fresh[var])
+    if not fresh:
+        return formula
+    return relabel(
+        formula,
+        tuple(prefix),
+        lambda a: Atom(a.name, fresh[a.trace]) if a.trace in fresh else a,
+    )
+
+
+def _and_not(left, right):
+    """The table of And(left, Not(right)) from the two bodies' tables: the
+    right rows after the left, moved up past them, and two rows more."""
+    nodes, ops, lhs, rhs, root = left
+    r_nodes, r_ops, r_lhs, r_rhs, r_root = right
+    k = len(ops)
+
+    def moved(column):
+        return [
+            row if op <= CONST or row is None else row + k
+            for op, row in zip(r_ops, column)
+        ]
+
+    negated = k + len(r_ops)
+    return (
+        nodes + r_nodes + [None, None],
+        ops + r_ops + [NOT, AND],
+        lhs + moved(r_lhs) + [r_root + k, root],
+        rhs + moved(r_rhs) + [None, negated],
+        negated + 1,
+    )
 
 
 def check_implication(
@@ -100,8 +137,8 @@ def check_implication(
     renamed = _rename_apart(consequent, {v for _, v in antecedent.prefix})
     flipped = tuple((_FLIP[q], v) for q, v in renamed.prefix)
     prefix = sorted(antecedent.prefix + flipped, key=lambda p: p[0] == FORALL)
-    check = HyperFormula(
-        tuple(prefix), And(antecedent.body, Not(renamed.body))
+    check = _from_table(
+        tuple(prefix), _and_not(_table_of(antecedent), _table_of(renamed))
     )
     opts = options or SolverOptions()
     result = hyper_sat(check, opts)

@@ -41,6 +41,9 @@ from .syntax import (
     UNTIL,
     Formula,
     _atom_rows,
+    _build_body,
+    _core_table_of,
+    _from_table,
     core_table,
     desugar,
     to_nnf,
@@ -69,26 +72,33 @@ def _order(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_FLIP) if mask else ""
 
 
-def _index(formula: Formula):
+def _index(formula):
     """The distinct subformulas of a desugared NNF formula in canonical
-    order, with each one's operand positions, the root's position, every
-    position listed operands first, and each position's operation code.
+    order, as their nodes (None for a compound row of a table that has
+    made no body), with each one's operand positions, the root's
+    position, every position listed operands first, each position's
+    operation code, a row of each position, and the table: a
+    HyperFormula's own or a Formula's core_table.
 
-    The rows of `core_table` are the distinct subformulas, operands
-    first, and a row's operation code is its rank.  The canonical order
-    compares rank first, then leaves by payload and compound nodes by
-    their operands, left to right.  Each node is sorted by its pre-order
-    token string: one byte of rank per node, and after a leaf's rank its
-    four-byte position among the sorted leaves.  The rank fixes each
-    token's length and arity, so the strings are prefix-free and sort
-    exactly like the nested key."""
-    nodes, ops, lhs, rhs, root = core_table(formula)
+    The rows are the subformulas, operands first, and a row's operation
+    code is its rank.  The canonical order compares rank first, then
+    leaves by payload and compound nodes by their operands, left to
+    right.  Each row is sorted by its pre-order token string: one byte of
+    rank per node, and after a leaf's rank its four-byte position among
+    the sorted leaf payloads.  The rank fixes each token's length and
+    arity, so the strings are prefix-free and sort exactly like the
+    nested key, and two rows have one token exactly when they are equal
+    subformulas.  So rows that a row pass left apart share a position,
+    and every table of a formula indexes alike."""
+    table = _core_table_of(formula)
+    nodes, ops, lhs, rhs, root = table
     operands: list[tuple[int, ...]] = []
     for n, op in enumerate(ops):
         if op <= CONST:
             operands.append(())
         elif op <= NEXT:
             if op == NOT and ops[lhs[n]] != ATOM:
+                _build_body(table)
                 raise ValueError(
                     "automaton construction needs a desugared NNF formula, "
                     f"found {nodes[n]!r}"
@@ -97,27 +107,31 @@ def _index(formula: Formula):
         else:
             operands.append((lhs[n], rhs[n]))
     leaves = sorted(
-        [n for n, parts in enumerate(operands) if not parts],
-        key=lambda n: (ops[n], lhs[n], rhs[n] or ""),
+        {(ops[n], lhs[n], rhs[n] or "") for n, op in enumerate(ops)
+         if op <= CONST}
     )
-    leaf_code = {n: i.to_bytes(4, "big") for i, n in enumerate(leaves)}
+    leaf_code = {leaf: i.to_bytes(4, "big") for i, leaf in enumerate(leaves)}
     tokens: list[bytes] = []  # operands precede their parents in the rows
     for n, parts in enumerate(operands):
         head = bytes((ops[n],))
         if parts:
             tokens.append(head + b"".join([tokens[p] for p in parts]))
         else:
-            tokens.append(head + leaf_code[n])
-    order = sorted(range(len(nodes)), key=tokens.__getitem__)
+            tokens.append(head + leaf_code[ops[n], lhs[n], rhs[n] or ""])
     position = [0] * len(nodes)
-    for pos, node in enumerate(order):
-        position[node] = pos
+    closure: list[int] = []  # a row of each position
+    for n in sorted(range(len(nodes)), key=tokens.__getitem__):
+        if not closure or tokens[n] != tokens[closure[-1]]:
+            closure.append(n)
+        position[n] = len(closure) - 1
     return (
-        [nodes[n] for n in order],
-        [tuple(position[p] for p in operands[n]) for n in order],
+        [nodes[n] for n in closure],
+        [tuple(position[p] for p in operands[n]) for n in closure],
         position[root],
-        position,
-        [ops[n] for n in order],
+        list(dict.fromkeys(position)),
+        [ops[n] for n in closure],
+        closure,
+        table,
     )
 
 
@@ -132,8 +146,9 @@ class _Tableau:
     literals in that closure, so saturation only branches, and a choice
     is consistent with a state exactly when the two masks do not meet."""
 
-    def __init__(self, formula: Formula):
-        self.nodes, operands, root, topological, codes = _index(formula)
+    def __init__(self, formula):
+        (self.nodes, operands, root, topological, codes, self.rows,
+         self.table) = _index(formula)
         self.root = 1 << root
         n = len(self.nodes)
         # bits that contradict a literal: its complement.  Ranks order the
@@ -273,7 +288,8 @@ class GeneralizedBuchiAutomaton:
     `transitions` maps each state, in state order, to its successors and
     `initial` lists the initial states, both ascending.  Each acceptance
     set holds the states that fulfil one Until, in the canonical order of
-    the Untils; `atoms` masks the closure's atoms."""
+    the Untils; `atoms` masks the closure's atoms.  build_automaton makes
+    `closure` on its first read, from the formula's table."""
 
     states: tuple[int, ...]
     initial: tuple[int, ...]
@@ -282,15 +298,39 @@ class GeneralizedBuchiAutomaton:
     closure: tuple[Formula, ...]
     atoms: int
 
+    def __post_init__(self):
+        self._leaves = self.closure
+
     def valuation(self, state: int) -> frozenset[str]:
         """The minimal valuation admitted by a state: exactly the positive
         atom obligations; unmentioned propositions stay absent."""
         mask = self.states[state] & self.atoms
-        return frozenset([self.closure[i].name for i in _bits(mask)])
+        return frozenset([self._leaves[i].name for i in _bits(mask)])
 
 
-def build_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
-    """Formula must be plain LTL, desugared, in NNF."""
+class _Closure:
+    """GeneralizedBuchiAutomaton.closure of a built automaton, made on its
+    first read from the table's rows in closure order, filling the
+    table's node column, and then kept in the instance dict.  Until then
+    `_leaves` holds the closure's atoms and constants for `valuation`.  A
+    non-data descriptor installed after the dataclass decorator, as
+    HyperFormula.body's is."""
+
+    def __get__(self, aut, owner=None):
+        if aut is None:
+            return self
+        table, rows = aut._rows
+        _build_body(table)
+        closure = vars(aut)["closure"] = tuple([table[0][n] for n in rows])
+        return closure
+
+
+GeneralizedBuchiAutomaton.closure = _Closure()
+
+
+def build_automaton(formula) -> GeneralizedBuchiAutomaton:
+    """Formula must be plain LTL, desugared, in NNF: a Formula, or a
+    HyperFormula whose table is read, as to_nnf makes it."""
     tableau = _Tableau(formula)
     saturate, saturated = tableau.saturate, tableau._saturated
     temporal, guard, step = tableau.temporal, tableau.guard, tableau.step
@@ -326,14 +366,19 @@ def build_automaton(formula: Formula) -> GeneralizedBuchiAutomaton:
         frozenset([i for i, s in enumerate(states) if not s & u or s & right])
         for u, right in tableau.untils
     )
-    return GeneralizedBuchiAutomaton(
-        states,
-        saturations[first],
-        {i: saturations[successors[found]] for i, found in enumerate(order)},
-        acceptance,
-        tuple(tableau.nodes),
-        tableau.atoms,
+    aut = object.__new__(GeneralizedBuchiAutomaton)
+    vars(aut).update(
+        states=states,
+        initial=saturations[first],
+        transitions={
+            i: saturations[successors[found]] for i, found in enumerate(order)
+        },
+        acceptance=acceptance,
+        atoms=tableau.atoms,
+        _leaves=tableau.nodes,
+        _rows=(tableau.table, tableau.rows),
     )
+    return aut
 
 
 def _tarjan_sccs(successors: list[tuple[int, ...]]) -> list[list[int]]:
@@ -463,11 +508,13 @@ def check_emptiness(
 
 def ltl_sat(formula: Formula) -> UltimatelyPeriodicTrace | None:
     """Satisfiability of a plain LTL formula; a witness lasso or None.
-    Accepts any plain formula; desugars and normalizes internally."""
-    for atom in _atom_rows(core_table(formula, sugar=True)):
+    Accepts any plain formula: walks it once into a table, checks its atom
+    rows, and desugars and normalizes the table."""
+    table = core_table(formula, sugar=True)
+    for atom in _atom_rows(table):
         if atom.trace is not None:
             raise ValueError(
                 f"indexed atom {atom.name}_{atom.trace} in plain LTL input"
             )
-    aut = build_automaton(to_nnf(desugar(formula)))
+    aut = build_automaton(to_nnf(desugar(_from_table((), table))))
     return check_emptiness(aut)

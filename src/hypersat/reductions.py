@@ -7,6 +7,13 @@ Three routes, one per decidable fragment:
     alphabet that tags each proposition with its trace position.
   * exists-forall: substitute every combination of existential variables
     for the universal ones, conjoin, then zip the remaining exists block.
+
+Each reduction works on the rows of the formula's table, the parser's for
+a parsed formula, and hands on a HyperFormula with that prefix whose
+body is made only if read: the quantifier-free ones relabel the atom
+rows, row for row, and the unrolling copies only the rows that mention a
+universal variable, sharing the rest among all the copies, and
+deduplicates the conjuncts by their rows in one hash-consed table.
 """
 
 from __future__ import annotations
@@ -20,12 +27,18 @@ from .errors import AlphabetMismatch, ResourceLimit, WrongFragment
 from .fragments import ExistsForall, ExistsStar, ForallStar, classify
 from .models import TraceSet, UltimatelyPeriodicTrace
 from .syntax import (
-    And,
-    Atom,
+    AND,
+    ATOM,
+    CONST,
     EXISTS,
+    Atom,
     Formula,
     HyperFormula,
-    map_atoms,
+    _build_body,
+    _from_table,
+    _new_table,
+    _relabelled,
+    _table_of,
 )
 
 DEFAULT_UNROLL_LIMIT = 1_000_000
@@ -70,10 +83,18 @@ class Substitution:
 @dataclass(frozen=True)
 class LtlReduction:
     """A plain LTL satisfiability problem equivalent to the source formula,
-    plus what is needed to translate a satisfying lasso back."""
+    plus what is needed to translate a satisfying lasso back.  formula is
+    a HyperFormula with an empty prefix, whose body is made on first
+    read from the reduction's table."""
 
-    formula: Formula
+    formula: HyperFormula
     substitution: Substitution | None
+
+
+def relabel(formula: HyperFormula, prefix: tuple, atom) -> HyperFormula:
+    """The formula under a new prefix, each atom row of its table
+    relabelled by atom(node), in one row pass."""
+    return _from_table(prefix, _relabelled(_table_of(formula), atom))
 
 
 def drop_quantifiers(formula: HyperFormula) -> LtlReduction:
@@ -82,7 +103,7 @@ def drop_quantifiers(formula: HyperFormula) -> LtlReduction:
     cls = classify(formula)
     if not isinstance(cls, ForallStar):
         raise WrongFragment(f"drop_quantifiers needs forall-only, got {cls.name}")
-    plain = map_atoms(formula.body, lambda a: Atom(a.name))
+    plain = relabel(formula, (), lambda a: Atom(a.name))
     return LtlReduction(plain, None)
 
 
@@ -98,9 +119,80 @@ def zip_exists(formula: HyperFormula) -> LtlReduction:
         names.add(a.name)
         return Atom(_tag(a.name, position[a.trace]))
 
-    zipped = map_atoms(formula.body, tagged)
+    zipped = relabel(formula, (), tagged)
     sub = Substitution(tuple(sorted(names)), cls.n)
     return LtlReduction(zipped, sub)
+
+
+def _substituted(formula: HyperFormula, table, tops: list[int]):
+    """Every substitution of existential variables for the universal
+    ones, applied to the table's rows in tops, as a new hash-consed table
+    being built, (by_key, nodes, make, finish) of _new_table, and each
+    substitution's rows of tops, the first universal variable cycling
+    fastest through the existential choices.  Only the rows that mention
+    a universal variable are copied per substitution; the rows that
+    mention none are copied once, with their nodes, and shared by all the
+    copies."""
+    exist_vars = [v for q, v in formula.prefix if q == EXISTS]
+    univ_vars = [v for q, v in formula.prefix if q != EXISTS]
+    nodes, ops, lhs, rhs, _ = table
+    # the rows that tops reach, users before their operands
+    reached = bytearray(len(ops))
+    for top in tops:
+        reached[top] = 1
+    for i in range(max(tops), -1, -1):
+        if reached[i] and ops[i] > CONST:
+            reached[lhs[i]] = 1
+            if rhs[i] is not None:
+                reached[rhs[i]] = 1
+    new = _new_table()
+    by_key, _, make, _ = new
+    shared: list = [None] * len(ops)  # the new row of each shared row
+    mentions = bytearray(len(ops))
+    copied = []  # the rows to copy per substitution, operands first
+    for i, op in enumerate(ops):
+        left, right = lhs[i], rhs[i]
+        if op == ATOM:
+            mentions[i] = right in univ_vars
+        elif op > CONST:
+            mentions[i] = mentions[left] or (
+                right is not None and mentions[right]
+            )
+        if not reached[i]:
+            continue
+        if mentions[i]:
+            copied.append(i)
+        elif op <= CONST:
+            shared[i] = make(op, nodes[i], left, right)
+        else:
+            shared[i] = make(
+                op,
+                nodes[i],
+                shared[left],
+                None if right is None else shared[right],
+            )
+    copies = []
+    for raw in itertools.product(exist_vars, repeat=len(univ_vars)):
+        # the first universal variable varies fastest
+        target = dict(zip(univ_vars, reversed(raw)))
+        rows = shared[:]
+        for i in copied:
+            op, left, right = ops[i], lhs[i], rhs[i]
+            if op == ATOM:
+                trace = target[right]
+                row = by_key.get((ATOM, left, trace))
+                if row is None:
+                    row = make(ATOM, Atom(left, trace), left, trace)
+                rows[i] = row
+            else:
+                rows[i] = make(
+                    op,
+                    None,
+                    rows[left],
+                    None if right is None else rows[right],
+                )
+        copies.append([rows[top] for top in tops])
+    return new, copies
 
 
 def substituted_conjuncts(formula: HyperFormula) -> list[Formula]:
@@ -108,48 +200,29 @@ def substituted_conjuncts(formula: HyperFormula) -> list[Formula]:
     variables to the universal ones.  The first universal variable cycles
     fastest through the existential choices.  Only atoms of universal
     variables are replaced, so a subformula that has none comes back as
-    itself in every copy."""
+    the body's own node in every copy."""
     cls = classify(formula)
     if not isinstance(cls, ExistsForall):
         raise WrongFragment(
             f"substituted_conjuncts needs exists-forall, got {cls.name}"
         )
-    exist_vars = [v for q, v in formula.prefix if q == EXISTS]
-    univ_vars = [v for q, v in formula.prefix if q != EXISTS]
-    out = []
-    for raw in itertools.product(range(cls.n), repeat=cls.m):
-        choice = tuple(reversed(raw))  # first universal varies fastest
-        target = {u: exist_vars[j] for u, j in zip(univ_vars, choice)}
-        out.append(
-            map_atoms(
-                formula.body,
-                lambda a: (
-                    Atom(a.name, target[a.trace]) if a.trace in target else a
-                ),
-            )
-        )
-    return out
-
-
-def _flatten_and(formula: Formula) -> list[Formula]:
-    """The conjuncts of a nest of And nodes, left to right."""
-    parts = []
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, And):
-            stack += (f.right, f.left)
-        else:
-            parts.append(f)
-    return parts
+    table = _table_of(formula)
+    _build_body(table)  # the body's nodes, which the shared rows keep
+    (_, _, _, finish), copies = _substituted(formula, table, [table[4]])
+    copied = finish(copies[0][0])
+    _build_body(copied)  # fills the node column: every copy's root too
+    return [copied[0][row] for row, in copies]
 
 
 def unroll_universals(
     formula: HyperFormula, limit: int = DEFAULT_UNROLL_LIMIT
 ) -> HyperFormula:
     """Replace the trailing forall block by the conjunction of all
-    substituted bodies.  The conjunction is flattened and deduplicated
-    (first occurrence wins) before being rebuilt left-associatively."""
+    substituted bodies, on rows.  The conjunction is flattened and
+    deduplicated (first occurrence wins) before being rebuilt
+    left-associatively.  Each body's conjuncts are the substitutions of
+    the input's conjuncts, so those are substituted, and the copies, one
+    hash-consed table, are equal exactly when their rows are."""
     cls = classify(formula)
     if not isinstance(cls, ExistsForall):
         raise WrongFragment(f"unroll_universals needs exists-forall, got {cls.name}")
@@ -157,18 +230,23 @@ def unroll_universals(
     if required > limit:
         raise ResourceLimit("unroll", required, limit)
 
-    parts = []
-    seen = set()
-    for conjunct in substituted_conjuncts(formula):
-        for piece in _flatten_and(conjunct):
-            if piece not in seen:
-                seen.add(piece)
-                parts.append(piece)
-    body = reduce(And, parts)
+    table = _table_of(formula)
+    ops, lhs, rhs = table[1:4]
+    pieces = []
+    stack = [table[4]]
+    while stack:
+        row = stack.pop()
+        if ops[row] == AND:
+            stack += (rhs[row], lhs[row])
+        else:
+            pieces.append(row)
+    (_, _, make, finish), copies = _substituted(formula, table, pieces)
+    parts = list(dict.fromkeys([row for rows in copies for row in rows]))
+    body = reduce(lambda left, right: make(AND, None, left, right), parts)
     exists_prefix = tuple(
         (q, v) for q, v in formula.prefix if q == EXISTS
     )
-    return HyperFormula(exists_prefix, body)
+    return _from_table(exists_prefix, finish(body))
 
 
 def project(trace: UltimatelyPeriodicTrace, sub: Substitution) -> TraceSet:

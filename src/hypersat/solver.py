@@ -6,6 +6,12 @@ before an exists is refused with a diagnostic rather than guessed at.
 Satisfiable verdicts carry a model that is re-checked against the original
 formula by the evaluator unless verification is switched off.  An
 unrolling or a re-check past its limit raises errors.ResourceLimit.
+
+One table goes from the parser to the tableau: the reduction relabels or
+copies the parsed table's rows into a prefix-free HyperFormula, desugar
+and to_nnf each make the next table from its rows, build_automaton
+indexes the last one, and the model is checked on the parsed table, so a
+parsed formula is neither walked nor made into a tree.
 """
 
 from __future__ import annotations

@@ -23,24 +23,32 @@ memory, not by the interpreter's recursion limit:
   positioned scan then runs over the whole text, so a bad character
   anywhere is still the error reported, and otherwise it gives the
   failing token's position.
-* Every other pass is one fold, _walk, over a formula's distinct node
-  objects, operands first, so a formula with shared subformulas (as
-  desugar and to_nnf build them) costs its distinct nodes, not its size
-  as a tree.  desugar, map_atoms, node_count and core_table differ only
-  in the function that makes a node's value.  The rewrites keep a node
-  whose operands came back as the same objects, so desugar returns a
-  core formula itself.  render writes from its own stack.
+* A formula is passed from the parser to the tableau as one table.  The
+  row passes read a table's rows, operands first, and make the next
+  table: _relabelled relabels atom rows for the reductions, _desugared
+  expands the sugar rows into core rows, and _nnf_table walks the rows
+  from the root, once per polarity reached, into hash-consed rows.  Each keeps a row's node
+  where nothing below it changed.  A HyperFormula carries the table from
+  one pass to the next and makes its body only when the body is read;
+  desugar, to_nnf and node_count read its table, and the tableau reads
+  the table to_nnf makes.
+* A bare Formula is walked once into a table, by _walk, one fold over
+  its distinct node objects, operands first, so a formula with shared
+  subformulas costs its distinct nodes, not its size as a tree.
+  core_table hash-conses the rows; desugar and map_atoms walk one row
+  per node object, so the tree they make back keeps every subformula
+  that did not change as the input's own object.  render writes from its
+  own stack.
 * A node's hash is computed when it is made, from its operands' hashes,
   and equality compares each pair of nodes once, from an explicit stack.
 * core_table compiles a formula into one hash-consed post-order table of
   rows, one per distinct subformula; with sugar set, F, G, W, -> and <->
   are rows of their own, and without it they are refused.
-  compile_formula gives a parsed formula's own table, or walks any other
+  compile_formula gives a formula's own table, or walks any other
   formula's body into one, and checks the formula from its atom rows;
   check_well_formed is compile_formula with the table dropped, and the
-  atom queries read a table's atom rows too.  to_nnf builds every row in
-  both polarities, so its result shares equal subformulas; the tableau
-  closure and the evaluator also start from the table.
+  atom queries read a table's atom rows too.  The evaluator also reads
+  the table.
 """
 
 from __future__ import annotations
@@ -310,21 +318,24 @@ class HyperFormula:
     """Prenex formula: quantifier prefix (possibly empty) plus LTL body.
 
     parse_hyperltl returns one whose body is made on first read, from the
-    parser's table; until then vars() shows no body.  The fields,
-    constructor, repr, equality, hashing, pickling and dataclasses.replace
-    are as if the body were there from the start."""
+    parser's table, and so do the reductions, desugar and to_nnf, from
+    the tables of their row passes; until then vars() shows no body.  The
+    fields, constructor, repr, equality, hashing, pickling and
+    dataclasses.replace are as if the body were there from the start."""
 
     prefix: tuple[tuple[str, str], ...]
     body: Formula
-    # The body's core_table(body, sugar=True), which parse_hyperltl
-    # builds as it parses.  It is no field: a formula made any other way,
+    # The body's table, in the layout of core_table(body, sugar=True),
+    # which parse_hyperltl builds as it parses and each row pass makes
+    # from another; a row pass may leave equal rows apart, which to_nnf's
+    # pass and the tableau's index merge.  It is no field: a formula made any other way,
     # dataclasses.replace included, has none and is compiled by a walk.
     _table = None
 
 
-class _ParsedBody:
-    """HyperFormula.body of a parsed formula, which has no body until it
-    is first read: it is made then from the table, filling its node
+class _TableBody:
+    """HyperFormula.body of a formula made with a table, which has no body
+    until it is first read: it is made then from the table, filling its node
     column, and put in the instance dict, where every later read finds it
     without calling this.  A shallow copy shares the table, so it reads
     the body the table's root row holds.  A non-data descriptor, installed
@@ -346,7 +357,7 @@ class _ParsedBody:
         return body
 
 
-HyperFormula.body = _ParsedBody()
+HyperFormula.body = _TableBody()
 
 
 TRUE = Const(True)
@@ -508,19 +519,6 @@ def _parse_body(tokens: list[str], pos: int, bound: tuple[str, ...]) -> tuple:
             operators.pop()
 
 
-def _build_body(table) -> Formula:
-    """The root node of a parsed table, made by filling its node column:
-    one node of each compound row, over its operand rows' nodes."""
-    nodes, ops, lhs, rhs, root = table
-    for i, (op, left, right) in enumerate(zip(ops, lhs, rhs)):
-        if op > CONST:
-            if right is None:
-                nodes[i] = _TYPES[op](nodes[left])
-            else:
-                nodes[i] = _TYPES[op](nodes[left], nodes[right])
-    return nodes[root]
-
-
 def _parse(tokens: list[str]) -> HyperFormula:
     """The formula of a token list, with its table; its body is made on
     first read.  A ParseError raised here gives the failing token's
@@ -544,9 +542,7 @@ def _parse(tokens: list[str]) -> HyperFormula:
 
     table = _parse_body(tokens, pos, tuple(var for _, var in prefix))
     _check_atoms(prefix, _atom_rows(table))
-    formula = object.__new__(HyperFormula)
-    vars(formula).update(prefix=tuple(prefix), _table=table)
-    return formula
+    return _from_table(tuple(prefix), table)
 
 
 def parse_hyperltl(text: str) -> HyperFormula:
@@ -571,17 +567,15 @@ def check_well_formed(formula: HyperFormula) -> None:
 
 
 def compile_formula(formula: HyperFormula):
-    """core_table(formula.body, sugar=True): the table parse_hyperltl
-    built with the formula, or else one walk's.  Checks the prefix, then
-    the atom rows, raising WellFormednessError at the first fault.
-    A parsed formula's table is shared by every call, so callers read it
-    and do not write into it.  Its node column holds the leaves from the
-    start, and the compound nodes once the body has been read; nothing in
-    the library reads a parsed table's compound nodes."""
+    """The formula's table, sugar included: the one parse_hyperltl or a
+    row pass made with the formula, or else one walk's.  Checks the
+    prefix, then the atom rows, raising WellFormednessError at the first
+    fault.  A formula's own table is shared by every call, so callers read
+    it and do not write into it.  Its node column holds the leaves from
+    the start, and the compound nodes once the body has been read;
+    nothing in the library needs a table's compound nodes."""
     _check_prefix(formula.prefix)
-    table = formula._table
-    if table is None:
-        table = core_table(formula.body, sugar=True)
+    table = _table_of(formula)
     _check_atoms(formula.prefix, _atom_rows(table))
     return table
 
@@ -691,13 +685,17 @@ def atom_names(formula: Formula) -> set[str]:
     return {a.name for a in _atom_rows(core_table(formula, sugar=True))}
 
 
-def _size(op, f, left, right) -> int:
-    return 1 if op <= CONST else 1 + left + (right or 0)
-
-
-def node_count(formula: Formula) -> int:
-    """The formula's size as a tree: shared nodes count once per use."""
-    return _walk(formula, _size)
+def node_count(formula) -> int:
+    """The size as a tree of a formula or a HyperFormula's body, read from
+    its table: shared nodes count once per use."""
+    _, ops, lhs, rhs, root = _table_of(formula)
+    size: list[int] = []
+    for op, left, right in zip(ops, lhs, rhs):
+        size.append(
+            1 if op <= CONST else
+            1 + size[left] + (0 if right is None else size[right])
+        )
+    return size[root]
 
 
 # ---------------------------------------------------------------------------
@@ -737,63 +735,7 @@ def render(formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Desugaring, and the other rewrites
-
-# Each sugar operation code's rule, over its operands (None for F's and
-# G's second).
-_DESUGAR = {
-    IMPLIES: lambda a, b: Or(Not(a), b),
-    IFF: lambda a, b: And(Or(Not(a), b), Or(Not(b), a)),
-    WEAK_UNTIL: lambda a, b: Or(Until(a, b), Release(FALSE, a)),
-    EVENTUALLY: lambda e, _: Until(TRUE, e),
-    GLOBALLY: lambda e, _: Release(FALSE, e),
-}
-
-
-def _keep(op, f, left, right) -> Formula:
-    """The node of type op over the operand values: f itself where its
-    operands came back as the same objects."""
-    if op <= CONST:
-        return f
-    t = _TYPES[op]
-    if right is None:
-        return f if type(f) is t and f.operand is left else t(left)
-    if type(f) is t and f.left is left and f.right is right:
-        return f
-    return t(left, right)
-
-
-def _desugar(op, f, left, right) -> Formula:
-    """The core node of a node over the operand values: a sugar node's
-    rule in _DESUGAR, any other node as _keep makes it."""
-    if op <= RELEASE:
-        return _keep(op, f, left, right)
-    return _DESUGAR[op](left, right)
-
-
-def desugar(formula: Formula) -> Formula:
-    """Rewrite F, G, W, ->, <-> into the core !, &, |, X, U, R connectives.
-    A subformula with no sugar below it comes back as itself."""
-    return _walk(formula, _desugar)
-
-
-def map_atoms(formula: Formula, fn) -> Formula:
-    """Rebuild the formula with every atom replaced by fn(atom)."""
-
-    def make(op, f, left, right):
-        return fn(f) if op == ATOM else _keep(op, f, left, right)
-
-    return _walk(formula, make)
-
-
-def rename_trace_variable(formula: Formula, old: str, new: str) -> Formula:
-    return map_atoms(
-        formula, lambda a: Atom(a.name, new) if a.trace == old else a
-    )
-
-
-# ---------------------------------------------------------------------------
-# The core node table, and negation normal form read from it
+# The core node table, and the row passes over tables
 
 
 def _new_table():
@@ -831,28 +773,232 @@ def core_table(formula: Formula, sugar: bool = False):
     return finish(_walk(formula, make, sugar))
 
 
-def to_nnf(formula: Formula) -> Formula:
-    """Push negations to the atoms.  Input must be desugared.
+def _object_table(formula: Formula):
+    """A formula as a table with one row per distinct node object, not
+    hash-consed, so that a row pass over it can keep every object."""
+    rows: list[tuple] = []  # (op, node, left, right)
+    root = _walk(formula, lambda *row: rows.append(row) or len(rows) - 1)
+    ops, nodes, lhs, rhs = map(list, zip(*rows))
+    return nodes, ops, lhs, rhs, root
 
-    Each row of the formula's core table is built in both polarities,
-    operands first: a NOT row swaps its operand's pair, a negated NEXT
-    stays NEXT, and a negated binary connective becomes its dual.  Equal
-    subformulas share one node in the result."""
-    nodes, ops, lhs, rhs, root = core_table(formula)
-    positive: list[Formula] = []
-    negative: list[Formula] = []
-    for f, op, left, right in zip(nodes, ops, lhs, rhs):
-        if op == ATOM:
-            pos, neg = f, Not(f)
-        elif op == CONST:
-            pos, neg = f, Const(not left)
-        elif op == NOT:
-            pos, neg = negative[left], positive[left]
-        elif op == NEXT:
-            pos, neg = Next(positive[left]), Next(negative[left])
+
+def _table_of(formula):
+    """The table of a formula, sugar included: a HyperFormula's own, or
+    core_table's walk over its body or over a bare Formula.  Callers read
+    it and do not write into it, but for its node column."""
+    if isinstance(formula, HyperFormula):
+        if formula._table is not None:
+            return formula._table
+        formula = formula.body
+    return core_table(formula, sugar=True)
+
+
+def _core_table_of(formula):
+    """The table of a desugared formula, as core_table(formula) or, for a
+    HyperFormula, core_table(formula.body) reads it: a table with sugar
+    raises that walk's ValueError, at the same node."""
+    if not isinstance(formula, HyperFormula):
+        return core_table(formula)
+    table = _table_of(formula)
+    if max(table[1]) > RELEASE:
+        core_table(formula.body)  # raises at the first sugar node
+    return table
+
+
+def _from_table(prefix: tuple, table) -> HyperFormula:
+    """The formula with this prefix whose body is the table's root: made
+    on first read, as a parsed formula's body is."""
+    formula = object.__new__(HyperFormula)
+    vars(formula).update(prefix=prefix, _table=table)
+    return formula
+
+
+def _build_body(table) -> Formula:
+    """The root node of a table, made by filling its node column: one node
+    of each row that has none, over its operand rows' nodes."""
+    nodes, ops, lhs, rhs, root = table
+    for i, (f, op, left, right) in enumerate(zip(nodes, ops, lhs, rhs)):
+        if f is None:
+            if right is None:
+                nodes[i] = _TYPES[op](nodes[left])
+            else:
+                nodes[i] = _TYPES[op](nodes[left], nodes[right])
+    return nodes[root]
+
+
+# Each sugar operation code's core rows, made by make(op, left, right,
+# node) over its operand rows (None for F's and G's second).
+_DESUGAR = {
+    IMPLIES: lambda make, a, b: make(OR, make(NOT, a), b),
+    IFF: lambda make, a, b: make(
+        AND, make(OR, make(NOT, a), b), make(OR, make(NOT, b), a)
+    ),
+    WEAK_UNTIL: lambda make, a, b: make(
+        OR,
+        make(UNTIL, a, b),
+        make(RELEASE, make(CONST, False, None, FALSE), a),
+    ),
+    EVENTUALLY: lambda make, e, _: make(
+        UNTIL, make(CONST, True, None, TRUE), e
+    ),
+    GLOBALLY: lambda make, e, _: make(
+        RELEASE, make(CONST, False, None, FALSE), e
+    ),
+}
+
+
+def _desugared(table):
+    """The core table of a table, in one pass over its rows, operands
+    first: each sugar row becomes its core rows, by its rule in _DESUGAR,
+    and every other row is copied over its operands' new rows, keeping
+    its node if it has no sugar below it.  Nothing is hash-consed, so a
+    table with one row per node object, as _object_table makes, keeps
+    every object, and to_nnf's pass merges equal rows."""
+    nodes, ops, lhs, rhs, root = table
+    new_nodes, new_ops, new_lhs, new_rhs = [], [], [], []
+
+    def make(op, left, right=None, node=None):
+        new_nodes.append(node)
+        new_ops.append(op)
+        new_lhs.append(left)
+        new_rhs.append(right)
+        return len(new_ops) - 1
+
+    rows: list[int] = []  # the new row of each row
+    kept = bytearray(len(ops))  # whether it has no sugar at or below it
+    for i, (f, op, left, right) in enumerate(zip(nodes, ops, lhs, rhs)):
+        if op <= CONST:
+            kept[i] = 1
+            rows.append(make(op, left, right, f))
+            continue
+        kept[i] = op <= RELEASE and kept[left] and (
+            right is None or kept[right]
+        )
+        left = rows[left]
+        if right is not None:
+            right = rows[right]
+        if op > RELEASE:
+            rows.append(_DESUGAR[op](make, left, right))
         else:
-            pos = _TYPES[op](positive[left], positive[right])
-            neg = _TYPES[op ^ 1](negative[left], negative[right])
-        positive.append(pos)
-        negative.append(neg)
-    return positive[root]
+            rows.append(make(op, left, right, f if kept[i] else None))
+    return new_nodes, new_ops, new_lhs, new_rhs, rows[root]
+
+
+def _relabelled(table, atom):
+    """The table with each atom row's node relabelled by atom(node), row
+    for row: every row keeps its number and operands, and a compound row
+    keeps its node unless an atom below it changed.  Nothing is merged, so
+    a table with one row per node object keeps every object.  An atom
+    replaced by a formula that is no atom changes only the node column,
+    which is all that map_atoms builds its tree from."""
+    nodes, ops, lhs, rhs, root = table
+    nodes, lhs, rhs = list(nodes), list(lhs), list(rhs)
+    changed = bytearray(len(ops))
+    for i, op in enumerate(ops):
+        if op == ATOM:
+            f = nodes[i]
+            g = atom(f)
+            if g is not f:
+                nodes[i] = g
+                changed[i] = 1
+                if type(g) is Atom:
+                    lhs[i], rhs[i] = g.name, g.trace
+        elif op > CONST and (
+            changed[lhs[i]] or rhs[i] is not None and changed[rhs[i]]
+        ):
+            nodes[i] = None
+            changed[i] = 1
+    return nodes, ops, lhs, rhs, root
+
+
+def desugar(formula):
+    """Rewrite F, G, W, ->, <-> into the core !, &, |, X, U, R connectives,
+    in one row pass.  A HyperFormula comes back with its prefix and the
+    new table, and a Formula as a tree; either comes back as itself if it
+    has no sugar, and in a tree a subformula with no sugar below it is
+    the input's own object."""
+    if isinstance(formula, HyperFormula):
+        table = _table_of(formula)
+        if max(table[1]) <= RELEASE:
+            return formula
+        return _from_table(formula.prefix, _desugared(table))
+    table = _object_table(formula)
+    if max(table[1]) <= RELEASE:
+        return formula
+    return _build_body(_desugared(table))
+
+
+def map_atoms(formula: Formula, fn) -> Formula:
+    """Rebuild the formula with every atom replaced by fn(atom), called
+    once per distinct atom object: a row pass.  A subformula whose atoms
+    all come back as themselves is the input's own object."""
+    return _build_body(_relabelled(_object_table(formula), fn))
+
+
+def rename_trace_variable(formula: Formula, old: str, new: str) -> Formula:
+    return map_atoms(
+        formula, lambda a: Atom(a.name, new) if a.trace == old else a
+    )
+
+
+def _nnf_table(table):
+    """The negation normal form of a core table, hash-consed, made by one
+    walk over the table's rows from the root, each (row, polarity) that
+    the root reaches once, operands first, left before right: a NOT row
+    walks its operand in the other polarity, a negated atom is a NOT row
+    over it, a negated constant the other constant, a negated NEXT stays
+    NEXT, and a negated binary connective becomes its dual.  The new rows
+    come in the order core_table's walk makes them for the same formula
+    as a tree, so the tableau decides its branches in that order too.
+    Its compound rows have no node until a body is made."""
+    nodes, ops, lhs, rhs, root = table
+    _, _, make, finish = _new_table()
+    done: dict[tuple, int] = {}  # (row, negated) -> its new row
+    values: list[int] = []  # the new rows of the operands walked so far
+    # A (row, negated) pair is still to walk; a (row, negated, None) step
+    # makes the row's new row from its operands' on top of values.
+    stack: list[tuple] = [(root, False)]
+    while stack:
+        entry = stack.pop()
+        i, negated = entry[:2]
+        op = ops[i]
+        if len(entry) == 3:
+            if op == NEXT:
+                row = make(NEXT, None, values.pop(), None)
+            else:
+                right = values.pop()
+                row = make(op ^ negated, None, values.pop(), right)
+        elif entry in done:
+            values.append(done[entry])
+            continue
+        elif op == NOT:
+            stack.append((lhs[i], not negated))
+            continue
+        elif op == ATOM:
+            row = make(ATOM, nodes[i], lhs[i], rhs[i])
+            if negated:
+                row = make(NOT, None, row, None)
+        elif op == CONST:
+            value = lhs[i] != negated
+            row = make(CONST, TRUE if value else FALSE, value, None)
+        else:
+            stack.append((i, negated, None))
+            if op != NEXT:
+                stack.append((rhs[i], negated))
+            stack.append((lhs[i], negated))
+            continue
+        done[i, negated] = row
+        values.append(row)
+    return finish(values[0])
+
+
+def to_nnf(formula):
+    """Push negations to the atoms of a desugared formula, in the row
+    passes of _nnf_table.  A HyperFormula comes back with its prefix and
+    the new table, and a Formula as a tree in which equal subformulas
+    share one node."""
+    if isinstance(formula, HyperFormula):
+        return _from_table(
+            formula.prefix, _nnf_table(_core_table_of(formula))
+        )
+    return _build_body(_nnf_table(core_table(formula)))

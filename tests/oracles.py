@@ -45,6 +45,7 @@ from hypersat.syntax import (
     _PREFIX,
     check_well_formed,
     desugar,
+    map_atoms,
 )
 
 
@@ -838,3 +839,33 @@ def reference_nnf(formula: Formula) -> Formula:
         else:
             raise TypeError(f"unexpected node {f!r}")
     return reference_fold(kinds, leaves, {t: t for t in _REFERENCE_DUAL})
+
+
+# ---------------------------------------------------------------------------
+# Reference unrolling of an exists-forall formula, on trees: one copy of the
+# body per assignment by map_atoms, flattened, deduplicated and conjoined.
+
+
+def reference_unroll(formula: HyperFormula) -> Formula:
+    """The body unroll_universals must make: for every assignment of
+    existential variables to the universal ones, the first universal
+    cycling fastest, the body with each universal atom's variable
+    replaced; each copy's conjuncts, left to right, in assignment order,
+    with only the first of equal conjuncts kept, conjoined to the left."""
+    exist_vars = [v for q, v in formula.prefix if q == EXISTS]
+    univ_vars = [v for q, v in formula.prefix if q == FORALL]
+    parts: list[Formula] = []
+    for raw in itertools.product(exist_vars, repeat=len(univ_vars)):
+        target = dict(zip(univ_vars, reversed(raw)))
+        copy = map_atoms(
+            formula.body,
+            lambda a: Atom(a.name, target.get(a.trace, a.trace)),
+        )
+        stack = [copy]
+        while stack:
+            f = stack.pop()
+            if isinstance(f, And):
+                stack += (f.right, f.left)
+            elif f not in parts:
+                parts.append(f)
+    return functools.reduce(And, parts)

@@ -15,19 +15,31 @@ from hypersat.ltl_engine import (
     ltl_sat,
 )
 from hypersat.models import evaluate_ltl, make_trace
-from hypersat.reductions import unroll_universals, zip_exists
+from hypersat.reductions import (
+    drop_quantifiers,
+    unroll_universals,
+    zip_exists,
+)
 from hypersat.solver import Sat, solve
 from hypersat.syntax import (
+    TRUE,
     And,
     Atom,
+    Const,
     Eventually,
     Globally,
+    Iff,
+    Implies,
     Next,
     Not,
     Or,
+    Release,
     Until,
+    WeakUntil,
+    core_table,
     desugar,
     parse_hyperltl,
+    render,
     to_nnf,
 )
 
@@ -41,7 +53,9 @@ from oracles import (
     formula_sets,
     naive_eval,
     reference_automaton,
+    reference_desugar,
     reference_lasso,
+    reference_nnf,
 )
 
 
@@ -214,7 +228,7 @@ E3A2 = (
 
 def unrolled_e3a2_body():
     reduced = zip_exists(unroll_universals(parse_hyperltl(E3A2), 1000))
-    return nnf(reduced.formula)
+    return nnf(reduced.formula.body)
 
 
 @pytest.mark.parametrize("name", sorted(SATURATION_FIXTURES))
@@ -356,3 +370,40 @@ def test_lasso_equals_reference_lasso_unrolled_body():
 def test_lasso_equals_reference_lasso_random(seed):
     rng = random.Random(seed)
     assert_lasso_equals_reference(nnf(random_ltl(rng, ("p", "q", "r"), 3)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_automaton_of_the_table_path_equals_reference_random(seed):
+    # build_automaton reads the table to_nnf makes from a parsed formula,
+    # or walks the tree to_nnf makes from its body: both automata are the
+    # reference tableau of the reference NNF
+    rng = random.Random(seed)
+    parts = [random_ltl(rng, ("p", "q"), 1) for _ in range(3)]
+    body = WeakUntil(
+        Implies(parts[0], Iff(Atom("p"), Release(Const(False), parts[1]))),
+        Not(And(parts[2], Globally(Or(Atom("q"), Next(Eventually(TRUE)))))),
+    )
+    table_path = to_nnf(desugar(parse_hyperltl(render(body))))
+    tree_path = to_nnf(desugar(body))
+    reference = reference_automaton(reference_nnf(reference_desugar(body)))
+    assert formula_sets(build_automaton(table_path)) == reference
+    assert formula_sets(build_automaton(tree_path)) == reference
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "forall p. forall q. G (a_p | b_p) & G (a_q | b_q) & F !a_p",
+        "exists p. F a_p & (true U a_p) & ((a_p -> b_p) | (a_p -> c_p))",
+    ],
+)
+def test_rows_left_apart_index_as_one(text):
+    # dropping the indices and desugaring leave equal subformulas in
+    # rows of their own; the tableau indexes them as one, so the automaton
+    # of the table is the automaton of its body's hash-consed table
+    phi = parse_hyperltl(text)
+    reduce = drop_quantifiers if text.startswith("forall") else zip_exists
+    core = desugar(reduce(phi).formula)
+    assert len(core._table[1]) > len(core_table(core.body)[1])
+    assert build_automaton(core) == build_automaton(core.body)

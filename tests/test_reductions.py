@@ -26,7 +26,8 @@ from hypersat.syntax import (
     render,
 )
 
-from generators import random_trace
+from generators import random_quantified, random_trace
+from oracles import reference_unroll
 
 
 def test_substitution_forward_and_inverse():
@@ -74,7 +75,7 @@ def test_project_rejects_what_forward_never_makes(fresh):
 def test_drop_quantifiers_golden_pair():
     phi = parse_hyperltl("forall p1. forall p2. (G b_p1) & (G !b_p2)")
     red = drop_quantifiers(phi)
-    assert red.formula == And(
+    assert red.formula.body == And(
         Globally(Atom("b")), Globally(Not(Atom("b")))
     )
     assert red.substitution is None
@@ -82,7 +83,7 @@ def test_drop_quantifiers_golden_pair():
 
 def test_drop_quantifiers_until():
     phi = parse_hyperltl("forall p. a_p U b_p")
-    assert drop_quantifiers(phi).formula == Until(Atom("a"), Atom("b"))
+    assert drop_quantifiers(phi).formula.body == Until(Atom("a"), Atom("b"))
 
 
 def test_drop_quantifiers_wrong_fragment():
@@ -93,7 +94,7 @@ def test_drop_quantifiers_wrong_fragment():
 def test_zip_exists_golden_example():
     phi = parse_hyperltl("exists p1. exists p2. a_p1 & (G !b_p1) & (G b_p2)")
     red = zip_exists(phi)
-    assert red.formula == And(
+    assert red.formula.body == And(
         And(Atom("a@1"), Globally(Not(Atom("b@1")))),
         Globally(Atom("b@2")),
     )
@@ -102,12 +103,12 @@ def test_zip_exists_golden_example():
 
 def test_zip_exists_single_variable():
     red = zip_exists(parse_hyperltl("exists p. a_p"))
-    assert red.formula == Atom("a@1")
+    assert red.formula.body == Atom("a@1")
 
 
 def test_zip_exists_two_traces_needed():
     phi = parse_hyperltl("exists p1. exists p2. a_p1 & !a_p2")
-    assert zip_exists(phi).formula == And(Atom("a@1"), Not(Atom("a@2")))
+    assert zip_exists(phi).formula.body == And(Atom("a@1"), Not(Atom("a@2")))
 
 
 def test_zip_exists_wrong_fragment():
@@ -277,3 +278,19 @@ def test_project_zip_identity_mixed_shapes_random(seed):
     assert {t.canonical() for t in got} == {
         t.canonical() for t in originals
     }
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_unroll_on_rows_equals_the_tree_definition_random(seed):
+    # the rows that mention no universal variable are shared by every
+    # copy and the conjuncts deduplicated by row, which must give the
+    # conjunction of the deduplicated conjuncts of the copies on trees
+    rng = random.Random(seed)
+    n, m = rng.randrange(1, 4), rng.randrange(1, 4)
+    made = random_quantified(rng, ("a", "b"), rng.randrange(4), n, m)
+    phi = parse_hyperltl(render(made))
+    want = reference_unroll(phi)
+    for formula in (phi, made):
+        unrolled = unroll_universals(formula)
+        assert unrolled.prefix == phi.prefix[:n]
+        assert unrolled.body == want

@@ -1,6 +1,7 @@
 """End-to-end satisfiability over the decidable fragments."""
 
 import ast
+import json
 import itertools
 import random
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersat import implication, solver
+from hypersat import implication, solver, syntax
 from hypersat.errors import ResourceLimit, WellFormednessError
 from hypersat.fragments import ForallExists, MultiAlternation
 from hypersat.models import (
@@ -38,6 +39,7 @@ from hypersat.syntax import (
 )
 
 from generators import random_ltl, random_quantified
+from make_golden import GOLDEN, answer
 from oracles import all_valuations, enumerate_lassos
 
 FORALL_GOLDEN = "forall p1. forall p2. (G b_p1) & (G !b_p2)"
@@ -331,3 +333,35 @@ def test_tracer_patch_names_resolve():
     ):
         for name in calls:
             assert callable(getattr(module, name, None)), (module, name)
+
+
+# The sugar connectives, as they appear in a rendered text.
+SUGAR_TOKENS = {"->": " -> ", "<->": " <-> ", "W": " W ", "F": "F ", "G": "G "}
+
+
+def test_solve_and_implication_make_no_walk(monkeypatch):
+    # A parsed sat or implies request reduces, desugars, normalizes and
+    # indexes the parsed tables, so no walk over a formula is made: the
+    # golden corpus answers as recorded with the walk made to fail.  The
+    # sat requests cover every decidable prefix with every sugar
+    # connective.
+    def walk(*_):
+        raise AssertionError("a walk over a formula on the sat path")
+
+    monkeypatch.setattr(syntax, "_walk", walk)
+    covered = set()
+    for name in ("sat_mix.jsonl", "large_automata.jsonl", "implies.jsonl"):
+        for line in (GOLDEN / name).read_text(encoding="utf-8").splitlines():
+            recorded = json.loads(line)
+            assert answer(recorded["text"]) == recorded, recorded["text"]
+            text = recorded["text"]
+            if isinstance(text, str):
+                quantifiers = {q for q, _ in parse_hyperltl(text).prefix}
+                for sugar, token in SUGAR_TOKENS.items():
+                    if token in text:
+                        covered.add((tuple(sorted(quantifiers)), sugar))
+    assert covered == {
+        (quantifiers, sugar)
+        for quantifiers in ((EXISTS,), (FORALL,), (EXISTS, FORALL))
+        for sugar in SUGAR_TOKENS
+    }

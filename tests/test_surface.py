@@ -1,6 +1,7 @@
 """The public surface: every name `hypersat` exports, and the fields of
 the exported dataclasses that callers build or read.  A change that adds
-or removes one edits this file, and says so."""
+or removes one edits this file, and says so.  No submodule is exported:
+`from hypersat import *` binds the API names only."""
 
 import dataclasses
 
@@ -12,23 +13,23 @@ EXPORTS = [
     "AlphabetMismatch", "And", "Atom", "Const", "Eventually",
     "ExistsForall", "ExistsStar", "FALSE", "Fails", "ForallExists",
     "ForallStar", "Formula", "FragmentClass", "GeneralizedBuchiAutomaton",
-    "Globally", "Holds", "HyperFormula", "HyperSatResult", "HypersatError",
-    "Iff", "ImplicationVerdict", "Implies", "InternalError",
-    "InvalidInstance", "LtlReduction", "MultiAlternation", "Next", "Not",
-    "NotASolution", "Or", "PairAlphabet", "ParseError", "PcpInstance",
-    "Release", "ResourceLimit", "Sat", "SolveStats", "SolverOptions",
-    "Substitution", "TRUE", "TraceSet", "UltimatelyPeriodicTrace", "Unsat",
-    "Unsupported", "UnsupportedFragment", "Until", "WeakUntil",
-    "WellFormednessError", "WrongFragment", "build_automaton",
-    "check_emptiness", "check_equivalence", "check_implication",
-    "check_well_formed", "classify", "desugar", "drop_quantifiers",
-    "encode_pcp", "encode_solution_traceset", "errors", "evaluate_hyperltl",
-    "evaluate_ltl", "extract_model", "format_trace", "format_trace_set",
-    "fragments", "free_trace_variables", "hyper_sat", "implication",
-    "ltl_engine", "ltl_sat", "make_trace", "models", "parse_hyperltl",
-    "parse_trace", "parse_trace_set", "pcp", "project", "reductions",
-    "render", "solve", "solver", "substituted_conjuncts", "syntax",
-    "to_nnf", "unroll_universals", "zip_exists", "zip_traces",
+    "Globally", "Holds", "HyperFormula", "HyperSatResult",
+    "HypersatError", "Iff", "ImplicationVerdict", "Implies",
+    "InternalError", "InvalidInstance", "LtlReduction",
+    "MultiAlternation", "Next", "Not", "NotASolution", "Or",
+    "PairAlphabet", "ParseError", "PcpInstance", "Release",
+    "ResourceLimit", "Sat", "SolveStats", "SolverOptions", "Substitution",
+    "TRUE", "TraceSet", "UltimatelyPeriodicTrace", "Unsat", "Unsupported",
+    "UnsupportedFragment", "Until", "WeakUntil", "WellFormednessError",
+    "WrongFragment", "build_automaton", "check_emptiness",
+    "check_equivalence", "check_implication", "check_well_formed",
+    "classify", "desugar", "drop_quantifiers", "encode_pcp",
+    "encode_solution_traceset", "evaluate_hyperltl", "evaluate_ltl",
+    "extract_model", "format_trace", "format_trace_set",
+    "free_trace_variables", "hyper_sat", "ltl_sat", "make_trace",
+    "parse_hyperltl", "parse_trace", "parse_trace_set", "project",
+    "render", "solve", "substituted_conjuncts", "to_nnf",
+    "unroll_universals", "zip_exists", "zip_traces",
 ]
 
 FIELDS = {
@@ -50,3 +51,10 @@ def test_exported_names():
 def test_dataclass_fields(name):
     got = [f.name for f in dataclasses.fields(getattr(hypersat, name))]
     assert got == FIELDS[name]
+
+
+def test_star_import_binds_no_submodule():
+    names: dict = {}
+    exec("from hypersat import *", names)
+    del names["__builtins__"]
+    assert sorted(names) == sorted(EXPORTS)

@@ -817,3 +817,45 @@ def test_parsed_table_is_the_walked_table_by_precedence(head, body):
     _assert_same_table(
         compile_formula(phi), core_table(phi.body, sugar=True)
     )
+
+
+def _all_node_types_body(rng):
+    """A random body in which each of the 13 node types occurs: every
+    connective applied to random parts, over both constants."""
+    def part():
+        return random_ltl(rng, PROPS, rng.randrange(3))
+
+    unary = [t(part()) for t in (Not, Next, Eventually, Globally)]
+    binary = [
+        t(part(), part())
+        for t in (And, Or, Implies, Iff, Until, Release, WeakUntil)
+    ]
+    parts = unary + binary + [Atom(rng.choice(PROPS)), TRUE, FALSE]
+    rng.shuffle(parts)
+    body = parts[0]
+    for other in parts[1:]:
+        body = rng.choice((And, Or, Implies, Iff, Until, Release, WeakUntil))(
+            body, other
+        )
+    return body
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+def test_table_passes_equal_the_tree_passes_random(seed):
+    # desugar and to_nnf on a parsed formula's table and on its body's
+    # tree give equal bodies, and both the reference NNF of the
+    # reference-desugared body
+    rng = random.Random(seed)
+    body = _all_node_types_body(rng)
+    phi = parse_hyperltl(render(body))
+    cored = desugar(phi)
+    normal = to_nnf(cored)
+    assert cored.prefix == normal.prefix == ()
+    assert cored.body == desugar(body) == reference_desugar(body)
+    assert normal.body == to_nnf(desugar(body))
+    assert normal.body == reference_nnf(reference_desugar(body))
+    assert node_count(normal) == node_count(normal.body)
+    # the NNF rows come in the order core_table's walk makes them, which
+    # the tableau's decisions follow
+    assert normal._table[1:] == core_table(normal.body)[1:]
