@@ -35,7 +35,6 @@ from .syntax import (
     EXISTS,
     FORALL,
     NOT,
-    Atom,
     HyperFormula,
     _from_table,
     _table_of,
@@ -85,15 +84,15 @@ def _rename_apart(formula: HyperFormula, taken: set[str]) -> HyperFormula:
     return relabel(
         formula,
         tuple(prefix),
-        lambda a: Atom(a.name, fresh[a.trace]) if a.trace in fresh else a,
+        lambda name, trace: (name, fresh.get(trace, trace)),
     )
 
 
 def _and_not(left, right):
     """The table of And(left, Not(right)) from the two bodies' tables: the
     right rows after the left, moved up past them, and two rows more."""
-    nodes, ops, lhs, rhs, root = left
-    r_nodes, r_ops, r_lhs, r_rhs, r_root = right
+    ops, lhs, rhs, root = left
+    r_ops, r_lhs, r_rhs, r_root = right
     k = len(ops)
 
     def moved(column):
@@ -104,7 +103,6 @@ def _and_not(left, right):
 
     negated = k + len(r_ops)
     return (
-        nodes + r_nodes + [None, None],
         ops + r_ops + [NOT, AND],
         lhs + moved(r_lhs) + [r_root + k, root],
         rhs + moved(r_rhs) + [None, negated],

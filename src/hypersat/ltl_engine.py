@@ -22,7 +22,9 @@ and is closed under those choices, in whatever order they are applied.
 The reachable states are numbered 0..N-1 by one sort of their masks in
 the canonical state order, and emptiness runs on those numbers, so
 identical inputs yield identical automata and witnesses across processes.
-The only formula sets built are the valuations of the lasso's states.
+The automaton holds numbers and names only: the proposition of each atom
+bit, from which the valuations of the lasso's states are read.  No
+formula node is made.
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ from .syntax import (
     NEXT,
     NOT,
     OR,
+    RELEASE,
     UNTIL,
     Formula,
     _atom_rows,
-    _build_body,
-    _core_table_of,
     _from_table,
+    _nodes,
+    _table_of,
     core_table,
     desugar,
     to_nnf,
@@ -74,11 +77,11 @@ def _order(mask: int) -> str:
 
 def _index(formula):
     """The distinct subformulas of a desugared NNF formula in canonical
-    order, as their nodes (None for a compound row of a table that has
-    made no body), with each one's operand positions, the root's
-    position, every position listed operands first, each position's
-    operation code, a row of each position, and the table: a
-    HyperFormula's own or a Formula's core_table.
+    order, read from its table (a HyperFormula's own, or a Formula's
+    core_table): each position's operation code, its operand positions,
+    and its name or value if it is a leaf (else None), then the root's
+    position and every position listed operands first.  A sugar row, or
+    a NOT over no atom, raises ValueError.
 
     The rows are the subformulas, operands first, and a row's operation
     code is its rank.  The canonical order compares rank first, then
@@ -90,19 +93,18 @@ def _index(formula):
     nested key, and two rows have one token exactly when they are equal
     subformulas.  So rows that a row pass left apart share a position,
     and every table of a formula indexes alike."""
-    table = _core_table_of(formula)
-    nodes, ops, lhs, rhs, root = table
+    table = _table_of(formula)
+    ops, lhs, rhs, root = table
     operands: list[tuple[int, ...]] = []
     for n, op in enumerate(ops):
         if op <= CONST:
             operands.append(())
+        elif op > RELEASE or op == NOT and ops[lhs[n]] != ATOM:
+            raise ValueError(
+                "automaton construction needs a desugared NNF formula, "
+                f"found {_nodes(table)[n]!r}"
+            )
         elif op <= NEXT:
-            if op == NOT and ops[lhs[n]] != ATOM:
-                _build_body(table)
-                raise ValueError(
-                    "automaton construction needs a desugared NNF formula, "
-                    f"found {nodes[n]!r}"
-                )
             operands.append((lhs[n],))
         else:
             operands.append((lhs[n], rhs[n]))
@@ -118,20 +120,18 @@ def _index(formula):
             tokens.append(head + b"".join([tokens[p] for p in parts]))
         else:
             tokens.append(head + leaf_code[ops[n], lhs[n], rhs[n] or ""])
-    position = [0] * len(nodes)
+    position = [0] * len(ops)
     closure: list[int] = []  # a row of each position
-    for n in sorted(range(len(nodes)), key=tokens.__getitem__):
+    for n in sorted(range(len(ops)), key=tokens.__getitem__):
         if not closure or tokens[n] != tokens[closure[-1]]:
             closure.append(n)
         position[n] = len(closure) - 1
     return (
-        [nodes[n] for n in closure],
+        [ops[n] for n in closure],
         [tuple(position[p] for p in operands[n]) for n in closure],
+        [lhs[n] if ops[n] <= CONST else None for n in closure],
         position[root],
         list(dict.fromkeys(position)),
-        [ops[n] for n in closure],
-        closure,
-        table,
     )
 
 
@@ -147,10 +147,12 @@ class _Tableau:
     is consistent with a state exactly when the two masks do not meet."""
 
     def __init__(self, formula):
-        (self.nodes, operands, root, topological, codes, self.rows,
-         self.table) = _index(formula)
+        codes, operands, leaves, root, topological = _index(formula)
         self.root = 1 << root
-        n = len(self.nodes)
+        self.names = tuple(
+            [leaf if op == ATOM else None for op, leaf in zip(codes, leaves)]
+        )
+        n = len(codes)
         # bits that contradict a literal: its complement.  Ranks order the
         # closure, so the negated atoms follow the leaves, before the rest.
         clash = [0] * n
@@ -178,7 +180,7 @@ class _Tableau:
             if op <= NEXT:  # a leaf, a literal or a Next leaves no choice
                 if op == ATOM:
                     self.atoms |= bit
-                elif op == CONST and not self.nodes[i].value:
+                elif op == CONST and not leaves[i]:
                     clash[i] = bit  # FALSE clashes with itself
                 elif op == NEXT:
                     self.step[i] = 1 << operands[i][0]
@@ -284,48 +286,25 @@ class GeneralizedBuchiAutomaton:
     """The tableau automaton over dense state numbers.
 
     The states are 0..N-1 in canonical order; `states[i]` is state i's
-    bitmask over `closure`, the closure formulas in canonical order.
-    `transitions` maps each state, in state order, to its successors and
-    `initial` lists the initial states, both ascending.  Each acceptance
-    set holds the states that fulfil one Until, in the canonical order of
-    the Untils; `atoms` masks the closure's atoms.  build_automaton makes
-    `closure` on its first read, from the formula's table."""
+    bitmask over the closure, the distinct subformulas in canonical
+    order.  `transitions` maps each state, in state order, to its
+    successors and `initial` lists the initial states, both ascending.
+    Each acceptance set holds the states that fulfil one Until, in the
+    canonical order of the Untils.  `names` gives the proposition of each
+    atom bit, and None for every other bit; `atoms` masks the atom bits."""
 
     states: tuple[int, ...]
     initial: tuple[int, ...]
     transitions: dict[int, tuple[int, ...]]
     acceptance: tuple[frozenset[int], ...]
-    closure: tuple[Formula, ...]
+    names: tuple[str | None, ...]
     atoms: int
-
-    def __post_init__(self):
-        self._leaves = self.closure
 
     def valuation(self, state: int) -> frozenset[str]:
         """The minimal valuation admitted by a state: exactly the positive
         atom obligations; unmentioned propositions stay absent."""
         mask = self.states[state] & self.atoms
-        return frozenset([self._leaves[i].name for i in _bits(mask)])
-
-
-class _Closure:
-    """GeneralizedBuchiAutomaton.closure of a built automaton, made on its
-    first read from the table's rows in closure order, filling the
-    table's node column, and then kept in the instance dict.  Until then
-    `_leaves` holds the closure's atoms and constants for `valuation`.  A
-    non-data descriptor installed after the dataclass decorator, as
-    HyperFormula.body's is."""
-
-    def __get__(self, aut, owner=None):
-        if aut is None:
-            return self
-        table, rows = aut._rows
-        _build_body(table)
-        closure = vars(aut)["closure"] = tuple([table[0][n] for n in rows])
-        return closure
-
-
-GeneralizedBuchiAutomaton.closure = _Closure()
+        return frozenset([self.names[i] for i in _bits(mask)])
 
 
 def build_automaton(formula) -> GeneralizedBuchiAutomaton:
@@ -366,19 +345,16 @@ def build_automaton(formula) -> GeneralizedBuchiAutomaton:
         frozenset([i for i, s in enumerate(states) if not s & u or s & right])
         for u, right in tableau.untils
     )
-    aut = object.__new__(GeneralizedBuchiAutomaton)
-    vars(aut).update(
+    return GeneralizedBuchiAutomaton(
         states=states,
         initial=saturations[first],
         transitions={
             i: saturations[successors[found]] for i, found in enumerate(order)
         },
         acceptance=acceptance,
+        names=tableau.names,
         atoms=tableau.atoms,
-        _leaves=tableau.nodes,
-        _rows=(tableau.table, tableau.rows),
     )
-    return aut
 
 
 def _tarjan_sccs(successors: list[tuple[int, ...]]) -> list[list[int]]:
@@ -510,11 +486,11 @@ def ltl_sat(formula: Formula) -> UltimatelyPeriodicTrace | None:
     """Satisfiability of a plain LTL formula; a witness lasso or None.
     Accepts any plain formula: walks it once into a table, checks its atom
     rows, and desugars and normalizes the table."""
-    table = core_table(formula, sugar=True)
-    for atom in _atom_rows(table):
-        if atom.trace is not None:
+    table = core_table(formula)
+    for name, trace in _atom_rows(table):
+        if trace is not None:
             raise ValueError(
-                f"indexed atom {atom.name}_{atom.trace} in plain LTL input"
+                f"indexed atom {name}_{trace} in plain LTL input"
             )
     aut = build_automaton(to_nnf(desugar(_from_table((), table))))
     return check_emptiness(aut)

@@ -166,7 +166,7 @@ def _holds(table: tuple, prefix: tuple, traces: list, guard: float) -> bool:
         loop_len = math.lcm(loop_len, len(t.loop))
         if loop_len > guard:
             raise ResourceLimit("period", loop_len, guard)
-    _, ops, lhs, rhs, root = table
+    ops, lhs, rhs, root = table
     n, k = len(traces), len(prefix)
     width = stem_len + loop_len
     outer = 0  # the variables enumerated one trace at a time
@@ -275,8 +275,9 @@ def _holds(table: tuple, prefix: tuple, traces: list, guard: float) -> bool:
 
 
 def evaluate_ltl(trace: UltimatelyPeriodicTrace, formula: Formula) -> bool:
-    """Truth of a desugared plain LTL formula at position 0 of the trace:
-    the one-lane case, one unindexed variable bound to the trace."""
+    """Truth of a plain LTL formula, sugar included, at position 0 of the
+    trace: the one-lane case, one unindexed variable bound to the trace.
+    An indexed atom raises WellFormednessError."""
     return _holds(core_table(formula), ((FORALL, None),), [trace], math.inf)
 
 

@@ -31,12 +31,11 @@ from .syntax import (
     ATOM,
     CONST,
     EXISTS,
-    Atom,
     Formula,
     HyperFormula,
-    _build_body,
     _from_table,
     _new_table,
+    _nodes,
     _relabelled,
     _table_of,
 )
@@ -93,7 +92,8 @@ class LtlReduction:
 
 def relabel(formula: HyperFormula, prefix: tuple, atom) -> HyperFormula:
     """The formula under a new prefix, each atom row of its table
-    relabelled by atom(node), in one row pass."""
+    relabelled by atom(name, trace), which gives the new (name, trace),
+    in one row pass."""
     return _from_table(prefix, _relabelled(_table_of(formula), atom))
 
 
@@ -103,7 +103,7 @@ def drop_quantifiers(formula: HyperFormula) -> LtlReduction:
     cls = classify(formula)
     if not isinstance(cls, ForallStar):
         raise WrongFragment(f"drop_quantifiers needs forall-only, got {cls.name}")
-    plain = relabel(formula, (), lambda a: Atom(a.name))
+    plain = relabel(formula, (), lambda name, _: (name, None))
     return LtlReduction(plain, None)
 
 
@@ -115,9 +115,9 @@ def zip_exists(formula: HyperFormula) -> LtlReduction:
     position = {var: i + 1 for i, (_, var) in enumerate(formula.prefix)}
     names: set[str] = set()
 
-    def tagged(a: Atom) -> Atom:
-        names.add(a.name)
-        return Atom(_tag(a.name, position[a.trace]))
+    def tagged(name: str, trace: str) -> tuple[str, None]:
+        names.add(name)
+        return _tag(name, position[trace]), None
 
     zipped = relabel(formula, (), tagged)
     sub = Substitution(tuple(sorted(names)), cls.n)
@@ -127,15 +127,14 @@ def zip_exists(formula: HyperFormula) -> LtlReduction:
 def _substituted(formula: HyperFormula, table, tops: list[int]):
     """Every substitution of existential variables for the universal
     ones, applied to the table's rows in tops, as a new hash-consed table
-    being built, (by_key, nodes, make, finish) of _new_table, and each
+    being built, its make and finish of _new_table, and each
     substitution's rows of tops, the first universal variable cycling
     fastest through the existential choices.  Only the rows that mention
     a universal variable are copied per substitution; the rows that
-    mention none are copied once, with their nodes, and shared by all the
-    copies."""
+    mention none are copied once, and shared by all the copies."""
     exist_vars = [v for q, v in formula.prefix if q == EXISTS]
     univ_vars = [v for q, v in formula.prefix if q != EXISTS]
-    nodes, ops, lhs, rhs, _ = table
+    ops, lhs, rhs, _ = table
     # the rows that tops reach, users before their operands
     reached = bytearray(len(ops))
     for top in tops:
@@ -145,8 +144,7 @@ def _substituted(formula: HyperFormula, table, tops: list[int]):
             reached[lhs[i]] = 1
             if rhs[i] is not None:
                 reached[rhs[i]] = 1
-    new = _new_table()
-    by_key, _, make, _ = new
+    _, make, finish = _new_table()
     shared: list = [None] * len(ops)  # the new row of each shared row
     mentions = bytearray(len(ops))
     copied = []  # the rows to copy per substitution, operands first
@@ -163,13 +161,10 @@ def _substituted(formula: HyperFormula, table, tops: list[int]):
         if mentions[i]:
             copied.append(i)
         elif op <= CONST:
-            shared[i] = make(op, nodes[i], left, right)
+            shared[i] = make(op, left, right)
         else:
             shared[i] = make(
-                op,
-                nodes[i],
-                shared[left],
-                None if right is None else shared[right],
+                op, shared[left], None if right is None else shared[right]
             )
     copies = []
     for raw in itertools.product(exist_vars, repeat=len(univ_vars)):
@@ -179,39 +174,30 @@ def _substituted(formula: HyperFormula, table, tops: list[int]):
         for i in copied:
             op, left, right = ops[i], lhs[i], rhs[i]
             if op == ATOM:
-                trace = target[right]
-                row = by_key.get((ATOM, left, trace))
-                if row is None:
-                    row = make(ATOM, Atom(left, trace), left, trace)
-                rows[i] = row
+                rows[i] = make(ATOM, left, target[right])
             else:
                 rows[i] = make(
-                    op,
-                    None,
-                    rows[left],
-                    None if right is None else rows[right],
+                    op, rows[left], None if right is None else rows[right]
                 )
         copies.append([rows[top] for top in tops])
-    return new, copies
+    return make, finish, copies
 
 
 def substituted_conjuncts(formula: HyperFormula) -> list[Formula]:
     """exists-forall: one copy of the body per assignment of existential
     variables to the universal ones.  The first universal variable cycles
     fastest through the existential choices.  Only atoms of universal
-    variables are replaced, so a subformula that has none comes back as
-    the body's own node in every copy."""
+    variables are replaced, and the copies are made from one hash-consed
+    table, so equal subformulas share one node."""
     cls = classify(formula)
     if not isinstance(cls, ExistsForall):
         raise WrongFragment(
             f"substituted_conjuncts needs exists-forall, got {cls.name}"
         )
     table = _table_of(formula)
-    _build_body(table)  # the body's nodes, which the shared rows keep
-    (_, _, _, finish), copies = _substituted(formula, table, [table[4]])
-    copied = finish(copies[0][0])
-    _build_body(copied)  # fills the node column: every copy's root too
-    return [copied[0][row] for row, in copies]
+    _, finish, copies = _substituted(formula, table, [table[3]])
+    nodes = _nodes(finish(copies[0][0]))
+    return [nodes[row] for row, in copies]
 
 
 def unroll_universals(
@@ -231,18 +217,18 @@ def unroll_universals(
         raise ResourceLimit("unroll", required, limit)
 
     table = _table_of(formula)
-    ops, lhs, rhs = table[1:4]
+    ops, lhs, rhs, root = table
     pieces = []
-    stack = [table[4]]
+    stack = [root]
     while stack:
         row = stack.pop()
         if ops[row] == AND:
             stack += (rhs[row], lhs[row])
         else:
             pieces.append(row)
-    (_, _, make, finish), copies = _substituted(formula, table, pieces)
+    make, finish, copies = _substituted(formula, table, pieces)
     parts = list(dict.fromkeys([row for rows in copies for row in rows]))
-    body = reduce(lambda left, right: make(AND, None, left, right), parts)
+    body = reduce(lambda left, right: make(AND, left, right), parts)
     exists_prefix = tuple(
         (q, v) for q, v in formula.prefix if q == EXISTS
     )

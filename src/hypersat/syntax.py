@@ -7,44 +7,41 @@ HyperFormula with an empty prefix and unindexed atoms.
 No pass over a formula recurses, so the depth of an input is bounded by
 memory, not by the interpreter's recursion limit:
 
+* A table is (ops, lhs, rhs, root): one row per subformula, operands
+  first.  An atom row holds its name and trace, a constant row its value,
+  and a compound row its operand rows; core_table's are hash-consed, one
+  row per distinct subformula, sugar included.  A formula node is made
+  only when a body is read, by one loop over the rows (_nodes), so equal
+  rows make one node.
 * The parser reads the text with one C-level regular-expression scan into
   token strings, then runs one loop over them with an operand stack and an
   operator stack.  Two tables keyed by token text drive it: the prefix
   operators ``! X F G``, and the infix operators ``<-> -> | & U W R``,
   each with a precedence, an associativity and a node type.  It meets the
   nodes in post-order, as core_table's walk does, and builds the body's
-  core table on its operand stack of rows: each distinct identifier text
-  makes one constant or atom row, holding its node, and each reduction
-  one hash-consed row with its own operation code, sugar included.  The
-  returned HyperFormula keeps the table; its body is made on first read,
-  by one loop over the rows that fills the table's node column, so equal
-  subformulas share one node.  The closing well-formedness check reads
-  the atom rows.  Positions are found only when parsing fails: the
-  positioned scan then runs over the whole text, so a bad character
-  anywhere is still the error reported, and otherwise it gives the
-  failing token's position.
+  table on its operand stack of rows: each distinct identifier text makes
+  one constant or atom row, and each reduction one hash-consed row with
+  its own operation code, sugar included.  The returned HyperFormula
+  keeps the table; its body is made on first read.  The closing
+  well-formedness check reads the atom rows.  Positions are found only
+  when parsing fails: the positioned scan then runs over the whole text,
+  so a bad character anywhere is still the error reported, and otherwise
+  it gives the failing token's position.
 * A formula is passed from the parser to the tableau as one table.  The
   row passes read a table's rows, operands first, and make the next
   table: _relabelled relabels atom rows for the reductions, _desugared
   expands the sugar rows into core rows, and _nnf_table walks the rows
-  from the root, once per polarity reached, into hash-consed rows.  Each keeps a row's node
-  where nothing below it changed.  A HyperFormula carries the table from
-  one pass to the next and makes its body only when the body is read;
-  desugar, to_nnf and node_count read its table, and the tableau reads
-  the table to_nnf makes.
-* A bare Formula is walked once into a table, by _walk, one fold over
-  its distinct node objects, operands first, so a formula with shared
-  subformulas costs its distinct nodes, not its size as a tree.
-  core_table hash-conses the rows; desugar and map_atoms walk one row
-  per node object, so the tree they make back keeps every subformula
-  that did not change as the input's own object.  render writes from its
-  own stack.
+  from the root, once per polarity reached, into hash-consed rows.  A
+  HyperFormula carries the table from one pass to the next and makes its
+  body only when the body is read; desugar, to_nnf and node_count read
+  its table, and the tableau reads the table to_nnf makes.
+* A bare Formula is walked once into core_table's table, by _walk, one
+  fold over its distinct node objects, operands first, so a formula with
+  shared subformulas costs its distinct nodes, not its size as a tree.
+  render writes from its own stack.
 * A node's hash is computed when it is made, from its operands' hashes,
   and equality compares each pair of nodes once, from an explicit stack.
-* core_table compiles a formula into one hash-consed post-order table of
-  rows, one per distinct subformula; with sugar set, F, G, W, -> and <->
-  are rows of their own, and without it they are refused.
-  compile_formula gives a formula's own table, or walks any other
+* compile_formula gives a formula's own table, or walks any other
   formula's body into one, and checks the formula from its atom rows;
   check_well_formed is compile_formula with the table dropped, and the
   atom queries read a table's atom rows too.  The evaluator also reads
@@ -305,7 +302,6 @@ _ARITY = {
 _TYPES = [Atom, Const, Not, Next, And, Or, Until, Release,
           Implies, Iff, WeakUntil, Eventually, Globally]
 _CODES = {t: op for op, t in enumerate(_TYPES)}
-_CORE = {t: op for op, t in enumerate(_TYPES[: RELEASE + 1])}
 _BINARY = [_ARITY[t] == 2 for t in _TYPES]
 
 
@@ -325,22 +321,23 @@ class HyperFormula:
 
     prefix: tuple[tuple[str, str], ...]
     body: Formula
-    # The body's table, in the layout of core_table(body, sugar=True),
-    # which parse_hyperltl builds as it parses and each row pass makes
-    # from another; a row pass may leave equal rows apart, which to_nnf's
-    # pass and the tableau's index merge.  It is no field: a formula made any other way,
-    # dataclasses.replace included, has none and is compiled by a walk.
+    # The body's table, in the layout of core_table(body), which
+    # parse_hyperltl builds as it parses and each row pass makes from
+    # another; a row pass may leave equal rows apart, which to_nnf's pass
+    # and the tableau's index merge.  It is no field: a formula made any
+    # other way, dataclasses.replace included, has none and is compiled
+    # by a walk.
     _table = None
 
 
 class _TableBody:
     """HyperFormula.body of a formula made with a table, which has no body
-    until it is first read: it is made then from the table, filling its node
-    column, and put in the instance dict, where every later read finds it
-    without calling this.  A shallow copy shares the table, so it reads
-    the body the table's root row holds.  A non-data descriptor, installed
-    after the dataclass decorator, so that the decorator sees a field with
-    no default and the instance dict takes precedence over it."""
+    until it is first read: it is made then from the table's rows, and put
+    in the instance dict, where every later read finds it without calling
+    this.  A shallow copy shares the table, so it reads an equal body.  A
+    non-data descriptor, installed after the dataclass decorator, so that
+    the decorator sees a field with no default and the instance dict takes
+    precedence over it."""
 
     def __get__(self, formula, owner=None):
         if formula is None:
@@ -350,9 +347,7 @@ class _TableBody:
             raise AttributeError(
                 f"{type(formula).__name__!r} object has no attribute 'body'"
             )
-        body = table[0][table[4]]
-        if body is None:
-            body = _build_body(table)
+        body = _nodes(table)[table[3]]
         object.__setattr__(formula, "body", body)
         return body
 
@@ -410,7 +405,7 @@ _INFIX = {
     "W": (5, True, WeakUntil),
     "R": (5, True, Release),
 }
-_CONSTANTS = {"true": TRUE, "false": FALSE}
+_CONSTANTS = {"true": True, "false": False}
 # Operator-stack entries are (precedence, operation code).  An open
 # parenthesis sits below every operator; a prefix operator above all.
 _OPEN = (0, None)
@@ -427,10 +422,10 @@ _INFIX_STEPS = {
 }
 
 
-def _make_atom(text: str, at: int, bound: tuple[str, ...]) -> Atom:
-    """The atom named by token number at, the first occurrence of its text;
-    raises ParseError, giving the token number, or WellFormednessError if
-    the token names no atom."""
+def _make_atom(text: str, at: int, bound: tuple[str, ...]) -> tuple:
+    """The (name, trace) of the atom named by token number at, the first
+    occurrence of its text; raises ParseError, giving the token number, or
+    WellFormednessError if the token names no atom."""
     if not (text[:1].isalpha() or text[:1] == "_"):
         raise ParseError(at, f"expected a formula, found {text!r}")
     if text in (FORALL, EXISTS):
@@ -447,27 +442,25 @@ def _make_atom(text: str, at: int, bound: tuple[str, ...]) -> Atom:
         if cut < 0:
             break
         if text[cut + 1 :] in bound and cut > 0:
-            return Atom(text[:cut], text[cut + 1 :])
-    return Atom(text)
+            return text[:cut], text[cut + 1 :]
+    return text, None
 
 
 def _leaf(text: str, at: int, bound: tuple[str, ...], make) -> int:
     """The row of the constant or atom named by token number at, the first
     occurrence of its text."""
-    f = _CONSTANTS.get(text)
-    if f is not None:
-        return make(CONST, f, f.value, None)
-    f = _make_atom(text, at, bound)
-    return make(ATOM, f, f.name, f.trace)
+    value = _CONSTANTS.get(text)
+    if value is not None:
+        return make(CONST, value, None)
+    return make(ATOM, *_make_atom(text, at, bound))
 
 
 def _parse_body(tokens: list[str], pos: int, bound: tuple[str, ...]) -> tuple:
     """The formula body from tokens[pos] on, by operator precedence, as its
-    core_table(body, sugar=True).  The parser meets the nodes in
-    post-order, as core_table's walk does, so it makes each node's row
-    when it reduces the node, from its operands' rows.  A compound row's
-    node is left None, for _build_body to make."""
-    by_key, nodes, make, finish = _new_table()
+    core_table(body).  The parser meets the nodes in post-order, as
+    core_table's walk does, so it makes each node's row when it reduces
+    the node, from its operands' rows."""
+    by_key, make, finish = _new_table()
     rows: list[int] = []  # the row of each operand
     operators: list[tuple] = [_OPEN]  # operators[0] is the whole body
     leaves: dict[str, int] = {}  # identifier text -> its row
@@ -505,10 +498,8 @@ def _parse_body(tokens: list[str], pos: int, bound: tuple[str, ...]) -> tuple:
             while operators[-1][0] > floor:
                 op = operators.pop()[1]
                 right = rows.pop() if _BINARY[op] else None
-                row = by_key.setdefault((op, rows[-1], right), len(nodes))
-                if row == len(nodes):
-                    nodes.append(None)
-                rows[-1] = row
+                key = op, rows[-1], right
+                rows[-1] = by_key.setdefault(key, len(by_key))
             if infix is not None:
                 operators.append(entry)
                 break
@@ -571,18 +562,17 @@ def compile_formula(formula: HyperFormula):
     row pass made with the formula, or else one walk's.  Checks the
     prefix, then the atom rows, raising WellFormednessError at the first
     fault.  A formula's own table is shared by every call, so callers read
-    it and do not write into it.  Its node column holds the leaves from
-    the start, and the compound nodes once the body has been read;
-    nothing in the library needs a table's compound nodes."""
+    it and do not write into it."""
     _check_prefix(formula.prefix)
     table = _table_of(formula)
     _check_atoms(formula.prefix, _atom_rows(table))
     return table
 
 
-def _atom_rows(table) -> list[Atom]:
-    """The nodes of a table's atom rows, in row order."""
-    return list(compress(table[0], map(ATOM.__eq__, table[1])))
+def _atom_rows(table) -> list[tuple]:
+    """The (name, trace) of a table's atom rows, in row order."""
+    ops, lhs, rhs, _ = table
+    return list(compress(zip(lhs, rhs), map(ATOM.__eq__, ops)))
 
 
 def _check_prefix(prefix) -> None:
@@ -599,14 +589,14 @@ def _check_atoms(prefix, atoms) -> None:
     (repeats make no difference)."""
     free: set[str] = set()
     plain = indexed = None  # the first unindexed and first indexed atom
-    for atom in atoms:
-        if atom.trace is None:
+    for name, trace in atoms:
+        if trace is None:
             if plain is None:
-                plain = atom
+                plain = name
         else:
-            free.add(atom.trace)
+            free.add(trace)
             if indexed is None:
-                indexed = atom
+                indexed = name
     if prefix:
         unbound = free - {v for _, v in prefix}
         if unbound:
@@ -615,27 +605,25 @@ def _check_atoms(prefix, atoms) -> None:
             )
         if plain is not None:
             raise WellFormednessError(
-                f"atom {plain.name!r} lacks a trace index in a "
+                f"atom {plain!r} lacks a trace index in a "
                 "quantified formula"
             )
     elif indexed is not None:
         raise WellFormednessError(
-            f"indexed atom {indexed.name!r} in an unquantified formula"
+            f"indexed atom {indexed!r} in an unquantified formula"
         )
 
 
 # ---------------------------------------------------------------------------
 # The walk: one fold over the distinct nodes, operands first.
 
-def _walk(formula: Formula, make, sugar: bool = True):
+def _walk(formula: Formula, make):
     """Fold a formula bottom-up, each distinct node object once, in
-    first-encounter post-order: a node's value is make(op, node, left,
-    right).  For a compound node left and right are its operands' values
-    (right None for NOT, NEXT, F and G); for an atom they are its name and
-    trace, and for a constant its value and None.  F, G, W, -> and <-> are
-    folded as nodes of their own, or rejected with ValueError if sugar is
-    off."""
-    codes = _CODES if sugar else _CORE
+    first-encounter post-order: a node's value is make(op, left, right).
+    For a compound node left and right are its operands' values (right
+    None for NOT, NEXT, F and G); for an atom they are its name and trace,
+    and for a constant its value and None.  A node that is no formula
+    raises TypeError."""
     done: dict[int, object] = {}  # id(node) -> its value
     values: list = []  # the values of the operands walked so far
     # A node on the stack is still to walk; a step (op, node) makes the
@@ -652,13 +640,8 @@ def _walk(formula: Formula, make, sugar: bool = True):
             values.append(done[id(f)])
             continue
         else:
-            op = codes.get(type(f))
+            op = _CODES.get(type(f))
             if op is None:
-                if not sugar:
-                    raise ValueError(
-                        "the core node table expects a desugared formula, "
-                        f"found {f!r}"
-                    )
                 raise TypeError(f"not a formula node: {f!r}")
             if op == ATOM:
                 left, right = f.name, f.trace
@@ -671,24 +654,24 @@ def _walk(formula: Formula, make, sugar: bool = True):
                 else:
                     stack.append(f.operand)
                 continue
-        value = done[id(f)] = make(op, f, left, right)
+        value = done[id(f)] = make(op, left, right)
         values.append(value)
     return values[0]
 
 
 def free_trace_variables(formula: Formula) -> set[str]:
-    atoms = _atom_rows(core_table(formula, sugar=True))
-    return {a.trace for a in atoms if a.trace is not None}
+    atoms = _atom_rows(core_table(formula))
+    return {trace for _, trace in atoms if trace is not None}
 
 
 def atom_names(formula: Formula) -> set[str]:
-    return {a.name for a in _atom_rows(core_table(formula, sugar=True))}
+    return {name for name, _ in _atom_rows(core_table(formula))}
 
 
 def node_count(formula) -> int:
     """The size as a tree of a formula or a HyperFormula's body, read from
     its table: shared nodes count once per use."""
-    _, ops, lhs, rhs, root = _table_of(formula)
+    ops, lhs, rhs, root = _table_of(formula)
     size: list[int] = []
     for op, left, right in zip(ops, lhs, rhs):
         size.append(
@@ -739,70 +722,43 @@ def render(formula) -> str:
 
 
 def _new_table():
-    """A new hash-consed table: its rows by key (op, left, right), its
-    node column, make(op, f, left, right), which gives the row of the
-    key, made for f if it is new, and finish(root), which gives the table
-    (nodes, ops, lhs, rhs, root)."""
+    """A new hash-consed table: its rows by key (op, left, right),
+    make(op, left, right), which gives the row of the key, made if it is
+    new, and finish(root), which gives the table (ops, lhs, rhs, root)."""
     by_key: dict[tuple, int] = {}  # (op, lhs, rhs) -> row, in row order
-    nodes: list = []
 
-    def make(op, f, left, right):
-        row = by_key.setdefault((op, left, right), len(nodes))
-        if row == len(nodes):
-            nodes.append(f)
-        return row
+    def make(op, left, right=None):
+        return by_key.setdefault((op, left, right), len(by_key))
 
     def finish(root):
         ops, lhs, rhs = map(list, zip(*by_key))
-        return nodes, ops, lhs, rhs, root
+        return ops, lhs, rhs, root
 
-    return by_key, nodes, make, finish
-
-
-def core_table(formula: Formula, sugar: bool = False):
-    """A formula as a hash-consed table: (nodes, ops, lhs, rhs, root).  Row
-    i has operation code ops[i] and was first made for nodes[i]; a compound
-    row holds its operand rows in lhs and rhs (rhs None for NOT and NEXT),
-    an atom row its name and trace, and a constant row its value and None.
-    Structurally equal subformulas share one row, and rows come in
-    first-encounter post-order, so operands precede the rows that use
-    them.  root is the formula's row.  F, G, W, -> and <-> raise
-    ValueError unless sugar is set; then they are rows of their own, and a
-    node that is no formula raises TypeError."""
-    _, _, make, finish = _new_table()
-    return finish(_walk(formula, make, sugar))
+    return by_key, make, finish
 
 
-def _object_table(formula: Formula):
-    """A formula as a table with one row per distinct node object, not
-    hash-consed, so that a row pass over it can keep every object."""
-    rows: list[tuple] = []  # (op, node, left, right)
-    root = _walk(formula, lambda *row: rows.append(row) or len(rows) - 1)
-    ops, nodes, lhs, rhs = map(list, zip(*rows))
-    return nodes, ops, lhs, rhs, root
+def core_table(formula: Formula):
+    """A formula as a hash-consed table: (ops, lhs, rhs, root).  Row i has
+    operation code ops[i]; a compound row holds its operand rows in lhs
+    and rhs (rhs None for NOT, NEXT, F and G), an atom row its name and
+    trace, and a constant row its value and None.  Structurally equal
+    subformulas share one row, and rows come in first-encounter
+    post-order, so operands precede the rows that use them.  root is the
+    formula's row.  F, G, W, -> and <-> are rows of their own, and a node
+    that is no formula raises TypeError."""
+    _, make, finish = _new_table()
+    return finish(_walk(formula, make))
 
 
 def _table_of(formula):
     """The table of a formula, sugar included: a HyperFormula's own, or
     core_table's walk over its body or over a bare Formula.  Callers read
-    it and do not write into it, but for its node column."""
+    it and do not write into it."""
     if isinstance(formula, HyperFormula):
         if formula._table is not None:
             return formula._table
         formula = formula.body
-    return core_table(formula, sugar=True)
-
-
-def _core_table_of(formula):
-    """The table of a desugared formula, as core_table(formula) or, for a
-    HyperFormula, core_table(formula.body) reads it: a table with sugar
-    raises that walk's ValueError, at the same node."""
-    if not isinstance(formula, HyperFormula):
-        return core_table(formula)
-    table = _table_of(formula)
-    if max(table[1]) > RELEASE:
-        core_table(formula.body)  # raises at the first sugar node
-    return table
+    return core_table(formula)
 
 
 def _from_table(prefix: tuple, table) -> HyperFormula:
@@ -813,132 +769,88 @@ def _from_table(prefix: tuple, table) -> HyperFormula:
     return formula
 
 
-def _build_body(table) -> Formula:
-    """The root node of a table, made by filling its node column: one node
-    of each row that has none, over its operand rows' nodes."""
-    nodes, ops, lhs, rhs, root = table
-    for i, (f, op, left, right) in enumerate(zip(nodes, ops, lhs, rhs)):
-        if f is None:
-            if right is None:
-                nodes[i] = _TYPES[op](nodes[left])
-            else:
-                nodes[i] = _TYPES[op](nodes[left], nodes[right])
-    return nodes[root]
+def _nodes(table) -> list[Formula]:
+    """The node of each row of a table, in one loop over its rows: equal
+    rows make equal nodes, and a row used twice gives one node."""
+    nodes: list[Formula] = []
+    for op, left, right in zip(*table[:3]):
+        if op == ATOM:
+            nodes.append(Atom(left, right))
+        elif op == CONST:
+            nodes.append(TRUE if left else FALSE)
+        elif right is None:
+            nodes.append(_TYPES[op](nodes[left]))
+        else:
+            nodes.append(_TYPES[op](nodes[left], nodes[right]))
+    return nodes
 
 
-# Each sugar operation code's core rows, made by make(op, left, right,
-# node) over its operand rows (None for F's and G's second).
+# Each sugar operation code's core rows, made by make(op, left, right)
+# over its operand rows (None for F's and G's second).
 _DESUGAR = {
     IMPLIES: lambda make, a, b: make(OR, make(NOT, a), b),
     IFF: lambda make, a, b: make(
         AND, make(OR, make(NOT, a), b), make(OR, make(NOT, b), a)
     ),
     WEAK_UNTIL: lambda make, a, b: make(
-        OR,
-        make(UNTIL, a, b),
-        make(RELEASE, make(CONST, False, None, FALSE), a),
+        OR, make(UNTIL, a, b), make(RELEASE, make(CONST, False), a)
     ),
-    EVENTUALLY: lambda make, e, _: make(
-        UNTIL, make(CONST, True, None, TRUE), e
-    ),
-    GLOBALLY: lambda make, e, _: make(
-        RELEASE, make(CONST, False, None, FALSE), e
-    ),
+    EVENTUALLY: lambda make, e, _: make(UNTIL, make(CONST, True), e),
+    GLOBALLY: lambda make, e, _: make(RELEASE, make(CONST, False), e),
 }
 
 
 def _desugared(table):
     """The core table of a table, in one pass over its rows, operands
     first: each sugar row becomes its core rows, by its rule in _DESUGAR,
-    and every other row is copied over its operands' new rows, keeping
-    its node if it has no sugar below it.  Nothing is hash-consed, so a
-    table with one row per node object, as _object_table makes, keeps
-    every object, and to_nnf's pass merges equal rows."""
-    nodes, ops, lhs, rhs, root = table
-    new_nodes, new_ops, new_lhs, new_rhs = [], [], [], []
+    and every other row is copied over its operands' new rows.  Nothing
+    is hash-consed; to_nnf's pass merges equal rows."""
+    ops, lhs, rhs, root = table
+    new_ops, new_lhs, new_rhs = [], [], []
 
-    def make(op, left, right=None, node=None):
-        new_nodes.append(node)
+    def make(op, left, right=None):
         new_ops.append(op)
         new_lhs.append(left)
         new_rhs.append(right)
         return len(new_ops) - 1
 
     rows: list[int] = []  # the new row of each row
-    kept = bytearray(len(ops))  # whether it has no sugar at or below it
-    for i, (f, op, left, right) in enumerate(zip(nodes, ops, lhs, rhs)):
-        if op <= CONST:
-            kept[i] = 1
-            rows.append(make(op, left, right, f))
-            continue
-        kept[i] = op <= RELEASE and kept[left] and (
-            right is None or kept[right]
+    for op, left, right in zip(ops, lhs, rhs):
+        if op > CONST:
+            left = rows[left]
+            if right is not None:
+                right = rows[right]
+        rows.append(
+            _DESUGAR[op](make, left, right) if op > RELEASE
+            else make(op, left, right)
         )
-        left = rows[left]
-        if right is not None:
-            right = rows[right]
-        if op > RELEASE:
-            rows.append(_DESUGAR[op](make, left, right))
-        else:
-            rows.append(make(op, left, right, f if kept[i] else None))
-    return new_nodes, new_ops, new_lhs, new_rhs, rows[root]
+    return new_ops, new_lhs, new_rhs, rows[root]
 
 
 def _relabelled(table, atom):
-    """The table with each atom row's node relabelled by atom(node), row
-    for row: every row keeps its number and operands, and a compound row
-    keeps its node unless an atom below it changed.  Nothing is merged, so
-    a table with one row per node object keeps every object.  An atom
-    replaced by a formula that is no atom changes only the node column,
-    which is all that map_atoms builds its tree from."""
-    nodes, ops, lhs, rhs, root = table
-    nodes, lhs, rhs = list(nodes), list(lhs), list(rhs)
-    changed = bytearray(len(ops))
+    """The table with each atom row's (name, trace) relabelled by
+    atom(name, trace), row for row: every row keeps its number and
+    operands, and nothing is merged."""
+    ops, lhs, rhs, root = table
+    lhs, rhs = list(lhs), list(rhs)
     for i, op in enumerate(ops):
         if op == ATOM:
-            f = nodes[i]
-            g = atom(f)
-            if g is not f:
-                nodes[i] = g
-                changed[i] = 1
-                if type(g) is Atom:
-                    lhs[i], rhs[i] = g.name, g.trace
-        elif op > CONST and (
-            changed[lhs[i]] or rhs[i] is not None and changed[rhs[i]]
-        ):
-            nodes[i] = None
-            changed[i] = 1
-    return nodes, ops, lhs, rhs, root
+            lhs[i], rhs[i] = atom(lhs[i], rhs[i])
+    return ops, lhs, rhs, root
 
 
 def desugar(formula):
     """Rewrite F, G, W, ->, <-> into the core !, &, |, X, U, R connectives,
     in one row pass.  A HyperFormula comes back with its prefix and the
     new table, and a Formula as a tree; either comes back as itself if it
-    has no sugar, and in a tree a subformula with no sugar below it is
-    the input's own object."""
-    if isinstance(formula, HyperFormula):
-        table = _table_of(formula)
-        if max(table[1]) <= RELEASE:
-            return formula
-        return _from_table(formula.prefix, _desugared(table))
-    table = _object_table(formula)
-    if max(table[1]) <= RELEASE:
+    has no sugar."""
+    table = _table_of(formula)
+    if max(table[0]) <= RELEASE:
         return formula
-    return _build_body(_desugared(table))
-
-
-def map_atoms(formula: Formula, fn) -> Formula:
-    """Rebuild the formula with every atom replaced by fn(atom), called
-    once per distinct atom object: a row pass.  A subformula whose atoms
-    all come back as themselves is the input's own object."""
-    return _build_body(_relabelled(_object_table(formula), fn))
-
-
-def rename_trace_variable(formula: Formula, old: str, new: str) -> Formula:
-    return map_atoms(
-        formula, lambda a: Atom(a.name, new) if a.trace == old else a
-    )
+    table = _desugared(table)
+    if isinstance(formula, HyperFormula):
+        return _from_table(formula.prefix, table)
+    return _nodes(table)[table[3]]
 
 
 def _nnf_table(table):
@@ -949,10 +861,10 @@ def _nnf_table(table):
     over it, a negated constant the other constant, a negated NEXT stays
     NEXT, and a negated binary connective becomes its dual.  The new rows
     come in the order core_table's walk makes them for the same formula
-    as a tree, so the tableau decides its branches in that order too.
-    Its compound rows have no node until a body is made."""
-    nodes, ops, lhs, rhs, root = table
-    _, _, make, finish = _new_table()
+    as a tree, so the tableau decides its branches in that order too.  A
+    sugar row raises ValueError."""
+    ops, lhs, rhs, root = table
+    _, make, finish = _new_table()
     done: dict[tuple, int] = {}  # (row, negated) -> its new row
     values: list[int] = []  # the new rows of the operands walked so far
     # A (row, negated) pair is still to walk; a (row, negated, None) step
@@ -964,10 +876,10 @@ def _nnf_table(table):
         op = ops[i]
         if len(entry) == 3:
             if op == NEXT:
-                row = make(NEXT, None, values.pop(), None)
+                row = make(NEXT, values.pop())
             else:
                 right = values.pop()
-                row = make(op ^ negated, None, values.pop(), right)
+                row = make(op ^ negated, values.pop(), right)
         elif entry in done:
             values.append(done[entry])
             continue
@@ -975,12 +887,16 @@ def _nnf_table(table):
             stack.append((lhs[i], not negated))
             continue
         elif op == ATOM:
-            row = make(ATOM, nodes[i], lhs[i], rhs[i])
+            row = make(ATOM, lhs[i], rhs[i])
             if negated:
-                row = make(NOT, None, row, None)
+                row = make(NOT, row)
         elif op == CONST:
-            value = lhs[i] != negated
-            row = make(CONST, TRUE if value else FALSE, value, None)
+            row = make(CONST, lhs[i] != negated)
+        elif op > RELEASE:
+            raise ValueError(
+                "to_nnf expects a desugared formula, found "
+                f"{_nodes(table)[i]!r}"
+            )
         else:
             stack.append((i, negated, None))
             if op != NEXT:
@@ -997,8 +913,7 @@ def to_nnf(formula):
     passes of _nnf_table.  A HyperFormula comes back with its prefix and
     the new table, and a Formula as a tree in which equal subformulas
     share one node."""
+    table = _nnf_table(_table_of(formula))
     if isinstance(formula, HyperFormula):
-        return _from_table(
-            formula.prefix, _nnf_table(_core_table_of(formula))
-        )
-    return _build_body(_nnf_table(core_table(formula)))
+        return _from_table(formula.prefix, table)
+    return _nodes(table)[table[3]]

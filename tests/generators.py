@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import Phase, settings, strategies as st
+
 from hypersat.models import TraceSet, UltimatelyPeriodicTrace
 from hypersat.pcp import PcpInstance
 from hypersat.syntax import (
@@ -25,6 +27,17 @@ from hypersat.syntax import (
     Release,
     Until,
     WeakUntil,
+)
+
+# The seed of a seeded random test, which builds its case from
+# random.Random(seed).  A smaller seed is no simpler case, so SEEDED, the
+# settings every such test runs under with its own max_examples, drops
+# the shrink phase: a failure is reported as first found.
+SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
+SEEDED = settings(
+    deadline=None,
+    derandomize=True,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 
 UNARY = (Not, Next, Eventually, Globally)

@@ -45,7 +45,6 @@ from hypersat.syntax import (
     _PREFIX,
     check_well_formed,
     desugar,
-    map_atoms,
 )
 
 
@@ -354,11 +353,24 @@ class FormulaSets(NamedTuple):
     alphabet: tuple[str, ...]
 
 
-def formula_sets(aut) -> FormulaSets:
-    """The engine's GeneralizedBuchiAutomaton with each state as its set of
-    closure formulas, read from its states' bitmasks over its closure."""
+def closure(formula) -> list:
+    """The distinct subformulas of a desugared NNF formula, or of a
+    HyperFormula's body, in the canonical order: the formula each bit of
+    the engine's states stands for."""
+    if isinstance(formula, HyperFormula):
+        formula = formula.body
+    return sorted(set(_subformulas(formula)), key=sort_key)
+
+
+def formula_sets(aut, formula) -> FormulaSets:
+    """The engine's GeneralizedBuchiAutomaton of the formula with each
+    state as its set of closure formulas, read from its states' bitmasks
+    over the closure spelled here, so the engine's closure order is
+    checked, not trusted."""
+    formulas = closure(formula)
+    assert len(aut.names) == len(formulas)
     sets = [
-        frozenset(f for i, f in enumerate(aut.closure) if mask >> i & 1)
+        frozenset(f for i, f in enumerate(formulas) if mask >> i & 1)
         for mask in aut.states
     ]
 
@@ -368,7 +380,7 @@ def formula_sets(aut) -> FormulaSets:
     held = 0  # the atoms some state holds
     for mask in aut.states:
         held |= mask & aut.atoms
-    alphabet = {f.name for i, f in enumerate(aut.closure) if held >> i & 1}
+    alphabet = {f.name for i, f in enumerate(formulas) if held >> i & 1}
     return FormulaSets(
         tuple(sets),
         spelled(aut.initial),
@@ -839,6 +851,27 @@ def reference_nnf(formula: Formula) -> Formula:
         else:
             raise TypeError(f"unexpected node {f!r}")
     return reference_fold(kinds, leaves, {t: t for t in _REFERENCE_DUAL})
+
+
+# ---------------------------------------------------------------------------
+# Atom maps on trees, every node built afresh: a shared formula costs its
+# size as a tree.
+
+_REBUILD = {t: t for t, arity in _ARITY.items() if arity}
+
+
+def map_atoms(formula: Formula, fn) -> Formula:
+    """The formula with every atom replaced by fn(atom)."""
+    def leaf(f):
+        return fn(f) if type(f) is Atom else f
+
+    return reference_fold(*reference_listing(formula, leaf), _REBUILD)
+
+
+def rename_trace_variable(formula: Formula, old: str, new: str) -> Formula:
+    return map_atoms(
+        formula, lambda a: Atom(a.name, new) if a.trace == old else a
+    )
 
 
 # ---------------------------------------------------------------------------

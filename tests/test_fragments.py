@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from hypersat.fragments import (
     ExistsForall,
@@ -23,6 +23,8 @@ from hypersat.syntax import (
     Not,
     parse_hyperltl,
 )
+
+from generators import SEEDED, SEEDS
 
 
 def _with_prefix(prefix):
@@ -101,8 +103,8 @@ def test_every_prefix_up_to_five_gets_exactly_one_class():
                 assert isinstance(cls, MultiAlternation)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=200)
+@given(SEEDS)
 def test_classification_invariant_under_renaming(seed):
     rng = random.Random(seed)
     length = rng.randrange(1, 6)

@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from hypersat import errors, implication
 from hypersat.implication import (
@@ -22,12 +22,11 @@ from hypersat.solver import Sat, SolverOptions, hyper_sat
 from hypersat.syntax import (
     Atom,
     HyperFormula,
-    map_atoms,
     parse_hyperltl,
 )
 
-from generators import random_quantified
-from oracles import enumerate_lassos
+from generators import SEEDED, SEEDS, random_quantified
+from oracles import enumerate_lassos, map_atoms
 
 
 def rename_formula(phi: HyperFormula, mapping: dict) -> HyperFormula:
@@ -155,8 +154,8 @@ def test_verdict_invariant_under_renaming():
     assert isinstance(got, Fails)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=60)
+@given(SEEDS)
 def test_fails_countermodels_are_sound_random(seed):
     rng = random.Random(seed)
     lhs_exists = rng.random() < 0.5
@@ -180,8 +179,8 @@ def test_fails_countermodels_are_sound_random(seed):
         assert not evaluate_hyperltl(verdict.countermodel, rhs)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=20)
+@given(SEEDS)
 def test_holds_never_contradicted_by_search_random(seed):
     rng = random.Random(seed)
     exists_side = rng.random() < 0.5

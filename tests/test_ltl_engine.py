@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from hypersat.ltl_engine import (
     _Tableau,
@@ -43,12 +43,13 @@ from hypersat.syntax import (
     to_nnf,
 )
 
-from generators import random_ltl
+from generators import SEEDED, SEEDS, random_ltl
 from oracles import (
     _next_obligations,
     _saturate,
     _state_key,
     bounded_lasso_sat,
+    closure,
     emerson_lei_nonempty,
     formula_sets,
     naive_eval,
@@ -70,7 +71,7 @@ def test_contradiction_has_no_initial_state():
 
 def test_eventually_acceptance_set():
     phi = nnf(Eventually(Atom("p")))  # true U p
-    aut = formula_sets(build_automaton(phi))
+    aut = formula_sets(build_automaton(phi), phi)
     assert len(aut.acceptance) == 1
     expected = frozenset(
         s for s in aut.states if phi not in s or Atom("p") in s
@@ -124,8 +125,8 @@ def test_deterministic_witness():
     assert len(runs) == 1
 
 
-@settings(max_examples=250, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=250)
+@given(SEEDS)
 def test_witness_soundness_random(seed):
     rng = random.Random(seed)
     phi = random_ltl(rng, ("p", "q"), 3)
@@ -135,8 +136,8 @@ def test_witness_soundness_random(seed):
         assert naive_eval(lasso, phi)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=120)
+@given(SEEDS)
 def test_oracle_agreement_random(seed):
     rng = random.Random(seed)
     phi = random_ltl(rng, ("p", "q"), 3)
@@ -147,8 +148,8 @@ def test_oracle_agreement_random(seed):
         assert evaluate_ltl(lasso, desugar(phi))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=150)
+@given(SEEDS)
 def test_negation_duality_random(seed):
     rng = random.Random(seed)
     phi = random_ltl(rng, ("p", "q"), 3)
@@ -165,18 +166,19 @@ def test_non_nnf_input_rejected():
         build_automaton(Not(Until(Atom("p"), Atom("q"))))
     with pytest.raises(
         ValueError,
-        match=r"^the core node table expects a desugared formula, "
+        match=r"^automaton construction needs a desugared NNF formula, "
         r"found Eventually\(operand=Atom\(",
     ):
         build_automaton(Eventually(Atom("p")))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=150)
+@given(SEEDS)
 def test_automaton_equals_reference_tableau_random(seed):
     rng = random.Random(seed)
     phi = nnf(random_ltl(rng, ("p", "q"), 3))
-    got, want = formula_sets(build_automaton(phi)), reference_automaton(phi)
+    got = formula_sets(build_automaton(phi), phi)
+    want = reference_automaton(phi)
     assert got.states == want.states
     assert got.initial == want.initial
     assert got.transitions == want.transitions
@@ -184,12 +186,12 @@ def test_automaton_equals_reference_tableau_random(seed):
     assert got.alphabet == want.alphabet
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=150)
+@given(SEEDS)
 def test_automaton_equals_reference_tableau_three_atoms(seed):
     rng = random.Random(seed)
     phi = nnf(random_ltl(rng, ("p", "q", "r"), 4))
-    assert formula_sets(build_automaton(phi)) == reference_automaton(phi)
+    assert formula_sets(build_automaton(phi), phi) == reference_automaton(phi)
 
 
 def nested_implications(depth: int) -> str:
@@ -234,7 +236,7 @@ def unrolled_e3a2_body():
 @pytest.mark.parametrize("name", sorted(SATURATION_FIXTURES))
 def test_automaton_equals_reference_tableau_fixtures(name):
     phi = nnf(parse_hyperltl(SATURATION_FIXTURES[name]).body)
-    assert formula_sets(build_automaton(phi)) == reference_automaton(phi)
+    assert formula_sets(build_automaton(phi), phi) == reference_automaton(phi)
 
 
 def test_saturations_equal_reference_saturations_nested_chain():
@@ -242,7 +244,7 @@ def test_saturations_equal_reference_saturations_nested_chain():
     # that keys the memo, saturates to the reference's sets
     phi = nnf(parse_hyperltl(nested_implications(20)).body)
     tableau = _Tableau(phi)
-    nodes = tableau.nodes
+    nodes = closure(phi)
     bit = {f: 1 << i for i, f in enumerate(nodes)}
 
     def spelled(mask):
@@ -263,7 +265,7 @@ def test_automaton_equals_reference_tableau_unrolled_body():
     phi = unrolled_e3a2_body()
     got = build_automaton(phi)
     assert len(got.states) == 135
-    assert formula_sets(got) == reference_automaton(phi)
+    assert formula_sets(got, phi) == reference_automaton(phi)
 
 
 # (states, transitions, acceptance sets): the sizes the benchmark's tracer
@@ -285,8 +287,8 @@ def test_automaton_shape_read_by_the_tracer(name, shape):
     ) == shape
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=40)
+@given(SEEDS)
 def test_state_order_key_sorts_like_bit_tuples_and_formula_sets(seed):
     rng = random.Random(seed)
     # a random formula, widened past 300 closure bits by a balanced
@@ -299,8 +301,9 @@ def test_state_order_key_sorts_like_bit_tuples_and_formula_sets(seed):
         parts = [And(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i]
                  for i in range(0, len(parts), 2)]
     phi = nnf(And(random_ltl(rng, ("p", "q", "r"), 4), parts[0]))
-    closure = _index(phi)[0]
-    n = len(closure)
+    formulas = closure(phi)
+    n = len(formulas)
+    assert n == len(_index(phi)[0])
     assert n >= 300
     full = (1 << n) - 1
     masks = [0, full, full >> 1, full ^ 1]
@@ -314,7 +317,7 @@ def test_state_order_key_sorts_like_bit_tuples_and_formula_sets(seed):
         masks += [dense, sparse, dense & cut, (dense & cut) | sparse]
     by_key = sorted(masks, key=_order)
     assert by_key == sorted(masks, key=_bits)
-    sets = {m: frozenset(closure[i] for i in _bits(m)) for m in masks}
+    sets = {m: frozenset(formulas[i] for i in _bits(m)) for m in masks}
     assert by_key == sorted(masks, key=lambda m: _state_key(sets[m]))
 
 
@@ -323,8 +326,8 @@ def assert_emptiness_agrees_with_emerson_lei(phi):
     assert empty != emerson_lei_nonempty(reference_automaton(phi))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=300)
+@given(SEEDS)
 def test_emptiness_agrees_with_emerson_lei_random(seed):
     rng = random.Random(seed)
     assert_emptiness_agrees_with_emerson_lei(
@@ -365,15 +368,15 @@ def test_lasso_equals_reference_lasso_unrolled_body():
     assert_lasso_equals_reference(unrolled_e3a2_body())
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=100)
+@given(SEEDS)
 def test_lasso_equals_reference_lasso_random(seed):
     rng = random.Random(seed)
     assert_lasso_equals_reference(nnf(random_ltl(rng, ("p", "q", "r"), 3)))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=40)
+@given(SEEDS)
 def test_automaton_of_the_table_path_equals_reference_random(seed):
     # build_automaton reads the table to_nnf makes from a parsed formula,
     # or walks the tree to_nnf makes from its body: both automata are the
@@ -387,8 +390,8 @@ def test_automaton_of_the_table_path_equals_reference_random(seed):
     table_path = to_nnf(desugar(parse_hyperltl(render(body))))
     tree_path = to_nnf(desugar(body))
     reference = reference_automaton(reference_nnf(reference_desugar(body)))
-    assert formula_sets(build_automaton(table_path)) == reference
-    assert formula_sets(build_automaton(tree_path)) == reference
+    assert formula_sets(build_automaton(table_path), table_path) == reference
+    assert formula_sets(build_automaton(tree_path), tree_path) == reference
 
 
 @pytest.mark.parametrize(
@@ -405,5 +408,5 @@ def test_rows_left_apart_index_as_one(text):
     phi = parse_hyperltl(text)
     reduce = drop_quantifiers if text.startswith("forall") else zip_exists
     core = desugar(reduce(phi).formula)
-    assert len(core._table[1]) > len(core_table(core.body)[1])
+    assert len(core._table[0]) > len(core_table(core.body)[0])
     assert build_automaton(core) == build_automaton(core.body)

@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from hypersat import models, syntax
 from hypersat.errors import ParseError, ResourceLimit, WellFormednessError
@@ -53,12 +53,20 @@ from hypersat.syntax import (
     render,
 )
 
-from generators import SIX_STONES, random_ltl, random_trace, random_trace_set
+from generators import (
+    SEEDED,
+    SEEDS,
+    SIX_STONES,
+    random_ltl,
+    random_trace,
+    random_trace_set,
+)
 from oracles import (
     enumerate_lassos,
     naive_eval,
     naive_eval_hyper,
     naive_holds,
+    reference_desugar,
     reference_fold,
     reference_listing,
     reference_parse,
@@ -138,13 +146,26 @@ def test_evaluate_ltl_rejects_indexed_atoms():
         evaluate_ltl(tr([], [{"a"}]), Atom("a", "pi"))
 
 
-def test_evaluate_ltl_rejects_sugar_before_indexed_atoms():
-    # the whole formula is checked for core connectives first
+def test_evaluate_ltl_takes_sugar_and_rejects_indexed_atoms():
+    # sugar rows are evaluated as they stand; an indexed atom is refused
+    # with or without sugar around it
+    t = tr([], [{"a"}])
+    sugar = Eventually(Atom("a"))
+    assert evaluate_ltl(t, sugar) is True
+    assert evaluate_hyperltl(TraceSet(frozenset({t})), HyperFormula((), sugar))
     phi = And(Atom("a", "pi"), Eventually(Atom("a")))
-    with pytest.raises(ValueError, match="expects a desugared formula"):
-        evaluate_ltl(tr([], [{"a"}]), phi)
-    with pytest.raises(WellFormednessError, match="indexed atom a_pi"):
-        evaluate_ltl(tr([], [{"a"}]), desugar(phi))
+    for formula in (phi, desugar(phi)):
+        with pytest.raises(WellFormednessError, match="indexed atom a_pi"):
+            evaluate_ltl(t, formula)
+
+
+@settings(SEEDED, max_examples=250)
+@given(SEEDS)
+def test_evaluate_ltl_on_sugar_matches_the_naive_evaluator_random(seed):
+    rng = random.Random(seed)
+    t = random_trace(rng, PROPS, 3, 3)
+    phi = random_ltl(rng, PROPS, 4)
+    assert evaluate_ltl(t, phi) == naive_eval(t, reference_desugar(phi))
 
 
 # Hand-built formulas reach the evaluator unchecked by the parser; each
@@ -261,7 +282,7 @@ def test_parsed_formula_evaluates_without_building_its_body(monkeypatch):
     def build(*_):
         raise AssertionError("the tree of a parsed body was built")
 
-    monkeypatch.setattr(syntax, "_build_body", build)
+    monkeypatch.setattr(syntax, "_nodes", build)
     phi = parse_hyperltl(text)
     assert evaluate_hyperltl(TraceSet(frozenset(witness)), phi) is True
     assert evaluate_hyperltl(TraceSet(frozenset(witness[1:])), phi) is False
@@ -280,14 +301,14 @@ def test_parsed_formula_evaluates_without_building_its_body(monkeypatch):
 def test_solve_and_implication_build_no_parsed_body(monkeypatch):
     # the reductions, desugar, to_nnf and the tableau read the parsed
     # tables, so no tree of a parsed body is made until the body is read
-    built = []  # the node column of each table whose body was built
-    build = syntax._build_body
+    built = []  # each table whose nodes were made
+    build = syntax._nodes
 
     def counted(table):
-        built.append(id(table[0]))
+        built.append(id(table))
         return build(table)
 
-    monkeypatch.setattr(syntax, "_build_body", counted)
+    monkeypatch.setattr(syntax, "_nodes", counted)
     for text in (
         "exists p. exists q. G (a_p <-> !a_q) & F b_p",
         "exists p. forall q. G (a_q -> X a_p)",
@@ -298,7 +319,7 @@ def test_solve_and_implication_build_no_parsed_body(monkeypatch):
         solve(phi)
         assert built == []
         assert phi.body is phi.body
-        assert built == [id(compile_formula(phi)[0])]
+        assert built == [id(compile_formula(phi))]
         built.clear()
     for left, right, verdict in (
         ("forall p. G a_p", "forall p. F a_p", Holds),
@@ -361,8 +382,8 @@ def _assert_sugar_rows_agree(traces, phi, expected=None):
         assert value is expected
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=300)
+@given(SEEDS)
 def test_sugar_rows_evaluate_as_desugared_random(seed):
     rng = random.Random(seed)
     variables = ("x", "y")[: rng.randint(1, 2)]
@@ -444,8 +465,8 @@ def test_sugar_chain_has_two_rows_per_link():
         f"a{i}_p" for i in range(1, depth)
     )
     phi = parse_hyperltl(text)
-    for table in (compile_formula(phi), core_table(phi.body, sugar=True)):
-        _, ops, _, _, root = table
+    for table in (compile_formula(phi), core_table(phi.body)):
+        ops, _, _, root = table
         assert len(ops) == 3 + 2 * (depth - 1)
         assert ops.count(syntax.IFF) == depth - 1
         assert root == len(ops) - 1
@@ -473,8 +494,8 @@ def test_position_shift_coherence():
     assert evaluate_ltl(t, Next(phi)) == evaluate_ltl(t.tail(), phi)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=150)
+@given(SEEDS)
 def test_position_shift_coherence_random(seed):
     rng = random.Random(seed)
     t = random_trace(rng, PROPS, 3, 3)
@@ -490,8 +511,8 @@ def test_evaluator_agrees_with_unrolled_semantics_exhaustive():
             assert evaluate_ltl(t, phi) == naive_eval(t, phi)
 
 
-@settings(max_examples=250, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=250)
+@given(SEEDS)
 def test_evaluator_agrees_with_unrolled_semantics_random(seed):
     rng = random.Random(seed)
     t = random_trace(rng, PROPS, 3, 3)
@@ -545,8 +566,8 @@ PREFIXES = [
 @pytest.mark.parametrize(
     "quantifiers", PREFIXES, ids=lambda shape: "".join(q[0] for q in shape)
 )
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=25)
+@given(SEEDS)
 def test_hyper_evaluator_agrees_with_expanded_semantics(quantifiers, seed):
     # every quantifier order over one to three variables, forall-exists-
     # exists (the correspondence encoding's shape) included; loops of one
@@ -562,8 +583,8 @@ def test_hyper_evaluator_agrees_with_expanded_semantics(quantifiers, seed):
 @pytest.mark.parametrize(
     "lane_bits", [0, 24, 1 << 30], ids=["enumerated", "mixed", "packed"]
 )
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=150)
+@given(SEEDS)
 def test_hyper_evaluator_agrees_across_width_bounds(lane_bits, seed):
     # a width bound of 0 enumerates every variable one trace at a time,
     # 24 bits leave some variables enumerated and some packed, and an
@@ -672,16 +693,16 @@ def test_parse_trace_rejects_missing_loop():
         parse_trace("{a} |")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=200)
+@given(SEEDS)
 def test_format_parse_round_trip_random(seed):
     rng = random.Random(seed)
     t = random_trace(rng, ("a", "b", "c"), 4, 4)
     assert parse_trace(format_trace(t)) == t
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=200)
+@given(SEEDS)
 def test_canonical_same_valuations_random(seed):
     rng = random.Random(seed)
     t = random_trace(rng, PROPS, 3, 4)

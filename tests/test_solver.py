@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from hypersat import implication, solver, syntax
 from hypersat.errors import ResourceLimit, WellFormednessError
@@ -35,12 +35,11 @@ from hypersat.syntax import (
     HyperFormula,
     Not,
     parse_hyperltl,
-    rename_trace_variable,
 )
 
-from generators import random_ltl, random_quantified
+from generators import SEEDED, SEEDS, random_ltl, random_quantified
 from make_golden import GOLDEN, answer
-from oracles import all_valuations, enumerate_lassos
+from oracles import all_valuations, enumerate_lassos, rename_trace_variable
 
 FORALL_GOLDEN = "forall p1. forall p2. (G b_p1) & (G !b_p2)"
 EXISTS_GOLDEN = "exists p1. exists p2. a_p1 & (G !b_p1) & (G b_p2)"
@@ -145,8 +144,8 @@ def test_deterministic_results():
         assert hyper_sat(phi) == first
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=150)
+@given(SEEDS)
 def test_alternation_free_models_verify_random(seed):
     rng = random.Random(seed)
     if rng.random() < 0.5:
@@ -159,8 +158,8 @@ def test_alternation_free_models_verify_random(seed):
         assert evaluate_hyperltl(result.model, phi)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=60)
+@given(SEEDS)
 def test_exists_forall_models_verify_random(seed):
     rng = random.Random(seed)
     phi = random_quantified(
@@ -178,8 +177,8 @@ def test_exists_forall_models_verify_random(seed):
 # variable names the same trace.
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=150)
+@given(SEEDS)
 def test_exists_and_forall_of_one_variable_agree(seed):
     rng = random.Random(seed)
     body = random_ltl(rng, ("p", "q"), rng.randrange(1, 4), ("x",))
@@ -190,8 +189,8 @@ def test_exists_and_forall_of_one_variable_agree(seed):
     assert len(verdicts) == 1
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=150)
+@given(SEEDS)
 def test_forall_pair_agrees_with_its_diagonal(seed):
     rng = random.Random(seed)
     body = random_ltl(rng, ("p", "q"), rng.randrange(1, 4), ("x", "y"))
@@ -229,8 +228,8 @@ def test_independent_pair_needs_two_traces():
     assert isinstance(result, Sat) and len(result.model) == 2
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=150)
+@given(SEEDS)
 def test_independent_pair_agrees_with_its_halves(seed):
     rng = random.Random(seed)
     phi = random_ltl(rng, ("p", "q"), rng.randrange(1, 4), ("x",))
@@ -306,8 +305,8 @@ def brute_force_exists_forall(phi, props, n):
     return False
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**63 - 1))
+@settings(SEEDED, max_examples=25)
+@given(SEEDS)
 def test_exists_forall_agrees_with_brute_force_sat_direction(seed):
     rng = random.Random(seed)
     phi = random_quantified(rng, ("p",), 2, 2, rng.randrange(1, 3))

@@ -34,7 +34,7 @@ EXPORTS = [
 
 FIELDS = {
     "GeneralizedBuchiAutomaton": [
-        "states", "initial", "transitions", "acceptance", "closure", "atoms",
+        "states", "initial", "transitions", "acceptance", "names", "atoms",
     ],
     "LtlReduction": ["formula", "substitution"],
     "Substitution": ["alphabet", "arity"],
