@@ -1,6 +1,8 @@
 """Satisfiability, implication checking, and model evaluation for
 temporal formulas quantified over execution traces."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AlphabetMismatch,
     HypersatError,
@@ -100,25 +102,7 @@ from .syntax import (
 )
 
 # The public API: every name imported above, and no submodule.
-__all__ = [
-    "AlphabetMismatch", "And", "Atom", "Const", "Eventually",
-    "ExistsForall", "ExistsStar", "FALSE", "Fails", "ForallExists",
-    "ForallStar", "Formula", "FragmentClass", "GeneralizedBuchiAutomaton",
-    "Globally", "Holds", "HyperFormula", "HyperSatResult",
-    "HypersatError", "Iff", "ImplicationVerdict", "Implies",
-    "InternalError", "InvalidInstance", "LtlReduction",
-    "MultiAlternation", "Next", "Not", "NotASolution", "Or",
-    "PairAlphabet", "ParseError", "PcpInstance", "Release",
-    "ResourceLimit", "Sat", "SolveStats", "SolverOptions", "Substitution",
-    "TRUE", "TraceSet", "UltimatelyPeriodicTrace", "Unsat", "Unsupported",
-    "UnsupportedFragment", "Until", "WeakUntil", "WellFormednessError",
-    "WrongFragment", "build_automaton", "check_emptiness",
-    "check_equivalence", "check_implication", "check_well_formed",
-    "classify", "desugar", "drop_quantifiers", "encode_pcp",
-    "encode_solution_traceset", "evaluate_hyperltl", "evaluate_ltl",
-    "extract_model", "format_trace", "format_trace_set",
-    "free_trace_variables", "hyper_sat", "ltl_sat", "make_trace",
-    "parse_hyperltl", "parse_trace", "parse_trace_set", "project",
-    "render", "solve", "substituted_conjuncts", "to_nnf",
-    "unroll_universals", "zip_exists", "zip_traces",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

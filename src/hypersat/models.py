@@ -74,12 +74,6 @@ class UltimatelyPeriodicTrace:
             return self.stem[i]
         return self.loop[(i - len(self.stem)) % len(self.loop)]
 
-    def tail(self) -> "UltimatelyPeriodicTrace":
-        """The suffix starting at position 1."""
-        if self.stem:
-            return UltimatelyPeriodicTrace(self.stem[1:], self.loop)
-        return UltimatelyPeriodicTrace((), self.loop[1:] + self.loop[:1])
-
     def propositions(self) -> frozenset[str]:
         out = set()
         for v in self.stem + self.loop:

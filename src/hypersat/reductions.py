@@ -71,13 +71,6 @@ class Substitution:
             raise AlphabetMismatch(f"{fresh!r} tags trace {i}, arity {self.arity}")
         return name, i
 
-    def fresh_alphabet(self) -> tuple[str, ...]:
-        return tuple(
-            _tag(a, i)
-            for i in range(1, self.arity + 1)
-            for a in self.alphabet
-        )
-
 
 @dataclass(frozen=True)
 class LtlReduction:

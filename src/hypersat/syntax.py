@@ -39,8 +39,10 @@ memory, not by the interpreter's recursion limit:
   fold over its distinct node objects, operands first, so a formula with
   shared subformulas costs its distinct nodes, not its size as a tree.
   render writes from its own stack.
-* A node's hash is computed when it is made, from its operands' hashes,
-  and equality compares each pair of nodes once, from an explicit stack.
+* A node's hash is computed on first use, in one explicit-stack pass
+  that hashes every node below it that has none yet, operands first, and
+  keeps each; equality compares the two hashes, then each pair of nodes
+  once, from an explicit stack.
 * compile_formula gives a formula's own table, or walks any other
   formula's body into one, and checks the formula from its atom rows;
   check_well_formed is compile_formula with the table dropped, and the
@@ -64,16 +66,42 @@ from .errors import ParseError, WellFormednessError
 class Formula:
     """Base class for LTL formula nodes.
 
-    Equality is structural.  A node's hash is computed when it is made,
-    from its operands' hashes, and stored in its _hash slot.  The node
-    types are frozen dataclasses with no fields of their own: their slots
-    and __init__ come from one base per shape, which sets each slot
-    through its descriptor, past the frozen __setattr__.  An operand that
-    is no formula leaves the node unhashable, as hashing it would fail."""
+    Equality is structural.  A node's hash is computed on first use, in
+    one pass that hashes every node below it that has none yet, operands
+    first, and stores each in its _hash slot, past the frozen __setattr__:
+    a later hash of any of them is one read.  The node types are frozen,
+    slotted dataclasses that declare their own fields.  An operand that is
+    no formula makes hashing, and so equality, raise TypeError."""
 
     __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        stack: list = [self]
+        while stack:
+            f = stack[-1]
+            t = type(f)
+            arity = _ARITY.get(t)
+            try:
+                if arity == 2:
+                    key = t, f.left._hash, f.right._hash
+                elif arity == 1:
+                    key = t, f.operand._hash
+                elif t is Atom:
+                    key = t, f.name, f.trace
+                elif t is Const:
+                    key = t, f.value
+                else:
+                    raise TypeError(f"not a formula node: {f!r}")
+            except AttributeError:
+                # An operand has no hash yet: hash it first, then come back.
+                stack += (f.right, f.left) if arity == 2 else (f.operand,)
+                continue
+            stack.pop()
+            object.__setattr__(f, "_hash", hash(key))
         return self._hash
 
     def __repr__(self) -> str:
@@ -104,7 +132,7 @@ class Formula:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        if self._hash != other._hash:
+        if hash(self) != hash(other):
             return False
         # A pair of compound nodes is compared once, however many paths
         # reach it.
@@ -134,156 +162,82 @@ class Formula:
         return True
 
 
-class _AtomSlots(Formula):
-    __slots__ = ("name", "trace")
-
-    def __init__(self, name: str, trace: str | None = None) -> None:
-        _set_name(self, name)
-        _set_trace(self, trace)
-        _set_hash(self, hash((type(self), name, trace)))
-
-    def __reduce__(self):
-        return type(self), (self.name, self.trace)
-
-
-class _ConstSlots(Formula):
-    __slots__ = ("value",)
-
-    def __init__(self, value: bool) -> None:
-        _set_value(self, value)
-        _set_hash(self, hash((type(self), value)))
-
-    def __reduce__(self):
-        return type(self), (self.value,)
-
-
-class _Unary(Formula):
-    __slots__ = ("operand",)
-
-    def __init__(self, operand: Formula) -> None:
-        _set_operand(self, operand)
-        try:
-            _set_hash(self, hash((type(self), operand._hash)))
-        except AttributeError:
-            pass
-
-    def __reduce__(self):
-        return type(self), (self.operand,)
-
-
-class _Binary(Formula):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula) -> None:
-        _set_left(self, left)
-        _set_right(self, right)
-        try:
-            _set_hash(self, hash((type(self), left._hash, right._hash)))
-        except AttributeError:
-            pass
-
-    def __reduce__(self):
-        return type(self), (self.left, self.right)
-
-
-# Each slot's own setter, which the frozen __setattr__ does not stand in.
-_set_hash = Formula._hash.__set__
-_set_name = _AtomSlots.name.__set__
-_set_trace = _AtomSlots.trace.__set__
-_set_value = _ConstSlots.value.__set__
-_set_operand = _Unary.operand.__set__
-_set_left = _Binary.left.__set__
-_set_right = _Binary.right.__set__
-
-# The dataclass decorator of a node type: fields, __match_args__ and the
-# frozen __setattr__ and __delattr__, over its base's slots.  The repr is
-# Formula's own, which does not recurse.
-_node = dataclass(frozen=True, eq=False, init=False, repr=False)
+# The dataclass decorator of a node type: fields, __init__,
+# __match_args__, slots and the frozen __setattr__ and __delattr__.  The
+# repr, equality and hash are Formula's own, which do not recurse.
+_node = dataclass(frozen=True, eq=False, repr=False, slots=True)
 
 
 @_node
-class Atom(_AtomSlots):
-    __slots__ = ()
+class Atom(Formula):
     name: str
-    trace: str | None
+    trace: str | None = None
 
 
 @_node
-class Const(_ConstSlots):
-    __slots__ = ()
+class Const(Formula):
     value: bool
 
 
 @_node
-class Not(_Unary):
-    __slots__ = ()
+class Not(Formula):
     operand: Formula
 
 
 @_node
-class And(_Binary):
-    __slots__ = ()
+class And(Formula):
     left: Formula
     right: Formula
 
 
 @_node
-class Or(_Binary):
-    __slots__ = ()
+class Or(Formula):
     left: Formula
     right: Formula
 
 
 @_node
-class Implies(_Binary):
-    __slots__ = ()
+class Implies(Formula):
     left: Formula
     right: Formula
 
 
 @_node
-class Iff(_Binary):
-    __slots__ = ()
+class Iff(Formula):
     left: Formula
     right: Formula
 
 
 @_node
-class Next(_Unary):
-    __slots__ = ()
+class Next(Formula):
     operand: Formula
 
 
 @_node
-class Until(_Binary):
-    __slots__ = ()
+class Until(Formula):
     left: Formula
     right: Formula
 
 
 @_node
-class Release(_Binary):
-    __slots__ = ()
+class Release(Formula):
     left: Formula
     right: Formula
 
 
 @_node
-class WeakUntil(_Binary):
-    __slots__ = ()
+class WeakUntil(Formula):
     left: Formula
     right: Formula
 
 
 @_node
-class Eventually(_Unary):
-    __slots__ = ()
+class Eventually(Formula):
     operand: Formula
 
 
 @_node
-class Globally(_Unary):
-    __slots__ = ()
+class Globally(Formula):
     operand: Formula
 
 

@@ -90,6 +90,13 @@ def plain_copy(formula: Formula):
                    for f in dataclasses.fields(plain)))
 
 
+def trace_tail(trace: UltimatelyPeriodicTrace) -> UltimatelyPeriodicTrace:
+    """The suffix of a trace from position 1 on."""
+    if trace.stem:
+        return UltimatelyPeriodicTrace(trace.stem[1:], trace.loop)
+    return UltimatelyPeriodicTrace((), trace.loop[1:] + trace.loop[:1])
+
+
 def naive_eval(trace: UltimatelyPeriodicTrace, formula: Formula, pos: int = 0) -> bool:
     """Straightforward recursion on the semantic clauses.  Until and
     Release scan positions up to |stem| + 2*|loop| ahead, which covers a

@@ -36,7 +36,6 @@ def test_substitution_forward_and_inverse():
     assert sub.forward("b", 2) == "b@2"
     assert sub.inverse("a@1") == ("a", 1)
     assert sub.inverse("b@2") == ("b", 2)
-    assert sub.fresh_alphabet() == ("a@1", "b@1", "a@2", "b@2")
 
 
 def test_substitution_rejects_out_of_range():

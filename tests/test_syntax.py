@@ -649,8 +649,8 @@ def _node_samples() -> list:
 
 
 def test_nodes_keep_the_surface_of_plain_dataclasses():
-    # slotted nodes with a hash made on construction read, print, match,
-    # compare and refuse writes as the plain frozen dataclasses do
+    # slotted nodes that hash on first use read, print, match, compare and
+    # refuse writes to their fields as the plain frozen dataclasses do
     samples = _node_samples()
     assert {type(f) for f in samples} == set(PLAIN_NODES)
     plain = [plain_copy(f) for f in samples]
@@ -660,7 +660,7 @@ def test_nodes_keep_the_surface_of_plain_dataclasses():
         assert names == [field.name for field in dataclasses.fields(g)]
         assert type(f).__match_args__ == type(g).__match_args__
         assert not hasattr(f, "__dict__")
-        for name in [*names, "_hash"]:
+        for name in names:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(f, name, getattr(f, name))
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -685,6 +685,77 @@ def test_nodes_pickle_and_copy():
         ):
             assert type(g) is type(f) and g is not f
             assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+
+
+def _node_objects(formula: Formula) -> list:
+    """The distinct node objects of a formula, by identity, root first."""
+    seen, out, stack = set(), [], [formula]
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            out.append(f)
+            for field in dataclasses.fields(f):
+                child = getattr(f, field.name)
+                if isinstance(child, Formula):
+                    stack.append(child)
+    return out
+
+
+@settings(SEEDED, max_examples=200)
+@given(SEEDS)
+def test_hash_on_first_use_is_the_same_in_any_order(seed):
+    # hash a random subset of the subformulas first, in random order, then
+    # the root: hash and == agree with a fresh, unhashed build of the same
+    # formula, and == with the plain dataclasses' equality
+    def build(seed):
+        f = random_ltl(random.Random(seed), PROPS, 5)
+        return f, to_nnf(desugar(f))  # a tree and a DAG that shares nodes
+
+    rng = random.Random(seed ^ 1)
+    other = random_ltl(rng, PROPS, 5)
+    for f, fresh in zip(build(seed), build(seed)):
+        nodes = _node_objects(f)
+        for g in rng.sample(nodes, rng.randrange(len(nodes) + 1)):
+            hash(g)
+        assert not any(
+            hasattr(g, "_hash") for g in _node_objects(fresh)
+            if g is not TRUE and g is not FALSE  # shared by every table
+        )
+        assert hash(f) == hash(fresh) and f == fresh
+        assert all(hasattr(g, "_hash") for g in nodes)
+        for g in rng.sample(nodes, min(len(nodes), 8)):
+            for h in (other, fresh, rng.choice(nodes)):
+                assert (g == h) is (plain_copy(g) == plain_copy(h))
+                if g == h:
+                    assert hash(g) == hash(h)
+
+
+def test_made_and_parsed_nodes_hold_no_hash_until_asked():
+    for body in (
+        encode_pcp(SIX_STONES).body,
+        parse_hyperltl("exists x. G (a_x -> F b_x) & !(b_x <-> X a_x)").body,
+    ):
+        nodes = _node_objects(body)
+        assert not any(hasattr(g, "_hash") for g in nodes)
+        hash(body)
+        assert all(hasattr(g, "_hash") for g in nodes)
+
+
+def test_a_stored_hash_refuses_writes():
+    def build():
+        return And(Atom("a", "p"), Until(Atom("b"), Not(Atom("a", "p"))))
+
+    f = build()
+    hash(f)
+    for g in _node_objects(f):
+        before = hash(g)
+        with pytest.raises((TypeError, AttributeError)):
+            g._hash = before + 1
+        with pytest.raises((TypeError, AttributeError)):
+            del g._hash
+        assert hash(g) == before
+    assert hash(f) == hash(build())
 
 
 # Desugaring uses both operands of each <-> twice, so a d-link chain
@@ -731,6 +802,9 @@ def test_shared_chain_equality_is_linear():
     g = desugar(_iff_chain(40).body)
     twin = desugar(_iff_chain(40).body)
     assert g is not twin and g == twin
+    assert hash(g) == hash(twin)
+    # the NNF DAG, 15 * 2**38 - 6 nodes as a tree
+    assert to_nnf(g) == to_nnf(twin)
 
 
 def test_core_table_and_to_nnf_reject_what_they_cannot_compile():
@@ -748,6 +822,10 @@ def test_core_table_and_to_nnf_reject_what_they_cannot_compile():
         to_nnf(parse_hyperltl("a & F b"))
     with pytest.raises(TypeError, match="not a formula node: 'b'"):
         core_table(And(Atom("a"), Eventually("b")))
+    with pytest.raises(TypeError, match="not a formula node: 'x'"):
+        hash(Not("x"))
+    with pytest.raises(TypeError, match="not a formula node: 'x'"):
+        Not("x") == Not("x")
 
 
 # The differential parser test parses formulas from a small grammar, with
