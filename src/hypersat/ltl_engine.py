@@ -7,17 +7,18 @@ that postpone an eventuality forever.
 
 The closure is indexed once: each distinct subformula gets one bit, and
 bits are numbered in the canonical formula order, so the tableau runs on
-int bitmasks and ascending bit order is formula order.  Set-up reads
-each bit's operation code from the core node table and dispatches on it.
-Each bit's expansion alternatives are closed once, up front, under the
-bits that leave no choice, so saturation only searches over real
-branches, and a saturation with nothing to branch on is its closed start
-alone (or nothing, if the start clashes), with no search at all.  The
-search decides each branching bit once, every user before its operands,
-so no decision brings in a bit already passed and the search keeps only
-a set of member masks.  The order changes no result: for one choice of
-alternative per bit, a saturation is the least set that holds the start
-and is closed under those choices, in whatever order they are applied.
+int bitmasks and ascending bit order is formula order.  One set-up reads
+the table to_nnf makes, sorts its rows into bits, and fills each bit's
+tables from its operation code.  Each bit's expansion alternatives are
+closed once, up front, under the bits that leave no choice, so
+saturation only searches over real branches, and a saturation with
+nothing to branch on is its closed start alone (or nothing, if the start
+clashes), with no search at all.  The search decides each branching bit
+once, every user before its operands, so no decision brings in a bit
+already passed and the search keeps only a set of member masks.  The
+order changes no result: for one choice of alternative per bit, a
+saturation is the least set that holds the start and is closed under
+those choices, in whatever order they are applied.
 
 The reachable states are numbered 0..N-1 by one sort of their masks in
 the canonical state order, and emptiness runs on those numbers, so
@@ -48,7 +49,6 @@ from .syntax import (
     _nodes,
     _table_of,
     core_table,
-    desugar,
     to_nnf,
 )
 
@@ -75,68 +75,20 @@ def _order(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_FLIP) if mask else ""
 
 
-def _index(formula):
-    """The distinct subformulas of a desugared NNF formula in canonical
-    order, read from its table (a HyperFormula's own, or a Formula's
-    core_table): each position's operation code, its operand positions,
-    and its name or value if it is a leaf (else None), then the root's
-    position and every position listed operands first.  A sugar row, or
-    a NOT over no atom, raises ValueError.
-
-    The rows are the subformulas, operands first, and a row's operation
-    code is its rank.  The canonical order compares rank first, then
-    leaves by payload and compound nodes by their operands, left to
-    right.  Each row is sorted by its pre-order token string: one byte of
-    rank per node, and after a leaf's rank its four-byte position among
-    the sorted leaf payloads.  The rank fixes each token's length and
-    arity, so the strings are prefix-free and sort exactly like the
-    nested key, and two rows have one token exactly when they are equal
-    subformulas.  So rows that a row pass left apart share a position,
-    and every table of a formula indexes alike."""
-    table = _table_of(formula)
-    ops, lhs, rhs, root = table
-    operands: list[tuple[int, ...]] = []
-    for n, op in enumerate(ops):
-        if op <= CONST:
-            operands.append(())
-        elif op > RELEASE or op == NOT and ops[lhs[n]] != ATOM:
-            raise ValueError(
-                "automaton construction needs a desugared NNF formula, "
-                f"found {_nodes(table)[n]!r}"
-            )
-        elif op <= NEXT:
-            operands.append((lhs[n],))
-        else:
-            operands.append((lhs[n], rhs[n]))
-    leaves = sorted(
-        {(ops[n], lhs[n], rhs[n] or "") for n, op in enumerate(ops)
-         if op <= CONST}
-    )
-    leaf_code = {leaf: i.to_bytes(4, "big") for i, leaf in enumerate(leaves)}
-    tokens: list[bytes] = []  # operands precede their parents in the rows
-    for n, parts in enumerate(operands):
-        head = bytes((ops[n],))
-        if parts:
-            tokens.append(head + b"".join([tokens[p] for p in parts]))
-        else:
-            tokens.append(head + leaf_code[ops[n], lhs[n], rhs[n] or ""])
-    position = [0] * len(ops)
-    closure: list[int] = []  # a row of each position
-    for n in sorted(range(len(ops)), key=tokens.__getitem__):
-        if not closure or tokens[n] != tokens[closure[-1]]:
-            closure.append(n)
-        position[n] = len(closure) - 1
-    return (
-        [ops[n] for n in closure],
-        [tuple(position[p] for p in operands[n]) for n in closure],
-        [lhs[n] if ops[n] <= CONST else None for n in closure],
-        position[root],
-        list(dict.fromkeys(position)),
-    )
-
-
 class _Tableau:
     """Per-bit tables over the indexed closure, and saturation on ints.
+
+    The bits are the rows of a desugared NNF formula's table (a
+    HyperFormula's own, or a Formula's core_table), operands first, in
+    the canonical order: rank (a row's operation code) first, then leaves
+    by payload and compound nodes by their operands, left to right.  Each
+    row sorts by its pre-order token string: one byte of rank per node,
+    and after a leaf's rank its four-byte position among the sorted leaf
+    payloads.  The rank fixes each token's length and arity, so the
+    strings are prefix-free and sort like the nested key, and two rows
+    have one token exactly when they are equal subformulas: rows a row
+    pass left apart share a bit.  A sugar row, or a NOT over no atom,
+    raises ValueError.
 
     A bit is deterministic when exactly one of its expansion alternatives
     is consistent on its own (And, literals, Next, TRUE, a Release whose
@@ -147,25 +99,50 @@ class _Tableau:
     is consistent with a state exactly when the two masks do not meet."""
 
     def __init__(self, formula):
-        codes, operands, leaves, root, topological = _index(formula)
-        self.root = 1 << root
-        self.names = tuple(
-            [leaf if op == ATOM else None for op, leaf in zip(codes, leaves)]
+        table = _table_of(formula)
+        ops, lhs, rhs, root = table
+        leaves = sorted(
+            {(op, lhs[n], rhs[n] or "") for n, op in enumerate(ops)
+             if op <= CONST}
         )
-        n = len(codes)
-        # bits that contradict a literal: its complement.  Ranks order the
-        # closure, so the negated atoms follow the leaves, before the rest.
-        clash = [0] * n
-        for i, op in enumerate(codes):
+        leaf_code = {
+            leaf: i.to_bytes(4, "big") for i, leaf in enumerate(leaves)
+        }
+        tokens: list[bytes] = []  # operands precede their users in the rows
+        for n, op in enumerate(ops):
+            head = bytes((op,))
+            if op <= CONST:
+                tokens.append(head + leaf_code[op, lhs[n], rhs[n] or ""])
+            elif op > RELEASE or op == NOT and ops[lhs[n]] != ATOM:
+                raise ValueError(
+                    "automaton construction needs a desugared NNF formula, "
+                    f"found {_nodes(table)[n]!r}"
+                )
+            elif op <= NEXT:
+                tokens.append(head + tokens[lhs[n]])
+            else:
+                tokens.append(head + tokens[lhs[n]] + tokens[rhs[n]])
+        # each row's closure position: equal tokens share one
+        position = [0] * len(ops)
+        size, last = 0, None
+        for n in sorted(range(len(ops)), key=tokens.__getitem__):
+            if tokens[n] != last:
+                size, last = size + 1, tokens[n]
+            position[n] = size - 1
+        self.root = 1 << position[root]
+        # bits that contradict a literal: its complement, and FALSE itself
+        clash = [0] * size
+        for n, op in enumerate(ops):
             if op == NOT:
-                atom = operands[i][0]
+                i, atom = position[n], position[lhs[n]]
                 clash[i] = 1 << atom
                 clash[atom] |= 1 << i
-            elif op > NOT:
-                break
+            elif op == CONST and not lhs[n]:
+                clash[position[n]] = 1 << position[n]
+        names: list[str | None] = [None] * size
         # next-step obligation of a temporal bit, and the bit discharging it
-        self.step = [0] * n
-        self.guard = [0] * n
+        self.step = [0] * size
+        self.guard = [0] * size
         self.temporal = 0
         self.atoms = 0
         self.untils: list[tuple[int, int]] = []
@@ -173,21 +150,23 @@ class _Tableau:
         self.decisions: list[tuple[int, tuple[tuple[int, int], ...]]] = []
         self.branching = 0
         # each bit's closure under deterministic bits, and its clash mask
-        closure = self._closure = [(0, 0)] * n
+        closure = self._closure = [None] * size
 
-        for i in topological:  # operands before the bits that use them
-            op, bit = codes[i], 1 << i
+        for n, op in enumerate(ops):  # operands before the bits that use them
+            i = position[n]
+            if closure[i] is not None:
+                continue
+            bit = 1 << i
             if op <= NEXT:  # a leaf, a literal or a Next leaves no choice
                 if op == ATOM:
+                    names[i] = lhs[n]
                     self.atoms |= bit
-                elif op == CONST and not leaves[i]:
-                    clash[i] = bit  # FALSE clashes with itself
                 elif op == NEXT:
-                    self.step[i] = 1 << operands[i][0]
+                    self.step[i] = 1 << position[lhs[n]]
                     self.temporal |= bit
                 closure[i] = (bit, clash[i])
                 continue
-            left, right = operands[i]
+            left, right = position[lhs[n]], position[rhs[n]]
             if op == OR:
                 alternatives = (closure[left], closure[right])
             elif op == UNTIL:
@@ -208,15 +187,16 @@ class _Tableau:
                     self.step[i] = bit
                     self.guard[i] = 1 << left
                     self.temporal |= bit
-            alive = tuple(a for a in alternatives if not a[0] & a[1])
+            alive = [a for a in alternatives if not a[0] & a[1]]
             if len(alive) == 2:
-                self.decisions.append((bit, alive))
+                self.decisions.append((bit, tuple(alive)))
                 self.branching |= bit
                 closure[i] = (bit, clash[i])
             elif alive:
                 closure[i] = (bit | alive[0][0], clash[i] | alive[0][1])
             else:  # no consistent alternative: clashes with itself
                 closure[i] = (bit, bit)
+        self.names = tuple(names)
         self.decisions.reverse()
         self.untils.sort()  # canonical order, as the acceptance sets go
         # the states found so far, numbered in order of discovery, and the
@@ -309,7 +289,8 @@ class GeneralizedBuchiAutomaton:
 
 def build_automaton(formula) -> GeneralizedBuchiAutomaton:
     """Formula must be plain LTL, desugared, in NNF: a Formula, or a
-    HyperFormula whose table is read, as to_nnf makes it."""
+    HyperFormula whose table is read, as to_nnf makes it.  The tableau's
+    set-up indexes that table straight into its per-bit tables."""
     tableau = _Tableau(formula)
     saturate, saturated = tableau.saturate, tableau._saturated
     temporal, guard, step = tableau.temporal, tableau.guard, tableau.step
@@ -485,12 +466,12 @@ def check_emptiness(
 def ltl_sat(formula: Formula) -> UltimatelyPeriodicTrace | None:
     """Satisfiability of a plain LTL formula; a witness lasso or None.
     Accepts any plain formula: walks it once into a table, checks its atom
-    rows, and desugars and normalizes the table."""
+    rows, and normalizes the table, its sugar expanded on the way."""
     table = core_table(formula)
     for name, trace in _atom_rows(table):
         if trace is not None:
             raise ValueError(
                 f"indexed atom {name}_{trace} in plain LTL input"
             )
-    aut = build_automaton(to_nnf(desugar(_from_table((), table))))
+    aut = build_automaton(to_nnf(_from_table((), table)))
     return check_emptiness(aut)

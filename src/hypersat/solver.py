@@ -8,10 +8,11 @@ formula by the evaluator unless verification is switched off.  An
 unrolling or a re-check past its limit raises errors.ResourceLimit.
 
 One table goes from the parser to the tableau: the reduction relabels or
-copies the parsed table's rows into a prefix-free HyperFormula, desugar
-and to_nnf each make the next table from its rows, build_automaton
-indexes the last one, and the model is checked on the parsed table, so a
-parsed formula is neither walked nor made into a tree.
+copies the parsed table's rows into a prefix-free HyperFormula, to_nnf
+makes the NNF table in one walk that expands sugar, build_automaton
+indexes that table straight into the tableau's bit tables, and the model
+is checked on the parsed table, so a parsed formula is neither walked
+nor made into a tree.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .reductions import (
     unroll_universals,
     zip_exists,
 )
+# solve does not call desugar; the name stays for perfbench/spans.py to
+# patch (SOLVER_CALLS) until ROADMAP item 2b replaces the patching.
 from .syntax import HyperFormula, check_well_formed, desugar, to_nnf
 
 
@@ -106,7 +109,7 @@ def solve(
             )
             return UnsupportedFragment(cls, message), SolveStats()
 
-    automaton = build_automaton(to_nnf(desugar(reduction.formula)))
+    automaton = build_automaton(to_nnf(reduction.formula))
     stats = SolveStats(conjuncts, len(automaton.states))
     lasso = check_emptiness(automaton)
     if lasso is None:

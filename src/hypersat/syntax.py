@@ -28,13 +28,13 @@ memory, not by the interpreter's recursion limit:
   so a bad character anywhere is still the error reported, and otherwise
   it gives the failing token's position.
 * A formula is passed from the parser to the tableau as one table.  The
-  row passes read a table's rows, operands first, and make the next
-  table: _relabelled relabels atom rows for the reductions, _desugared
-  expands the sugar rows into core rows, and _nnf_table walks the rows
-  from the root, once per polarity reached, into hash-consed rows.  A
-  HyperFormula carries the table from one pass to the next and makes its
-  body only when the body is read; desugar, to_nnf and node_count read
-  its table, and the tableau reads the table to_nnf makes.
+  row passes read a table's rows and make the next table: _relabelled
+  relabels atom rows for the reductions, _desugared expands the sugar
+  rows for desugar, and _nnf_table walks the rows from the root, once
+  per polarity reached, into hash-consed rows, each sugar row expanded
+  once on the way.  A HyperFormula carries the table from one pass to
+  the next and makes its body only when the body is read; desugar,
+  to_nnf and node_count read its table, and the tableau reads to_nnf's.
 * A bare Formula is walked once into core_table's table, by _walk, one
   fold over its distinct node objects, operands first, so a formula with
   shared subformulas costs its distinct nodes, not its size as a tree.
@@ -808,37 +808,56 @@ def desugar(formula):
 
 
 def _nnf_table(table):
-    """The negation normal form of a core table, hash-consed, made by one
-    walk over the table's rows from the root, each (row, polarity) that
-    the root reaches once, operands first, left before right: a NOT row
-    walks its operand in the other polarity, a negated atom is a NOT row
-    over it, a negated constant the other constant, a negated NEXT stays
-    NEXT, and a negated binary connective becomes its dual.  The new rows
-    come in the order core_table's walk makes them for the same formula
-    as a tree, so the tableau decides its branches in that order too.  A
-    sugar row raises ValueError."""
+    """The negation normal form of a table, hash-consed, made by one walk
+    over its rows from the root, each (row, polarity) that the root
+    reaches once, operands first, left before right: a NOT row walks its
+    operand in the other polarity, a negated atom is a NOT row over it, a
+    negated constant the other constant, a negated NEXT stays NEXT, and a
+    negated binary connective becomes its dual.  A sugar row is expanded
+    once, by its rule in _DESUGAR, into core rows appended to a copy of
+    the columns, and walked as its expansion's top row; so the walk takes
+    the steps it takes over _desugared's table, row for row.  The new
+    rows come in the order core_table's walk makes them for the same
+    formula as a tree, so the tableau decides its branches in that order
+    too."""
     ops, lhs, rhs, root = table
-    _, make, finish = _new_table()
+    ops, lhs, rhs = list(ops), list(lhs), list(rhs)
+    expanded: dict[int, int] = {}  # sugar row -> its expansion's top row
+
+    def append(op, left, right=None):
+        ops.append(op)
+        lhs.append(left)
+        rhs.append(right)
+        return len(ops) - 1
+
+    by_key, make, finish = _new_table()
     done: dict[tuple, int] = {}  # (row, negated) -> its new row
     values: list[int] = []  # the new rows of the operands walked so far
-    # A (row, negated) pair is still to walk; a (row, negated, None) step
-    # makes the row's new row from its operands' on top of values.
+    # A (row, negated) pair is still to walk; a (~row, negated) step makes
+    # the row's new row from its operands' on top of values.
     stack: list[tuple] = [(root, False)]
     while stack:
-        entry = stack.pop()
-        i, negated = entry[:2]
-        op = ops[i]
-        if len(entry) == 3:
+        i, negated = entry = stack.pop()
+        if i < 0:
+            i = ~i
+            op = ops[i]
             if op == NEXT:
-                row = make(NEXT, values.pop())
+                key = NEXT, values.pop(), None
             else:
                 right = values.pop()
-                row = make(op ^ negated, values.pop(), right)
+                key = op ^ negated, values.pop(), right
+            row = by_key.setdefault(key, len(by_key))
         elif entry in done:
             values.append(done[entry])
             continue
-        elif op == NOT:
+        elif (op := ops[i]) == NOT:
             stack.append((lhs[i], not negated))
+            continue
+        elif op > RELEASE:
+            top = expanded.get(i)
+            if top is None:
+                top = expanded[i] = _DESUGAR[op](append, lhs[i], rhs[i])
+            stack.append((top, negated))
             continue
         elif op == ATOM:
             row = make(ATOM, lhs[i], rhs[i])
@@ -846,13 +865,8 @@ def _nnf_table(table):
                 row = make(NOT, row)
         elif op == CONST:
             row = make(CONST, lhs[i] != negated)
-        elif op > RELEASE:
-            raise ValueError(
-                "to_nnf expects a desugared formula, found "
-                f"{_nodes(table)[i]!r}"
-            )
         else:
-            stack.append((i, negated, None))
+            stack.append((~i, negated))
             if op != NEXT:
                 stack.append((rhs[i], negated))
             stack.append((lhs[i], negated))
@@ -863,10 +877,10 @@ def _nnf_table(table):
 
 
 def to_nnf(formula):
-    """Push negations to the atoms of a desugared formula, in the row
-    passes of _nnf_table.  A HyperFormula comes back with its prefix and
-    the new table, and a Formula as a tree in which equal subformulas
-    share one node."""
+    """Push negations to the atoms of a formula, expanding its sugar on the
+    way, in the one walk of _nnf_table.  A HyperFormula comes back with its
+    prefix and the new table, and a Formula as a tree in which equal
+    subformulas share one node."""
     table = _nnf_table(_table_of(formula))
     if isinstance(formula, HyperFormula):
         return _from_table(formula.prefix, table)

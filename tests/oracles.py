@@ -369,6 +369,30 @@ def closure(formula) -> list:
     return sorted(set(_subformulas(formula)), key=sort_key)
 
 
+def closure_keys(formula: Formula) -> list:
+    """The sort_key of each distinct subformula of a desugared NNF formula,
+    in the canonical order: closure(formula) as keys, made by one fold
+    over the formula as a tree that hashes no formula, so the keys stay
+    right, and cheap, when formula hashing is broken."""
+    keys = set()
+
+    def keep(key):
+        keys.add(key)
+        return key
+
+    def leaf(f):
+        if type(f) is Atom:
+            return keep((0, f.name, f.trace or ""))
+        return keep((1, f.value))
+
+    build = {
+        t: lambda *operands, rank=rank: keep((rank, *operands))
+        for t, rank in _RANKS.items() if _ARITY[t]
+    }
+    reference_fold(*reference_listing(formula, leaf), build)
+    return sorted(keys)
+
+
 def formula_sets(aut, formula) -> FormulaSets:
     """The engine's GeneralizedBuchiAutomaton of the formula with each
     state as its set of closure formulas, read from its states' bitmasks

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypersat.ltl_engine import (
     _Tableau,
     _bits,
-    _index,
     _order,
     build_automaton,
     check_emptiness,
@@ -47,9 +46,9 @@ from generators import SEEDED, SEEDS, random_ltl
 from oracles import (
     _next_obligations,
     _saturate,
-    _state_key,
     bounded_lasso_sat,
     closure,
+    closure_keys,
     emerson_lei_nonempty,
     formula_sets,
     naive_eval,
@@ -57,6 +56,7 @@ from oracles import (
     reference_desugar,
     reference_lasso,
     reference_nnf,
+    sort_key,
 )
 
 
@@ -287,6 +287,13 @@ def test_automaton_shape_read_by_the_tracer(name, shape):
     ) == shape
 
 
+@settings(SEEDED, max_examples=100)
+@given(SEEDS)
+def test_closure_keys_are_the_sort_keys_of_the_closure(seed):
+    phi = nnf(random_ltl(random.Random(seed), ("p", "q", "r"), 3))
+    assert closure_keys(phi) == [sort_key(f) for f in closure(phi)]
+
+
 @settings(SEEDED, max_examples=40)
 @given(SEEDS)
 def test_state_order_key_sorts_like_bit_tuples_and_formula_sets(seed):
@@ -301,9 +308,10 @@ def test_state_order_key_sorts_like_bit_tuples_and_formula_sets(seed):
         parts = [And(*parts[i:i + 2]) if i + 1 < len(parts) else parts[i]
                  for i in range(0, len(parts), 2)]
     phi = nnf(And(random_ltl(rng, ("p", "q", "r"), 4), parts[0]))
-    formulas = closure(phi)
-    n = len(formulas)
-    assert n == len(_index(phi)[0])
+    # the closure's sort keys, which hash no formula
+    keys = closure_keys(phi)
+    n = len(keys)
+    assert n == len(_Tableau(phi).names)
     assert n >= 300
     full = (1 << n) - 1
     masks = [0, full, full >> 1, full ^ 1]
@@ -317,8 +325,10 @@ def test_state_order_key_sorts_like_bit_tuples_and_formula_sets(seed):
         masks += [dense, sparse, dense & cut, (dense & cut) | sparse]
     by_key = sorted(masks, key=_order)
     assert by_key == sorted(masks, key=_bits)
-    sets = {m: frozenset(formulas[i] for i in _bits(m)) for m in masks}
-    assert by_key == sorted(masks, key=lambda m: _state_key(sets[m]))
+    # each mask as its set of closure formulas, keyed as _state_key keys it
+    assert by_key == sorted(
+        masks, key=lambda m: tuple(sorted(keys[i] for i in _bits(m)))
+    )
 
 
 def assert_emptiness_agrees_with_emerson_lei(phi):

@@ -364,3 +364,18 @@ def test_solve_and_implication_make_no_walk(monkeypatch):
         for quantifiers in ((EXISTS,), (FORALL,), (EXISTS, FORALL))
         for sugar in SUGAR_TOKENS
     }
+
+
+def test_solve_and_implication_make_no_desugared_table(monkeypatch):
+    # to_nnf expands the sugar rows it reaches, so a sat or implies request
+    # makes no desugared table on the way from the reduction to the
+    # tableau: the golden corpus answers as recorded with that pass made
+    # to fail
+    def desugared(*_):
+        raise AssertionError("a desugared table on the sat path")
+
+    monkeypatch.setattr(syntax, "_desugared", desugared)
+    for name in ("sat_mix.jsonl", "large_automata.jsonl", "implies.jsonl"):
+        for line in (GOLDEN / name).read_text(encoding="utf-8").splitlines():
+            recorded = json.loads(line)
+            assert answer(recorded["text"]) == recorded, recorded["text"]

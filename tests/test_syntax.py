@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import pickle
 import random
 import re
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersat.errors import ParseError, WellFormednessError
+from hypersat.fragments import ExistsForall, ExistsStar, ForallStar, classify
 from hypersat.pcp import encode_pcp
+from hypersat.reductions import drop_quantifiers, unroll_universals, zip_exists
 from hypersat.syntax import (
     And,
     Atom,
@@ -45,6 +48,7 @@ from hypersat.syntax import (
 )
 
 from generators import SEEDED, SEEDS, SIX_STONES, random_ltl, random_quantified
+from make_golden import GOLDEN
 from oracles import (
     PLAIN_NODES,
     enumerate_lassos,
@@ -807,19 +811,10 @@ def test_shared_chain_equality_is_linear():
     assert to_nnf(g) == to_nnf(twin)
 
 
-def test_core_table_and_to_nnf_reject_what_they_cannot_compile():
-    # core_table keeps sugar as rows of its own; only the NNF pass needs
-    # core rows, and it refuses the first sugar node it reaches
+def test_core_table_keeps_sugar_and_rejects_what_is_no_formula():
+    # core_table keeps sugar as rows of its own, which to_nnf expands
     phi = And(Atom("a"), Eventually(Atom("b")))
     assert _nodes(core_table(phi))[-1] == phi
-    with pytest.raises(
-        ValueError,
-        match=r"^to_nnf expects a desugared formula, "
-        r"found Eventually\(operand=Atom\(name='b'",
-    ):
-        to_nnf(phi)
-    with pytest.raises(ValueError, match="expects a desugared formula"):
-        to_nnf(parse_hyperltl("a & F b"))
     with pytest.raises(TypeError, match="not a formula node: 'b'"):
         core_table(And(Atom("a"), Eventually("b")))
     with pytest.raises(TypeError, match="not a formula node: 'x'"):
@@ -929,3 +924,50 @@ def test_table_passes_equal_the_tree_passes_random(seed):
     # the NNF rows come in the order core_table's walk makes them, which
     # the tableau's decisions follow
     assert normal._table == core_table(normal.body)
+
+
+def _reduced(phi):
+    """The prefix-free formula solve hands to to_nnf."""
+    match classify(phi):
+        case ForallStar():
+            return drop_quantifiers(phi).formula
+        case ExistsStar():
+            return zip_exists(phi).formula
+        case ExistsForall():
+            return zip_exists(unroll_universals(phi)).formula
+
+
+def assert_to_nnf_expands_sugar_row_for_row(formula):
+    assert to_nnf(formula)._table == to_nnf(desugar(formula))._table
+
+
+@settings(SEEDED, max_examples=150)
+@given(SEEDS)
+def test_to_nnf_expands_sugar_row_for_row_random(seed):
+    # to_nnf walks sugar rows too, each expanded once by its desugaring
+    # rule and walked in the polarity it is reached in, so it makes the
+    # rows to_nnf(desugar(f)) makes, in the same order; a bare Formula
+    # comes back as the equal tree
+    body = _all_node_types_body(random.Random(seed))
+    assert_to_nnf_expands_sugar_row_for_row(parse_hyperltl(render(body)))
+    phi = parse_hyperltl("exists p. forall q. " + render(map_atoms(
+        body, lambda a: Atom(a.name, "p" if a.name == "p" else "q")
+    )))
+    assert_to_nnf_expands_sugar_row_for_row(phi)
+    assert_to_nnf_expands_sugar_row_for_row(_reduced(phi))
+    assert to_nnf(body) == to_nnf(desugar(body))
+    assert to_nnf(body) == reference_nnf(reference_desugar(body))
+
+
+def test_to_nnf_expands_sugar_row_for_row_golden():
+    # every golden sat and implies text, parsed and reduced
+    checked = 0
+    for name in ("sat_mix.jsonl", "large_automata.jsonl", "implies.jsonl"):
+        for line in (GOLDEN / name).read_text(encoding="utf-8").splitlines():
+            text = json.loads(line)["text"]
+            for phi in map(parse_hyperltl, [text] if isinstance(text, str)
+                           else text):
+                assert_to_nnf_expands_sugar_row_for_row(phi)
+                assert_to_nnf_expands_sugar_row_for_row(_reduced(phi))
+                checked += 1
+    assert checked == 1410
