@@ -1,15 +1,21 @@
-"""Write the golden corpus: the answers of fixed sat and implies requests.
+"""Write the golden corpus: the answers of fixed sat, implies and
+encode-pcp requests.
 
     PYTHONPATH=src python tests/make_golden.py
 
-Each request is answered with the library calls the CLI's sat and implies
-handlers make, with the CLI's default options, and written as one JSON
-line: the request's text, the verdict, the `stats` the CLI prints
-(conjuncts and automaton_states) and the printed model lines.  The texts
-are the 1,000 random sat queries of the sat-mix pool, copied out of
-perfbench/keys.json, the eight requests of the large-automata pool, and
-200 implication pairs drawn with a fixed seed from the pool's exists-only
-and forall-only queries, the countermodels of the failing ones included.
+Each request is answered with the library calls the CLI's sat, implies
+and encode-pcp handlers make, with the CLI's default options, and written
+as one JSON line.  A sat or implies line holds the request's text, the
+verdict, the `stats` the CLI prints (conjuncts and automaton_states) and
+the printed model lines.  The texts are the 1,000 random sat queries of
+the sat-mix pool, copied out of perfbench/keys.json, the eight requests
+of the large-automata pool, and 200 implication pairs drawn with a fixed
+seed from the pool's exists-only and forall-only queries, the
+countermodels of the failing ones included.  An encode-pcp line holds
+the instance with its solution, the sha256 and length of the formula
+text that `encode-pcp` prints, and the witness lines that `encode-pcp
+--solution` prints; the instances are the eight of the eval-pcp pool,
+read from perfbench/keys.json, test_pcp.EXAMPLE and SIX_STONES.
 test_golden.py reads the lines back and answers every request again; a
 change that alters a line changes behaviour, so it must say so and write
 the corpus again.
@@ -17,6 +23,7 @@ the corpus again.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
@@ -25,8 +32,16 @@ from pathlib import Path
 from hypersat.fragments import ExistsStar, ForallStar, classify
 from hypersat.implication import Fails, Holds, check_implication
 from hypersat.models import format_trace
+from hypersat.pcp import (
+    encode_pcp,
+    encode_solution_traceset,
+    parse_instance,
+    parse_solution,
+)
 from hypersat.solver import Sat, SolverOptions, Unsat, solve
-from hypersat.syntax import parse_hyperltl
+from hypersat.syntax import parse_hyperltl, render
+
+from generators import SIX_STONES
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -54,6 +69,21 @@ LARGE_AUTOMATA = [
     f"exists p. ({X300}) & G !a_p",
 ]
 
+# The encode-pcp requests beside the eval-pcp pool's: test_pcp.EXAMPLE and
+# SIX_STONES, each with its solution.
+PCP_INSTANCES = [
+    {
+        "alphabet": ["a", "b"],
+        "stones": [["a", "baa"], ["ab", "aa"], ["bba", "bb"]],
+        "indices": [3, 2, 3, 1],
+    },
+    {
+        "alphabet": list(SIX_STONES.alphabet),
+        "stones": [list(stone) for stone in SIX_STONES.stones],
+        "indices": [1, 2, 3, 4, 5, 6],
+    },
+]
+
 
 def _lines(trace_set) -> list[str]:
     return [format_trace(t) for t in trace_set.sorted()]
@@ -62,7 +92,10 @@ def _lines(trace_set) -> list[str]:
 def answer(request) -> dict:
     """The golden line of a request: the JSON object that `hypersat sat
     --json --model` prints for a text, or `hypersat implies --json
-    --model` for a pair [antecedent, consequent], and the request."""
+    --model` for a pair [antecedent, consequent], and the request.  For an
+    instance {"alphabet", "stones", "indices"}, the line of encode_answer."""
+    if isinstance(request, dict):
+        return encode_answer(request)
     options = SolverOptions()
     line = {"text": request, "verdict": None, "stats": None, "model": None}
     if isinstance(request, list):
@@ -94,6 +127,23 @@ def answer(request) -> dict:
     return line
 
 
+def encode_answer(request: dict) -> dict:
+    """The golden line of an encode-pcp request: the sha256 and length of
+    the formula text that `hypersat encode-pcp` prints for the instance,
+    and the witness lines that `--solution` prints for its indices."""
+    instance = parse_instance(
+        json.dumps({"alphabet": request["alphabet"], "stones": request["stones"]})
+    )
+    text = render(encode_pcp(instance))
+    indices = parse_solution(json.dumps({"indices": request["indices"]}))
+    return {
+        "text": request,
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "length": len(text),
+        "witness": _lines(encode_solution_traceset(instance, indices)),
+    }
+
+
 def implication_pairs(texts: list[str], count: int) -> list[list[str]]:
     """Pairs of the alternation-free texts, both sides drawn at random with
     a fixed seed: the implications the implies handler can decide."""
@@ -110,12 +160,17 @@ def implication_pairs(texts: list[str], count: int) -> list[list[str]]:
 
 def corpus() -> dict[str, list]:
     """Each golden file's name and its requests, in order."""
-    pool = json.loads(KEYS.read_text(encoding="utf-8"))["sat_mix"]["queries"]
-    texts = [entry["text"] for entry in pool]
+    keys = json.loads(KEYS.read_text(encoding="utf-8"))
+    texts = [entry["text"] for entry in keys["sat_mix"]["queries"]]
+    instances = [
+        {key: entry[key] for key in ("alphabet", "stones", "indices")}
+        for entry in keys["eval_pcp"]["instances"]
+    ]
     return {
         "sat_mix.jsonl": texts,
         "large_automata.jsonl": LARGE_AUTOMATA,
         "implies.jsonl": implication_pairs(texts, 200),
+        "encode_pcp.jsonl": instances + PCP_INSTANCES,
     }
 
 

@@ -1,5 +1,5 @@
-"""The golden corpus: fixed sat and implies requests answer exactly as
-recorded in tests/golden/ (written by tests/make_golden.py)."""
+"""The golden corpus: fixed sat, implies and encode-pcp requests answer
+exactly as recorded in tests/golden/ (written by tests/make_golden.py)."""
 
 import json
 from pathlib import Path
@@ -17,6 +17,7 @@ GOLDEN = Path(__file__).parent / "golden"
         ("sat_mix.jsonl", 1000),
         ("large_automata.jsonl", 8),
         ("implies.jsonl", 200),
+        ("encode_pcp.jsonl", 10),
     ],
 )
 def test_requests_answer_as_recorded(name, count):
