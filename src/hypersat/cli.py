@@ -144,20 +144,23 @@ def cmd_classify(args) -> int:
 
 
 def cmd_encode_pcp(args) -> int:
+    if args.instance == "-" and args.solution == "-":
+        raise ValueError("only one input may come from stdin")
     instance = pcp.parse_instance(_read(args.instance))
-    formula_text = render(pcp.encode_pcp(instance))
     trace_lines = None
     if args.solution is not None:
         indices = pcp.parse_solution(_read(args.solution))
         trace_set = pcp.encode_solution_traceset(instance, indices)
         trace_lines = _model_lines(trace_set)
+    # The formula is encoded only when it is printed.
     if args.json:
+        formula_text = render(pcp.encode_pcp(instance))
         _emit(args, "OK", trace_lines, None, {"formula": formula_text})
     elif trace_lines is not None:
         for line in trace_lines:
             print(line)
     else:
-        print(formula_text)
+        print(render(pcp.encode_pcp(instance)))
     return EXIT_OK
 
 

@@ -9,6 +9,12 @@ trace that is not all-hash starts with a whole stone and has a companion
 trace with that stone's contribution deleted.  Satisfiability of the
 result is exactly solvability of the instance, which is why formulas with
 a forall before an exists are refused by the solver.
+
+encode_pcp builds the formula as one hash-consed table (syntax's rows),
+with no formula node: each disjunction over a pattern of pairs on a trace
+is made once and shared by every stone that uses it, and the universal
+atoms are made once for the pairwise exclusions.  Its body is made only
+when it is read, as a parsed formula's is.
 """
 
 from __future__ import annotations
@@ -21,19 +27,20 @@ from functools import reduce
 from .errors import InvalidInstance, NotASolution
 from .models import TraceSet, UltimatelyPeriodicTrace
 from .syntax import (
-    And,
-    Atom,
+    AND,
+    ATOM,
+    EVENTUALLY,
     EXISTS,
     FORALL,
-    Eventually,
-    Formula,
-    Globally,
+    GLOBALLY,
+    IMPLIES,
+    NEXT,
+    NOT,
+    OR,
+    UNTIL,
     HyperFormula,
-    Implies,
-    Next,
-    Not,
-    Or,
-    Until,
+    _from_table,
+    _new_table,
 )
 
 HASH = "hash"
@@ -104,15 +111,70 @@ class PairAlphabet:
         return [self.prop(x, y) for x in syms for y in syms]
 
 
-def _pairs(pa: PairAlphabet, lefts, rights, trace: str) -> Formula:
-    pairs = itertools.product(lefts, rights)
-    return reduce(Or, [Atom(pa.prop(x, y), trace) for x, y in pairs])
+class _Rows:
+    """The rows of one encoding, made into one hash-consed table: each
+    disjunction over a (lefts, rights, trace) pattern is made once, and
+    every later use of it reads its row."""
 
+    def __init__(self, pa: PairAlphabet):
+        self.pa = pa
+        _, self.make, self.finish = _new_table()
+        self.disjunctions: dict[tuple, int] = {}
 
-def _nexts(k: int, formula: Formula) -> Formula:
-    for _ in range(k):
-        formula = Next(formula)
-    return formula
+    def fold(self, op: int, rows) -> int:
+        """The rows joined by op, left to right, as reduce would."""
+        make = self.make
+        return reduce(lambda left, right: make(op, left, right), rows)
+
+    def nexts(self, k: int, row: int) -> int:
+        for _ in range(k):
+            row = self.make(NEXT, row)
+        return row
+
+    def pairs(self, lefts, rights, trace: str) -> int:
+        """The disjunction of the pair atoms lefts x rights on trace."""
+        key = tuple(lefts), tuple(rights), trace
+        row = self.disjunctions.get(key)
+        if row is None:
+            make, prop = self.make, self.pa.prop
+            row = self.disjunctions[key] = self.fold(
+                OR,
+                [make(ATOM, prop(x, y), trace)
+                 for x, y in itertools.product(lefts, rights)],
+            )
+        return row
+
+    def stone_start(self, top: str, bottom: str, continuing: bool) -> int:
+        """Pattern pinning positions 0..max(|top|,|bottom|) of a trace that
+        begins with this stone, followed by another stone (continuing) or
+        by hash padding."""
+        pa = self.pa
+        return self.fold(AND, [
+            self.nexts(j, self.pairs(_side(pa, top, j, continuing),
+                                     _side(pa, bottom, j, continuing),
+                                     UNIVERSAL))
+            for j in range(max(len(top), len(bottom)) + 1)
+        ])
+
+    def stone(self, top: str, bottom: str) -> int:
+        make, pa = self.make, self.pa
+        start = make(
+            OR,
+            self.stone_start(top, bottom, continuing=True),
+            self.stone_start(top, bottom, continuing=False),
+        )
+        all_syms = pa.symbols()
+        deletes = []
+        for side, word in enumerate((top, bottom)):
+            for base in list(pa.alphabet) + [HASH]:
+                pair = [all_syms, all_syms]
+                pair[side] = pa.variants(base)
+                deletes.append(make(GLOBALLY, make(
+                    IMPLIES,
+                    self.nexts(len(word), self.pairs(*pair, UNIVERSAL)),
+                    self.pairs(*pair, SHIFTED),
+                )))
+        return self.fold(AND, [start] + deletes)
 
 
 def _side(pa: PairAlphabet, word: str, j: int, continuing: bool) -> list:
@@ -129,89 +191,41 @@ def _side(pa: PairAlphabet, word: str, j: int, continuing: bool) -> list:
     return pa.dotted_any() if j == len(word) else pa.symbols()
 
 
-def _stone_start(
-    pa: PairAlphabet, top: str, bottom: str, continuing: bool
-) -> Formula:
-    """Pattern pinning positions 0..max(|top|,|bottom|) of a trace that
-    begins with this stone, followed by another stone (continuing) or by
-    hash padding."""
-    terms = [
-        _nexts(j, _pairs(pa, _side(pa, top, j, continuing),
-                         _side(pa, bottom, j, continuing), UNIVERSAL))
-        for j in range(max(len(top), len(bottom)) + 1)
-    ]
-    return reduce(And, terms)
-
-
-def _stone_encoding(pa: PairAlphabet, top: str, bottom: str) -> Formula:
-    start = Or(
-        _stone_start(pa, top, bottom, continuing=True),
-        _stone_start(pa, top, bottom, continuing=False),
-    )
-    all_syms = pa.symbols()
-    deletes = []
-    for side, word in enumerate((top, bottom)):
-        for base in list(pa.alphabet) + [HASH]:
-            pair = [all_syms, all_syms]
-            pair[side] = pa.variants(base)
-            deletes.append(
-                Globally(
-                    Implies(
-                        _nexts(len(word), _pairs(pa, *pair, UNIVERSAL)),
-                        _pairs(pa, *pair, SHIFTED),
-                    )
-                )
-            )
-    return reduce(And, [start] + deletes)
-
-
 def encode_pcp(instance: PcpInstance) -> HyperFormula:
+    """The instance's formula, built as one hash-consed table; its body is
+    made only when it is read."""
     pa = PairAlphabet(instance.alphabet)
+    rows = _Rows(pa)
+    make = rows.make
     hash_pair = pa.prop(HASH, HASH)
 
-    solution_start = reduce(
-        Or,
-        [
-            Atom(pa.prop(dotted(s), dotted(s)), SOLUTION)
-            for s in instance.alphabet
-        ],
-    )
-    matched = reduce(
-        Or,
-        [
-            Atom(pa.prop(x, y), SOLUTION)
-            for s in instance.alphabet
-            for x, y in itertools.product(pa.variants(s), pa.variants(s))
-        ],
-    )
-    solution = And(
+    solution_start = rows.fold(OR, [
+        make(ATOM, pa.prop(dotted(s), dotted(s)), SOLUTION)
+        for s in instance.alphabet
+    ])
+    matched = rows.fold(OR, [
+        make(ATOM, pa.prop(x, y), SOLUTION)
+        for s in instance.alphabet
+        for x, y in itertools.product(pa.variants(s), pa.variants(s))
+    ])
+    solution = make(
+        AND,
         solution_start,
-        Until(matched, Globally(Atom(hash_pair, SOLUTION))),
+        make(UNTIL, matched, make(GLOBALLY, make(ATOM, hash_pair, SOLUTION))),
     )
 
-    stones = reduce(
-        Or, [_stone_encoding(pa, *stone) for stone in instance.stones]
-    )
-    stones_or_blank = Or(stones, Globally(Atom(hash_pair, UNIVERSAL)))
-
-    props = pa.all_props()
-    singleton = reduce(
-        And,
-        [
-            Globally(Not(And(Atom(a, UNIVERSAL), Atom(b, UNIVERSAL))))
-            for a, b in itertools.combinations(props, 2)
-        ],
-    )
-
-    body = And(
-        And(
-            And(solution, Eventually(Globally(Atom(hash_pair, UNIVERSAL)))),
-            stones_or_blank,
-        ),
-        singleton,
-    )
+    blank = make(GLOBALLY, make(ATOM, hash_pair, UNIVERSAL))
+    stones = rows.fold(OR, [rows.stone(*stone) for stone in instance.stones])
+    universal = [make(ATOM, a, UNIVERSAL) for a in pa.all_props()]
+    singleton = rows.fold(AND, [
+        make(GLOBALLY, make(NOT, make(AND, a, b)))
+        for a, b in itertools.combinations(universal, 2)
+    ])
+    body = rows.fold(AND, [
+        solution, make(EVENTUALLY, blank), make(OR, stones, blank), singleton
+    ])
     prefix = ((FORALL, UNIVERSAL), (EXISTS, SOLUTION), (EXISTS, SHIFTED))
-    return HyperFormula(prefix, body)
+    return _from_table(prefix, rows.finish(body))
 
 
 def encode_solution_traceset(

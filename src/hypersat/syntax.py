@@ -10,9 +10,10 @@ memory, not by the interpreter's recursion limit:
 * A table is (ops, lhs, rhs, root): one row per subformula, operands
   first.  An atom row holds its name and trace, a constant row its value,
   and a compound row its operand rows; core_table's are hash-consed, one
-  row per distinct subformula, sugar included.  A formula node is made
-  only when a body is read, by one loop over the rows (_nodes), so equal
-  rows make one node.
+  row per distinct subformula, sugar included.  The parser, the row passes
+  and pcp.encode_pcp make tables, not nodes.  A formula node is made only
+  when a body is read, by one loop over the rows (_nodes), so equal rows
+  make one node; parsing, encoding, rendering and evaluating make none.
 * The parser reads the text with one C-level regular-expression scan into
   token strings, then runs one loop over them with an operand stack and an
   operator stack.  Two tables keyed by token text drive it: the prefix
@@ -38,7 +39,9 @@ memory, not by the interpreter's recursion limit:
 * A bare Formula is walked once into core_table's table, by _walk, one
   fold over its distinct node objects, operands first, so a formula with
   shared subformulas costs its distinct nodes, not its size as a tree.
-  render writes from its own stack.
+* render writes a formula's text from its table's rows, a HyperFormula's
+  own or core_table's of a bare Formula, in one pre-order walk from an
+  explicit stack: a row used twice is written at each use.
 * A node's hash is computed on first use, in one explicit-stack pass
   that hashes every node below it that has none yet, operands first, and
   keeps each; equality compares the two hashes, then each pair of nodes
@@ -268,19 +271,20 @@ class HyperFormula:
     """Prenex formula: quantifier prefix (possibly empty) plus LTL body.
 
     parse_hyperltl returns one whose body is made on first read, from the
-    parser's table, and so do the reductions, desugar and to_nnf, from
-    the tables of their row passes; until then vars() shows no body.  The
-    fields, constructor, repr, equality, hashing, pickling and
-    dataclasses.replace are as if the body were there from the start."""
+    parser's table, and so do pcp.encode_pcp, from its table, and the
+    reductions, desugar and to_nnf, from the tables of their row passes;
+    until then vars() shows no body.  The fields, constructor, repr,
+    equality, hashing, pickling and dataclasses.replace are as if the body
+    were there from the start."""
 
     prefix: tuple[tuple[str, str], ...]
     body: Formula
     # The body's table, in the layout of core_table(body), which
-    # parse_hyperltl builds as it parses and each row pass makes from
-    # another; a row pass may leave equal rows apart, which to_nnf's pass
-    # and the tableau's index merge.  It is no field: a formula made any
-    # other way, dataclasses.replace included, has none and is compiled
-    # by a walk.
+    # parse_hyperltl builds as it parses, encode_pcp builds as it encodes
+    # and each row pass makes from another; a row pass may leave equal
+    # rows apart, which to_nnf's pass and the tableau's index merge.  It
+    # is no field: a formula made any other way, dataclasses.replace
+    # included, has none and is compiled by a walk.
     _table = None
 
 
@@ -636,38 +640,44 @@ def node_count(formula) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rendering.  Compound nodes are fully parenthesized so that
+# Rendering.  Compound rows are fully parenthesized so that
 # parse(render(f)) == f without consulting precedence.  One pre-order walk
-# emits the pieces, which are joined once, so rendering is linear in size.
+# over the rows emits the pieces, which are joined once, so rendering is
+# linear in the size of the formula as a tree.
 
-# What a node writes before its operand, or between its operands.
-_PREFIX_TEXT = {t: "(" + op + " " for op, t in _PREFIX.items()}
-_INFIX_TEXT = {t: " " + op + " " for op, (_, _, t) in _INFIX.items()}
+# What a row of each operation code writes before its operand, or between
+# its operands.
+_OPERATOR_TEXT = {_CODES[t]: "(" + op + " " for op, t in _PREFIX.items()} | {
+    _CODES[t]: " " + op + " " for op, (_, _, t) in _INFIX.items()
+}
 
 
 def render(formula) -> str:
+    """The text of a formula or a HyperFormula, written from its table's
+    rows; a row used twice is written at each use."""
+    head = ""
     if isinstance(formula, HyperFormula):
         head = "".join(f"{q} {v}. " for q, v in formula.prefix)
-        return head + render(formula.body)
-    pieces = []
-    stack = [formula]  # nodes still to write, and text written after them
+    ops, lhs, rhs, root = _table_of(formula)
+    pieces = [head]
+    stack: list = [root]  # rows still to write, and text written after them
     while stack:
-        f = stack.pop()
-        t = type(f)
-        if t is str:
-            pieces.append(f)
-        elif t in _INFIX_TEXT:
+        i = stack.pop()
+        if type(i) is str:
+            pieces.append(i)
+            continue
+        op = ops[i]
+        if op == ATOM:
+            trace = rhs[i]
+            pieces.append(lhs[i] if trace is None else f"{lhs[i]}_{trace}")
+        elif op == CONST:
+            pieces.append("true" if lhs[i] else "false")
+        elif _BINARY[op]:
             pieces.append("(")
-            stack += (")", f.right, _INFIX_TEXT[t], f.left)
-        elif t in _PREFIX_TEXT:
-            pieces.append(_PREFIX_TEXT[t])
-            stack += (")", f.operand)
-        elif t is Atom:
-            pieces.append(f.name if f.trace is None else f"{f.name}_{f.trace}")
-        elif t is Const:
-            pieces.append("true" if f.value else "false")
+            stack += (")", rhs[i], _OPERATOR_TEXT[op], lhs[i])
         else:
-            raise TypeError(f"not a formula node: {f!r}")
+            pieces.append(_OPERATOR_TEXT[op])
+            stack += (")", lhs[i])
     return "".join(pieces)
 
 

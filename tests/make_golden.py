@@ -131,9 +131,9 @@ def encode_answer(request: dict) -> dict:
     """The golden line of an encode-pcp request: the sha256 and length of
     the formula text that `hypersat encode-pcp` prints for the instance,
     and the witness lines that `--solution` prints for its indices."""
-    instance = parse_instance(
-        json.dumps({"alphabet": request["alphabet"], "stones": request["stones"]})
-    )
+    instance = parse_instance(json.dumps(
+        {"alphabet": request["alphabet"], "stones": request["stones"]}
+    ))
     text = render(encode_pcp(instance))
     indices = parse_solution(json.dumps({"indices": request["indices"]}))
     return {

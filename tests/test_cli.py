@@ -178,6 +178,20 @@ def test_encode_pcp_solution_traces(write, capsys):
     assert all(line.endswith("| {p_hash_hash}") for line in lines)
 
 
+def test_encode_pcp_solution_makes_no_formula(write, capsys, monkeypatch):
+    # --solution without --json prints the witness only, so the formula is
+    # neither encoded nor rendered
+    inst = write("inst.json", PCP_INSTANCE)
+    sol = write("sol.json", json.dumps({"indices": [3, 2, 3, 1]}))
+    expected = run_main(capsys, "encode-pcp", inst, "--solution", sol)
+
+    def encode_pcp(_):
+        raise AssertionError("a formula encoded for --solution")
+
+    monkeypatch.setattr(cli.pcp, "encode_pcp", encode_pcp)
+    assert run_main(capsys, "encode-pcp", inst, "--solution", sol) == expected
+
+
 def test_encode_pcp_json(write, capsys):
     inst = write("inst.json", PCP_INSTANCE)
     sol = write("sol.json", json.dumps({"indices": [3, 2, 3, 1]}))
@@ -337,13 +351,15 @@ ARGUMENT_PINS = [
      "error: limits must be at least 1\n"),
     (["implies", "-", "-"], "error: only one input may come from stdin\n"),
     (["eval", "-", "-"], "error: only one input may come from stdin\n"),
+    (["encode-pcp", "-", "--solution", "-"],
+     "error: only one input may come from stdin\n"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, stderr", ARGUMENT_PINS,
     ids=["sat-period", "eval-period", "eval-negative-period",
-         "implies-stdin", "eval-stdin"],
+         "implies-stdin", "eval-stdin", "encode-pcp-stdin"],
 )
 def test_bad_arguments_pinned(write, capsys, argv, stderr):
     files = {

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from hypersat import syntax
+from hypersat.cli import main
 from hypersat.errors import InvalidInstance, NotASolution
 from hypersat.fragments import ForallExists, classify
 from hypersat.models import TraceSet, evaluate_hyperltl, make_trace
@@ -215,3 +217,43 @@ def test_six_stone_witness_satisfies_its_reparsed_encoding():
     assert len(text) > 60_000
     model = encode_solution_traceset(SIX_STONES, [1, 2, 3, 4, 5, 6])
     assert evaluate_hyperltl(model, parse_hyperltl(text))
+
+
+def test_encoding_rendering_and_evaluation_make_no_nodes(
+    monkeypatch, tmp_path, capsys
+):
+    # the encoder builds its table and render writes from the rows, so
+    # neither makes a formula node, and neither does evaluating the
+    # reparsed text: the CLI's encode-pcp and eval agree with the library
+    # with every node constructor and the table-to-node loop made to fail
+    text = render(encode_pcp(SIX_STONES))
+    model = encode_solution_traceset(SIX_STONES, [1, 2, 3, 4, 5, 6])
+
+    def refuse(*_, **__):
+        raise AssertionError("a formula node on the correspondence path")
+
+    monkeypatch.setattr(syntax, "_nodes", refuse)
+    for node_type in syntax._TYPES:
+        monkeypatch.setattr(node_type, "__init__", refuse)
+    assert render(encode_pcp(SIX_STONES)) == text
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({
+        "alphabet": list(SIX_STONES.alphabet),
+        "stones": [list(stone) for stone in SIX_STONES.stones],
+    }))
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({"indices": [1, 2, 3, 4, 5, 6]}))
+    outputs = {}
+    for name, argv in (
+        ("formula.hltl", ["encode-pcp", str(instance)]),
+        ("model.txt", ["encode-pcp", str(instance), "--solution",
+                       str(solution)]),
+    ):
+        assert main(argv) == 0
+        outputs[name] = tmp_path / name
+        outputs[name].write_text(capsys.readouterr().out)
+    assert outputs["formula.hltl"].read_text() == text + "\n"
+    assert evaluate_hyperltl(model, parse_hyperltl(text))
+    assert main(["eval", str(outputs["model.txt"]),
+                 str(outputs["formula.hltl"])]) == 0
+    assert capsys.readouterr() == ("TRUE\n", "")

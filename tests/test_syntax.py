@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypersat.errors import ParseError, WellFormednessError
 from hypersat.fragments import ExistsForall, ExistsStar, ForallStar, classify
+from hypersat.implication import _and_not
 from hypersat.pcp import encode_pcp
 from hypersat.reductions import drop_quantifiers, unroll_universals, zip_exists
 from hypersat.syntax import (
@@ -34,7 +35,9 @@ from hypersat.syntax import (
     TRUE,
     Until,
     WeakUntil,
+    _from_table,
     _nodes,
+    _table_of,
     atom_names,
     check_well_formed,
     compile_formula,
@@ -413,12 +416,39 @@ def test_parse_render_round_trip_random(seed):
 @settings(SEEDED, max_examples=300)
 @given(SEEDS)
 def test_render_matches_the_reference_fold_random(seed):
+    # a formula made of nodes, and the table-backed formulas of every row
+    # pass, each written from its table's rows and checked against the
+    # reference fold over its body
     rng = random.Random(seed)
+
+    def parsed(n_exists, n_forall):
+        phi = random_quantified(
+            rng, PROPS, rng.randrange(6), n_exists, n_forall
+        )
+        return parse_hyperltl(reference_render(phi))
+
     phi = random_quantified(
         rng, PROPS, rng.randrange(6), rng.randrange(3), rng.randrange(1, 3)
     )
     assert render(phi) == reference_render(phi)
     assert render(phi.body) == reference_render(phi.body)
+    left = parsed(rng.randrange(3), rng.randrange(1, 3))
+    right = parsed(rng.randrange(1, 3), 0)
+    made = [
+        left,
+        drop_quantifiers(parsed(0, rng.randrange(1, 3))).formula,
+        zip_exists(right).formula,
+        unroll_universals(parsed(rng.randrange(1, 3), rng.randrange(1, 3))),
+        desugar(left),
+        to_nnf(left),
+        _from_table(
+            left.prefix + right.prefix,
+            _and_not(_table_of(left), _table_of(right)),
+        ),
+    ]
+    assert not any("body" in vars(formula) for formula in made)
+    for formula in made:
+        assert render(formula) == reference_render(formula)
 
 
 @settings(SEEDED, max_examples=120)
