@@ -43,8 +43,6 @@ from .models import (
     evaluate_hyperltl,
     evaluate_ltl,
     format_trace,
-    format_trace_set,
-    make_trace,
     parse_trace,
     parse_trace_set,
 )
@@ -60,10 +58,8 @@ from .reductions import (
     drop_quantifiers,
     extract_model,
     project,
-    substituted_conjuncts,
     unroll_universals,
     zip_exists,
-    zip_traces,
 )
 from .solver import (
     HyperSatResult,
@@ -95,7 +91,6 @@ from .syntax import (
     WeakUntil,
     check_well_formed,
     desugar,
-    free_trace_variables,
     parse_hyperltl,
     render,
     to_nnf,

@@ -45,6 +45,7 @@ from .syntax import (
     UNTIL,
     Formula,
     _atom_rows,
+    _check_atoms,
     _from_table,
     _nodes,
     _table_of,
@@ -466,12 +467,10 @@ def check_emptiness(
 def ltl_sat(formula: Formula) -> UltimatelyPeriodicTrace | None:
     """Satisfiability of a plain LTL formula; a witness lasso or None.
     Accepts any plain formula: walks it once into a table, checks its atom
-    rows, and normalizes the table, its sugar expanded on the way."""
+    rows as every entry point does, so an indexed atom raises
+    WellFormednessError, and normalizes the table, its sugar expanded on
+    the way."""
     table = core_table(formula)
-    for name, trace in _atom_rows(table):
-        if trace is not None:
-            raise ValueError(
-                f"indexed atom {name}_{trace} in plain LTL input"
-            )
+    _check_atoms((), _atom_rows(table))
     aut = build_automaton(to_nnf(_from_table((), table)))
     return check_emptiness(aut)

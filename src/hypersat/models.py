@@ -74,31 +74,6 @@ class UltimatelyPeriodicTrace:
             return self.stem[i]
         return self.loop[(i - len(self.stem)) % len(self.loop)]
 
-    def propositions(self) -> frozenset[str]:
-        out = set()
-        for v in self.stem + self.loop:
-            out |= v
-        return frozenset(out)
-
-    def canonical(self) -> "UltimatelyPeriodicTrace":
-        """Shortest stem, shortest loop representation of the same word."""
-        loop = list(self.loop)
-        for d in range(1, len(loop) + 1):
-            if len(loop) % d == 0 and loop == loop[:d] * (len(loop) // d):
-                loop = loop[:d]
-                break
-        stem = list(self.stem)
-        while stem and stem[-1] == loop[-1]:
-            stem.pop()
-            loop = [loop[-1]] + loop[:-1]
-        return UltimatelyPeriodicTrace(tuple(stem), tuple(loop))
-
-
-def make_trace(stem, loop) -> UltimatelyPeriodicTrace:
-    return UltimatelyPeriodicTrace(
-        tuple(frozenset(v) for v in stem), tuple(frozenset(v) for v in loop)
-    )
-
 
 @dataclass(frozen=True)
 class TraceSet:
@@ -285,20 +260,19 @@ def evaluate_hyperltl(
     Every assignment of traces to the prefix variables is evaluated on one
     joint lasso: its stem is the longest stem in the set and its loop
     length the lcm of all loops, so each trace is periodic within it.
-    The body's core table, one row per distinct subformula, comes from
-    syntax.compile_formula: a parsed formula's own table, so evaluating it
-    walks nothing, or one walk's for a formula built by hand.  The
-    well-formedness check reads its atom rows.  One pass over the rows
-    computes each for all assignments at once, one lane per assignment,
-    and the quantifiers fold the root's lanes.  Where the lanes would span
-    more than LANE_BITS, the outermost variables are enumerated instead,
-    stopping as soon as an exists or forall is decided.  Raises
-    ResourceLimit if the lcm grows past period_guard, and ValueError if
-    period_guard is below 1.
+    The body's core table, one row per distinct subformula, is the one
+    check_well_formed checked: a parsed formula's own table, so evaluating
+    it walks nothing, or one walk's for a formula built by hand.  One pass
+    over the rows computes each for all assignments at once, one lane per
+    assignment, and the quantifiers fold the root's lanes.  Where the
+    lanes would span more than LANE_BITS, the outermost variables are
+    enumerated instead, stopping as soon as an exists or forall is
+    decided.  Raises ResourceLimit if the lcm grows past period_guard, and
+    ValueError if period_guard is below 1.
     """
     if period_guard < 1:
         raise ValueError("limits must be at least 1")
-    table = syntax.compile_formula(formula)
+    table = syntax.check_well_formed(formula)
     traces = trace_set.sorted()
     if formula.prefix:
         return _holds(table, formula.prefix, traces, period_guard)
@@ -358,10 +332,6 @@ def _parse_valuations(text: str, at: int) -> list[frozenset[str]]:
             start += len(n) + 1
         out.append(frozenset(n for n in names if n))
     return out
-
-
-def format_trace_set(ts: TraceSet) -> str:
-    return "\n".join(format_trace(t) for t in ts.sorted())
 
 
 def parse_trace_set(text: str) -> TraceSet:

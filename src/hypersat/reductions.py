@@ -19,7 +19,6 @@ deduplicates the conjuncts by their rows in one hash-consed table.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -31,11 +30,9 @@ from .syntax import (
     ATOM,
     CONST,
     EXISTS,
-    Formula,
     HyperFormula,
     _from_table,
     _new_table,
-    _nodes,
     _relabelled,
     _table_of,
 )
@@ -50,19 +47,14 @@ def _tag(name: str, i: int) -> str:
 
 @dataclass(frozen=True)
 class Substitution:
-    """Tags proposition a of trace i (1-based) as 'a@i' in the zipped
-    alphabet, and back."""
+    """The zipped alphabet of zip_exists: proposition a of trace i
+    (1-based) is tagged 'a@i', and inverse reads a tag back."""
 
     alphabet: tuple[str, ...]
     arity: int
 
-    def forward(self, name: str, i: int) -> str:
-        if name not in self.alphabet or not 1 <= i <= self.arity:
-            raise AlphabetMismatch(f"({name!r}, {i}) outside the substitution")
-        return _tag(name, i)
-
     def inverse(self, fresh: str) -> tuple[str, int]:
-        """The (name, i) that forward tags as fresh, for 1 <= i <= arity."""
+        """The (name, i) that _tag tags as fresh, for 1 <= i <= arity."""
         name, _, idx = fresh.rpartition("@")
         i = int(idx) if idx.isascii() and idx.isdigit() else 0
         if name not in self.alphabet or _tag(name, i) != fresh:
@@ -176,23 +168,6 @@ def _substituted(formula: HyperFormula, table, tops: list[int]):
     return make, finish, copies
 
 
-def substituted_conjuncts(formula: HyperFormula) -> list[Formula]:
-    """exists-forall: one copy of the body per assignment of existential
-    variables to the universal ones.  The first universal variable cycles
-    fastest through the existential choices.  Only atoms of universal
-    variables are replaced, and the copies are made from one hash-consed
-    table, so equal subformulas share one node."""
-    cls = classify(formula)
-    if not isinstance(cls, ExistsForall):
-        raise WrongFragment(
-            f"substituted_conjuncts needs exists-forall, got {cls.name}"
-        )
-    table = _table_of(formula)
-    _, finish, copies = _substituted(formula, table, [table[3]])
-    nodes = _nodes(finish(copies[0][0]))
-    return [nodes[row] for row, in copies]
-
-
 def unroll_universals(
     formula: HyperFormula, limit: int = DEFAULT_UNROLL_LIMIT
 ) -> HyperFormula:
@@ -259,27 +234,3 @@ def extract_model(
         return TraceSet(frozenset({lasso}))
     return project(lasso, reduction.substitution)
 
-
-def zip_traces(
-    traces: list[UltimatelyPeriodicTrace], sub: Substitution
-) -> UltimatelyPeriodicTrace:
-    """Merge traces t_1..t_n positionwise into one trace whose valuation
-    at j is the union of the tagged valuations t_i[j]."""
-    if len(traces) != sub.arity:
-        raise AlphabetMismatch(
-            f"expected {sub.arity} traces, got {len(traces)}"
-        )
-    stem_len = max(len(t.stem) for t in traces)
-    loop_len = 1
-    for t in traces:
-        loop_len = math.lcm(loop_len, len(t.loop))
-    joint = []
-    for j in range(stem_len + loop_len):
-        val = set()
-        for i, t in enumerate(traces, start=1):
-            for name in t.valuation_at(j):
-                val.add(sub.forward(name, i))
-        joint.append(frozenset(val))
-    return UltimatelyPeriodicTrace(
-        tuple(joint[:stem_len]), tuple(joint[stem_len:])
-    )

@@ -36,9 +36,9 @@ memory, not by the interpreter's recursion limit:
   once on the way.  A HyperFormula carries the table from one pass to
   the next and makes its body only when the body is read; desugar,
   to_nnf and node_count read its table, and the tableau reads to_nnf's.
-* A bare Formula is walked once into core_table's table, by _walk, one
-  fold over its distinct node objects, operands first, so a formula with
-  shared subformulas costs its distinct nodes, not its size as a tree.
+* A bare Formula is walked once into core_table's table, one loop over
+  its distinct node objects, operands first, so a formula with shared
+  subformulas costs its distinct nodes, not its size as a tree.
 * render writes a formula's text from its table's rows, a HyperFormula's
   own or core_table's of a bare Formula, in one pre-order walk from an
   explicit stack: a row used twice is written at each use.
@@ -46,11 +46,10 @@ memory, not by the interpreter's recursion limit:
   that hashes every node below it that has none yet, operands first, and
   keeps each; equality compares the two hashes, then each pair of nodes
   once, from an explicit stack.
-* compile_formula gives a formula's own table, or walks any other
-  formula's body into one, and checks the formula from its atom rows;
-  check_well_formed is compile_formula with the table dropped, and the
-  atom queries read a table's atom rows too.  The evaluator also reads
-  the table.
+* check_well_formed checks a formula from the atom rows of its own
+  table, or of a walk's over any other formula's body, and returns that
+  table, which the evaluator reads; atom_names reads a table's atom rows
+  too.
 """
 
 from __future__ import annotations
@@ -509,18 +508,13 @@ def parse_hyperltl(text: str) -> HyperFormula:
         raise
 
 
-def check_well_formed(formula: HyperFormula) -> None:
+def check_well_formed(formula: HyperFormula):
     """Prefix variables distinct; atoms indexed iff the prefix is non-empty;
-    every index bound.  compile_formula's checks, its table dropped."""
-    compile_formula(formula)
-
-
-def compile_formula(formula: HyperFormula):
-    """The formula's table, sugar included: the one parse_hyperltl or a
-    row pass made with the formula, or else one walk's.  Checks the
-    prefix, then the atom rows, raising WellFormednessError at the first
-    fault.  A formula's own table is shared by every call, so callers read
-    it and do not write into it."""
+    every index bound.  Checks the prefix, then the atom rows, raising
+    WellFormednessError at the first fault, and returns the table it
+    checked, sugar included: the one parse_hyperltl or a row pass made
+    with the formula, or else one walk's.  A formula's own table is shared
+    by every call, so callers read it and do not write into it."""
     _check_prefix(formula.prefix)
     table = _table_of(formula)
     _check_atoms(formula.prefix, _atom_rows(table))
@@ -570,56 +564,6 @@ def _check_atoms(prefix, atoms) -> None:
         raise WellFormednessError(
             f"indexed atom {indexed!r} in an unquantified formula"
         )
-
-
-# ---------------------------------------------------------------------------
-# The walk: one fold over the distinct nodes, operands first.
-
-def _walk(formula: Formula, make):
-    """Fold a formula bottom-up, each distinct node object once, in
-    first-encounter post-order: a node's value is make(op, left, right).
-    For a compound node left and right are its operands' values (right
-    None for NOT, NEXT, F and G); for an atom they are its name and trace,
-    and for a constant its value and None.  A node that is no formula
-    raises TypeError."""
-    done: dict[int, object] = {}  # id(node) -> its value
-    values: list = []  # the values of the operands walked so far
-    # A node on the stack is still to walk; a step (op, node) makes the
-    # node's value from the operand values on top of values, and sits
-    # below the operands' walks.
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if type(f) is tuple:
-            op, f = f
-            right = values.pop() if _BINARY[op] else None
-            left = values.pop()
-        elif id(f) in done:
-            values.append(done[id(f)])
-            continue
-        else:
-            op = _CODES.get(type(f))
-            if op is None:
-                raise TypeError(f"not a formula node: {f!r}")
-            if op == ATOM:
-                left, right = f.name, f.trace
-            elif op == CONST:
-                left, right = f.value, None
-            else:
-                stack.append((op, f))
-                if _BINARY[op]:
-                    stack += (f.right, f.left)
-                else:
-                    stack.append(f.operand)
-                continue
-        value = done[id(f)] = make(op, left, right)
-        values.append(value)
-    return values[0]
-
-
-def free_trace_variables(formula: Formula) -> set[str]:
-    atoms = _atom_rows(core_table(formula))
-    return {trace for _, trace in atoms if trace is not None}
 
 
 def atom_names(formula: Formula) -> set[str]:
@@ -710,8 +654,40 @@ def core_table(formula: Formula):
     post-order, so operands precede the rows that use them.  root is the
     formula's row.  F, G, W, -> and <-> are rows of their own, and a node
     that is no formula raises TypeError."""
-    _, make, finish = _new_table()
-    return finish(_walk(formula, make))
+    by_key, _, finish = _new_table()
+    done: dict[int, int] = {}  # id(node) -> its row
+    rows: list[int] = []  # the rows of the operands walked so far
+    # A node on the stack is still to walk; a step (op, node) makes the
+    # node's row from the operand rows on top of rows, and sits below the
+    # operands' walks.
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if type(f) is tuple:
+            op, f = f
+            right = rows.pop() if _BINARY[op] else None
+            left = rows.pop()
+        elif id(f) in done:
+            rows.append(done[id(f)])
+            continue
+        else:
+            op = _CODES.get(type(f))
+            if op is None:
+                raise TypeError(f"not a formula node: {f!r}")
+            if op == ATOM:
+                left, right = f.name, f.trace
+            elif op == CONST:
+                left, right = f.value, None
+            else:
+                stack.append((op, f))
+                if _BINARY[op]:
+                    stack += (f.right, f.left)
+                else:
+                    stack.append(f.operand)
+                continue
+        row = done[id(f)] = by_key.setdefault((op, left, right), len(by_key))
+        rows.append(row)
+    return finish(rows[0])
 
 
 def _table_of(formula):

@@ -75,6 +75,18 @@ MUTANTS = [
         "key = t, getattr(f.left, '_hash', 0), getattr(f.right, '_hash', 0)",
         ("test_syntax.py::test_hash_on_first_use_is_the_same_in_any_order",),
     ),
+    Mutant(
+        "check-well-formed-walks-a-parsed-formula",
+        "syntax.py",
+        "    table = _table_of(formula)\n"
+        "    _check_atoms(formula.prefix, _atom_rows(table))\n",
+        "    table = core_table(formula.body)\n"
+        "    _check_atoms(formula.prefix, _atom_rows(table))\n",
+        (
+            "test_syntax.py::"
+            "test_check_well_formed_returns_the_formulas_own_table",
+        ),
+    ),
     # rendering from the rows
     Mutant(
         "render-from-nodes",
@@ -143,6 +155,16 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "unroll-first-universal-slowest",
+        "reductions.py",
+        "target = dict(zip(univ_vars, reversed(raw)))",
+        "target = dict(zip(univ_vars, raw))",
+        (
+            "test_reductions.py::"
+            "test_unroll_conjunct_order_first_universal_fastest",
+        ),
+    ),
+    Mutant(
         "solve-desugars-first",
         "solver.py",
         "build_automaton(to_nnf(reduction.formula))",
@@ -163,6 +185,13 @@ MUTANTS = [
         ),
     ),
     # the tableau
+    Mutant(
+        "ltl-sat-atoms-unchecked",
+        "ltl_engine.py",
+        "    _check_atoms((), _atom_rows(table))\n",
+        "",
+        ("test_ltl_engine.py::test_ltl_sat_rejects_an_indexed_atom",),
+    ),
     Mutant(
         "tableau-token-merge-removed",
         "ltl_engine.py",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from collections import deque
 from typing import NamedTuple
 
@@ -88,6 +89,47 @@ def plain_copy(formula: Formula):
                        for f in dataclasses.fields(plain)))
     return plain(*(plain_copy(getattr(formula, f.name))
                    for f in dataclasses.fields(plain)))
+
+
+def make_trace(stem, loop) -> UltimatelyPeriodicTrace:
+    """The trace of a stem and a loop of valuations, each an iterable of
+    proposition names."""
+    return UltimatelyPeriodicTrace(
+        tuple(map(frozenset, stem)), tuple(map(frozenset, loop))
+    )
+
+
+def canonical_trace(trace: UltimatelyPeriodicTrace) -> UltimatelyPeriodicTrace:
+    """The shortest-stem, shortest-loop representation of the same word."""
+    loop = list(trace.loop)
+    for d in range(1, len(loop) + 1):
+        if len(loop) % d == 0 and loop == loop[:d] * (len(loop) // d):
+            loop = loop[:d]
+            break
+    stem = list(trace.stem)
+    while stem and stem[-1] == loop[-1]:
+        stem.pop()
+        loop = [loop[-1]] + loop[:-1]
+    return UltimatelyPeriodicTrace(tuple(stem), tuple(loop))
+
+
+def zip_traces(traces: list) -> UltimatelyPeriodicTrace:
+    """Traces t_1..t_n merged positionwise into one over the alphabet that
+    zip_exists makes: its valuation at j holds 'a@i' for each proposition
+    a of t_i[j].  The inverse of reductions.project."""
+    stem_len = max(len(t.stem) for t in traces)
+    loop_len = math.lcm(*(len(t.loop) for t in traces))
+    joint = [
+        frozenset(
+            f"{name}@{i}"
+            for i, t in enumerate(traces, start=1)
+            for name in t.valuation_at(j)
+        )
+        for j in range(stem_len + loop_len)
+    ]
+    return UltimatelyPeriodicTrace(
+        tuple(joint[:stem_len]), tuple(joint[stem_len:])
+    )
 
 
 def trace_tail(trace: UltimatelyPeriodicTrace) -> UltimatelyPeriodicTrace:

@@ -17,7 +17,7 @@ from hypersat.implication import (
     check_equivalence,
     check_implication,
 )
-from hypersat.models import TraceSet, evaluate_hyperltl, make_trace
+from hypersat.models import TraceSet, evaluate_hyperltl
 from hypersat.solver import Sat, SolverOptions, hyper_sat
 from hypersat.syntax import (
     Atom,
@@ -26,7 +26,7 @@ from hypersat.syntax import (
 )
 
 from generators import SEEDED, SEEDS, random_quantified
-from oracles import enumerate_lassos, map_atoms
+from oracles import enumerate_lassos, make_trace, map_atoms
 
 
 def rename_formula(phi: HyperFormula, mapping: dict) -> HyperFormula:

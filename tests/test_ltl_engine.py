@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from hypersat.errors import WellFormednessError
 from hypersat.ltl_engine import (
     _Tableau,
     _bits,
@@ -13,7 +14,7 @@ from hypersat.ltl_engine import (
     check_emptiness,
     ltl_sat,
 )
-from hypersat.models import evaluate_ltl, make_trace
+from hypersat.models import evaluate_ltl
 from hypersat.reductions import (
     drop_quantifiers,
     unroll_universals,
@@ -51,6 +52,7 @@ from oracles import (
     closure_keys,
     emerson_lei_nonempty,
     formula_sets,
+    make_trace,
     naive_eval,
     reference_automaton,
     reference_desugar,
@@ -102,6 +104,13 @@ def test_zipped_exists_witness_satisfies_formula():
 def test_ltl_sat_golden_verdicts():
     assert ltl_sat(And(Globally(Atom("b")), Globally(Not(Atom("b"))))) is None
     assert ltl_sat(Until(Atom("p"), Atom("q"))) is not None
+
+
+def test_ltl_sat_rejects_an_indexed_atom():
+    # the well-formedness rule of every entry point, before any tableau
+    message = "indexed atom 'b' in an unquantified formula"
+    with pytest.raises(WellFormednessError, match=message):
+        ltl_sat(Or(Atom("a"), Globally(Atom("b", "x"))))
 
 
 def test_witnesses_evaluate_true():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from hypersat import models, syntax
+from hypersat import ltl_engine, models, syntax
 from hypersat.errors import ParseError, ResourceLimit, WellFormednessError
 from hypersat.implication import Fails, Holds, check_implication
 from hypersat.models import (
@@ -20,8 +20,6 @@ from hypersat.models import (
     evaluate_hyperltl,
     evaluate_ltl,
     format_trace,
-    format_trace_set,
-    make_trace,
     parse_trace,
     parse_trace_set,
 )
@@ -46,7 +44,6 @@ from hypersat.syntax import (
     WeakUntil,
     _ARITY,
     check_well_formed,
-    compile_formula,
     core_table,
     desugar,
     parse_hyperltl,
@@ -62,7 +59,9 @@ from generators import (
     random_trace_set,
 )
 from oracles import (
+    canonical_trace,
     enumerate_lassos,
+    make_trace,
     naive_eval,
     naive_eval_hyper,
     naive_holds,
@@ -100,16 +99,18 @@ def test_empty_trace_set_rejected():
 
 
 def test_canonical_minimizes_period_and_stem():
-    assert tr([], [{"p"}, {"p"}]).canonical() == tr([], [{"p"}])
-    assert tr([{"p"}], [{"p"}]).canonical() == tr([], [{"p"}])
-    assert tr([{"q"}], [{"p"}, {"p"}]).canonical() == tr([{"q"}], [{"p"}])
+    assert canonical_trace(tr([], [{"p"}, {"p"}])) == tr([], [{"p"}])
+    assert canonical_trace(tr([{"p"}], [{"p"}])) == tr([], [{"p"}])
+    assert canonical_trace(tr([{"q"}], [{"p"}, {"p"}])) == tr(
+        [{"q"}], [{"p"}]
+    )
     rotated = tr([{"q"}, {"p"}], [{"q"}, {"p"}])
-    assert rotated.canonical() == tr([], [{"q"}, {"p"}])
+    assert canonical_trace(rotated) == tr([], [{"q"}, {"p"}])
 
 
 def test_canonical_preserves_meaning():
     t = tr([{"p"}, {"q"}], [{"p"}, {"q"}, {"p"}, {"q"}])
-    c = t.canonical()
+    c = canonical_trace(t)
     for i in range(12):
         assert t.valuation_at(i) == c.valuation_at(i)
 
@@ -225,15 +226,27 @@ def test_evaluation_reports_faults_as_check_well_formed(
 
 
 def test_evaluation_compiles_without_the_separate_walks(monkeypatch):
-    # the body is checked and desugared in the table's own walk
+    # the body is checked once, by the check that gives the table the
+    # evaluator reads, and it is neither desugared nor walked
+    checked = []
+    check = syntax.check_well_formed
+
+    def counted(formula):
+        checked.append(formula)
+        return check(formula)
+
     def walk(*_):
         raise AssertionError("a separate walk over the formula")
 
-    monkeypatch.setattr(syntax, "check_well_formed", walk)
+    monkeypatch.setattr(syntax, "check_well_formed", counted)
     monkeypatch.setattr(syntax, "desugar", walk)
+    monkeypatch.setattr(syntax, "core_table", walk)
     model = TraceSet(frozenset({tr([], [{"a"}])}))
-    assert evaluate_hyperltl(model, parse_hyperltl("exists p. G F a_p"))
-    assert evaluate_hyperltl(model, parse_hyperltl("F a -> G a"))
+    for text in ("exists p. G F a_p", "F a -> G a"):
+        phi = parse_hyperltl(text)
+        assert evaluate_hyperltl(model, phi)
+        assert checked == [phi]
+        checked.clear()
 
 
 def _six_stones():
@@ -251,7 +264,8 @@ def test_parsed_formula_evaluates_without_a_walk(monkeypatch):
     def walk(*_):
         raise AssertionError("a walk over the formula")
 
-    monkeypatch.setattr(syntax, "_walk", walk)
+    for module in (syntax, models, ltl_engine):
+        monkeypatch.setattr(module, "core_table", walk)
     phi = parse_hyperltl(text)
     assert evaluate_hyperltl(TraceSet(frozenset(witness)), phi) is True
     assert evaluate_hyperltl(TraceSet(frozenset(witness[1:])), phi) is False
@@ -320,7 +334,7 @@ def test_solve_and_implication_build_no_parsed_body(monkeypatch):
         solve(phi)
         assert built == []
         assert phi.body is phi.body
-        assert built == [id(compile_formula(phi))]
+        assert built == [id(check_well_formed(phi))]
         built.clear()
     for left, right, verdict in (
         ("forall p. G a_p", "forall p. F a_p", Holds),
@@ -466,7 +480,7 @@ def test_sugar_chain_has_two_rows_per_link():
         f"a{i}_p" for i in range(1, depth)
     )
     phi = parse_hyperltl(text)
-    for table in (compile_formula(phi), core_table(phi.body)):
+    for table in (check_well_formed(phi), core_table(phi.body)):
         ops, _, _, root = table
         assert len(ops) == 3 + 2 * (depth - 1)
         assert ops.count(syntax.IFF) == depth - 1
@@ -684,7 +698,8 @@ def test_trace_text_format_empty_stem():
 
 def test_trace_set_text_round_trip():
     ts = TraceSet(frozenset({tr([], [{"a"}]), tr([{"b"}], [set()])}))
-    assert parse_trace_set(format_trace_set(ts)) == ts
+    text = "\n".join(format_trace(t) for t in ts)
+    assert parse_trace_set(text) == ts
 
 
 def test_parse_trace_rejects_missing_loop():
@@ -707,8 +722,8 @@ def test_format_parse_round_trip_random(seed):
 def test_canonical_same_valuations_random(seed):
     rng = random.Random(seed)
     t = random_trace(rng, PROPS, 3, 4)
-    c = t.canonical()
+    c = canonical_trace(t)
     horizon = len(t.stem) + 2 * len(t.loop) + len(c.stem) + 2 * len(c.loop)
     for i in range(horizon):
         assert t.valuation_at(i) == c.valuation_at(i)
-    assert c.canonical() == c
+    assert canonical_trace(c) == c

@@ -8,7 +8,7 @@ from hypersat import syntax
 from hypersat.cli import main
 from hypersat.errors import InvalidInstance, NotASolution
 from hypersat.fragments import ForallExists, classify
-from hypersat.models import TraceSet, evaluate_hyperltl, make_trace
+from hypersat.models import TraceSet, evaluate_hyperltl
 from hypersat.pcp import (
     PairAlphabet,
     PcpInstance,
@@ -21,7 +21,7 @@ from hypersat.solver import UnsupportedFragment, hyper_sat
 from hypersat.syntax import EXISTS, FORALL, parse_hyperltl, render
 
 from generators import SIX_STONES
-from oracles import naive_holds
+from oracles import make_trace, naive_holds
 
 EXAMPLE = PcpInstance(("a", "b"), (("a", "baa"), ("ab", "aa"), ("bba", "bb")))
 

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from hypersat.errors import AlphabetMismatch, ResourceLimit, WrongFragment
-from hypersat.models import TraceSet, UltimatelyPeriodicTrace, make_trace
+from hypersat.models import TraceSet, UltimatelyPeriodicTrace
 from hypersat.reductions import (
     Substitution,
     drop_quantifiers,
     project,
-    substituted_conjuncts,
     unroll_universals,
     zip_exists,
-    zip_traces,
 )
 from hypersat.syntax import (
     And,
@@ -27,13 +25,15 @@ from hypersat.syntax import (
 )
 
 from generators import SEEDED, SEEDS, random_quantified, random_trace
-from oracles import reference_unroll
+from oracles import canonical_trace, make_trace, reference_unroll, zip_traces
 
 
 def test_substitution_forward_and_inverse():
-    sub = Substitution(("a", "b"), 2)
-    assert sub.forward("a", 1) == "a@1"
-    assert sub.forward("b", 2) == "b@2"
+    # forward is zip_exists' tagging, and inverse reads its tags back
+    red = zip_exists(parse_hyperltl("exists p1. exists p2. a_p1 & b_p2"))
+    sub = red.substitution
+    assert sub == Substitution(("a", "b"), 2)
+    assert red.formula.body == And(Atom("a@1"), Atom("b@2"))
     assert sub.inverse("a@1") == ("a", 1)
     assert sub.inverse("b@2") == ("b", 2)
 
@@ -41,9 +41,9 @@ def test_substitution_forward_and_inverse():
 def test_substitution_rejects_out_of_range():
     sub = Substitution(("a",), 1)
     with pytest.raises(AlphabetMismatch):
-        sub.forward("c", 1)
+        sub.inverse("c@1")
     with pytest.raises(AlphabetMismatch):
-        sub.forward("a", 2)
+        sub.inverse("a@2")
     with pytest.raises(AlphabetMismatch):
         sub.inverse("a@9")
     with pytest.raises(AlphabetMismatch):
@@ -51,7 +51,7 @@ def test_substitution_rejects_out_of_range():
 
 
 
-# Names forward never makes: an index in other Unicode digits, with a
+# Names zip_exists never makes: an index in other Unicode digits, with a
 # leading zero, a sign, an underscore or a space, none at all, or a name
 # outside the alphabet.  int() would read several of them as 1, and
 # raise ValueError on a superscript digit.
@@ -121,19 +121,39 @@ FOUR_BLOCK = (
 )
 
 
-def test_substituted_conjuncts_count_is_n_to_the_m():
-    phi = parse_hyperltl(FOUR_BLOCK)
-    assert len(substituted_conjuncts(phi)) == 4
+def _conjuncts(body) -> list:
+    """The top-level conjuncts of a body, left to right."""
+    parts = []
+    stack = [body]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack += (f.right, f.left)
+        else:
+            parts.append(f)
+    return parts
 
 
-def test_substituted_conjuncts_first_universal_fastest():
-    phi = parse_hyperltl(FOUR_BLOCK)
-    tail = "((G c_p1) & (G d_p2))"
-    expected = [
-        parse_hyperltl(f"exists p1. exists p2. ((G a_{u}) & (G b_{v})) & {tail}").body
+def test_unroll_conjunct_count_is_n_to_the_m():
+    # each copy substitutes every universal atom, so no two are equal
+    phi = parse_hyperltl(
+        "exists p1. exists p2. forall q1. forall q2. forall q3. "
+        "G (a_q1 & b_q2 & c_q3)"
+    )
+    assert len(_conjuncts(unroll_universals(phi).body)) == 2**3
+
+
+def test_unroll_conjunct_order_first_universal_fastest():
+    phi = parse_hyperltl(
+        "exists p1. exists p2. forall q1. forall q2. G (a_q1 & b_q2)"
+    )
+    expected = " & ".join(
+        f"(G (a_{u} & b_{v}))"
         for u, v in (("p1", "p1"), ("p2", "p1"), ("p1", "p2"), ("p2", "p2"))
-    ]
-    assert substituted_conjuncts(phi) == expected
+    )
+    assert unroll_universals(phi) == parse_hyperltl(
+        "exists p1. exists p2. " + expected
+    )
 
 
 def test_unroll_four_block_keeps_all_distinct_conjuncts():
@@ -164,16 +184,8 @@ def test_unroll_keeps_universal_free_conjuncts_as_they_are():
     # that has none is the input's own subformula, in every copy
     phi = parse_hyperltl(FOUR_BLOCK)
     kept = phi.body.right  # (G c_p1) & (G d_p2)
-    for conjunct in substituted_conjuncts(phi):
-        assert conjunct.right == kept
-    parts = []
-    stack = [unroll_universals(phi).body]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, And):
-            stack += (f.right, f.left)
-        else:
-            parts.append(f)
+    parts = _conjuncts(unroll_universals(phi).body)
+    assert len(parts) == 6  # the four copies share the two kept once
     assert parts[2] == kept.left and parts[3] == kept.right
 
 
@@ -222,17 +234,11 @@ def test_project_rejects_foreign_proposition():
         project(make_trace([], [{"a"}]), sub)
 
 
-def test_zip_traces_arity_checked():
-    sub = Substitution(("a",), 2)
-    with pytest.raises(AlphabetMismatch):
-        zip_traces([make_trace([], [{"a"}])], sub)
-
-
 def test_project_zip_round_trip_simple():
     sub = Substitution(("a", "b"), 2)
     t1 = make_trace([{"a"}], [{"b"}])
     t2 = make_trace([], [{"a", "b"}, set()])
-    zipped = zip_traces([t1, t2], sub)
+    zipped = zip_traces([t1, t2])
     split = project(zipped, sub)
     # zipping aligns both traces on a common shape, so compare as streams
     assert len(split.traces) == 2
@@ -259,7 +265,7 @@ def test_project_zip_identity_random(seed):
         random_trace(rng, props, 0, 0, stem_len=shape_stem, loop_len=shape_loop)
         for _ in range(arity)
     ]
-    zipped = zip_traces(originals, sub)
+    zipped = zip_traces(originals)
     assert project(zipped, sub) == TraceSet(frozenset(originals))
 
 
@@ -271,12 +277,12 @@ def test_project_zip_identity_mixed_shapes_random(seed):
     props = ("a", "b")
     sub = Substitution(props, arity)
     originals = [random_trace(rng, props, 3, 3) for _ in range(arity)]
-    zipped = zip_traces(originals, sub)
+    zipped = zip_traces(originals)
     got = project(zipped, sub)
     # mixed shapes realign on zip, so compare canonical representatives
-    assert {t.canonical() for t in got} == {
-        t.canonical() for t in originals
-    }
+    assert set(map(canonical_trace, got)) == set(
+        map(canonical_trace, originals)
+    )
 
 @settings(SEEDED, max_examples=200)
 @given(SEEDS)

@@ -9,14 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from hypersat import implication, solver, syntax
+from hypersat import implication, ltl_engine, models, solver, syntax
 from hypersat.errors import ResourceLimit, WellFormednessError
 from hypersat.fragments import ForallExists, MultiAlternation
 from hypersat.models import (
     TraceSet,
     UltimatelyPeriodicTrace,
     evaluate_hyperltl,
-    make_trace,
 )
 from hypersat.solver import (
     Sat,
@@ -39,7 +38,12 @@ from hypersat.syntax import (
 
 from generators import SEEDED, SEEDS, random_ltl, random_quantified
 from make_golden import GOLDEN, answer
-from oracles import all_valuations, enumerate_lassos, rename_trace_variable
+from oracles import (
+    all_valuations,
+    enumerate_lassos,
+    make_trace,
+    rename_trace_variable,
+)
 
 FORALL_GOLDEN = "forall p1. forall p2. (G b_p1) & (G !b_p2)"
 EXISTS_GOLDEN = "exists p1. exists p2. a_p1 & (G !b_p1) & (G b_p2)"
@@ -347,7 +351,8 @@ def test_solve_and_implication_make_no_walk(monkeypatch):
     def walk(*_):
         raise AssertionError("a walk over a formula on the sat path")
 
-    monkeypatch.setattr(syntax, "_walk", walk)
+    for module in (syntax, models, ltl_engine):
+        monkeypatch.setattr(module, "core_table", walk)
     covered = set()
     for name in ("sat_mix.jsonl", "large_automata.jsonl", "implies.jsonl"):
         for line in (GOLDEN / name).read_text(encoding="utf-8").splitlines():

@@ -25,11 +25,9 @@ EXPORTS = [
     "check_equivalence", "check_implication", "check_well_formed",
     "classify", "desugar", "drop_quantifiers", "encode_pcp",
     "encode_solution_traceset", "evaluate_hyperltl", "evaluate_ltl",
-    "extract_model", "format_trace", "format_trace_set",
-    "free_trace_variables", "hyper_sat", "ltl_sat", "make_trace",
+    "extract_model", "format_trace", "hyper_sat", "ltl_sat",
     "parse_hyperltl", "parse_trace", "parse_trace_set", "project",
-    "render", "solve", "substituted_conjuncts", "to_nnf",
-    "unroll_universals", "zip_exists", "zip_traces",
+    "render", "solve", "to_nnf", "unroll_universals", "zip_exists",
 ]
 
 FIELDS = {

@@ -16,6 +16,7 @@ from hypersat.implication import _and_not
 from hypersat.pcp import encode_pcp
 from hypersat.reductions import drop_quantifiers, unroll_universals, zip_exists
 from hypersat.syntax import (
+    ATOM,
     And,
     Atom,
     Const,
@@ -40,10 +41,8 @@ from hypersat.syntax import (
     _table_of,
     atom_names,
     check_well_formed,
-    compile_formula,
     core_table,
     desugar,
-    free_trace_variables,
     node_count,
     parse_hyperltl,
     render,
@@ -299,20 +298,6 @@ def test_nnf_constants_flip():
     assert to_nnf(Not(FALSE)) == TRUE
 
 
-def test_free_trace_variables_mixed():
-    body = And(Atom("a", "p1"), Atom("b", "p2"))
-    assert free_trace_variables(body) == {"p1", "p2"}
-
-
-def test_free_trace_variables_plain():
-    assert free_trace_variables(And(Atom("a"), Atom("b"))) == set()
-
-
-def test_free_trace_variables_golden_body():
-    phi = parse_hyperltl("forall p1. forall p2. (G b_p1) & (G !b_p2)")
-    assert free_trace_variables(phi.body) == {"p1", "p2"}
-
-
 def test_well_formedness_errors_keep_their_order():
     # an unbound variable is reported before an unindexed atom, and the
     # first offending atom from the left is the one named
@@ -332,7 +317,7 @@ def test_deep_conjunction_chain_parses():
     # of the well-formedness check must not recurse
     text = "exists p. " + " & ".join(["a_p"] * 25_000)
     body = parse_hyperltl(text).body
-    assert free_trace_variables(body) == {"p"}
+    assert atom_names(body) == {"a"}
 
 
 def _large_text_cases() -> dict:
@@ -608,7 +593,7 @@ def test_parsed_table_is_the_walked_table_random(seed):
         )
     phi = parse_hyperltl(render(HyperFormula(prefix, body)))
     assert phi.body == body
-    assert compile_formula(phi) == core_table(phi.body)
+    assert check_well_formed(phi) == core_table(phi.body)
 
 
 def test_a_new_formula_compiles_its_own_body():
@@ -620,12 +605,20 @@ def test_a_new_formula_compiles_its_own_body():
         HyperFormula(p.prefix, other),
         dataclasses.replace(p, body=other),
     ):
-        assert compile_formula(made) == core_table(other)
+        assert check_well_formed(made) == core_table(other)
         assert made == HyperFormula(p.prefix, other)
         assert repr(made) == (
             f"HyperFormula(prefix={p.prefix!r}, body={other!r})"
         )
-    assert compile_formula(p) == core_table(p.body)
+    assert check_well_formed(p) == core_table(p.body)
+
+
+def test_check_well_formed_returns_the_formulas_own_table():
+    # a parsed formula, and each row pass's output, is checked from the
+    # table it carries, which is returned as it is: no walk makes another
+    p = parse_hyperltl("exists x. forall y. G (a_x -> F b_y) & a_y W c_x")
+    for formula in (p, unroll_universals(p), to_nnf(p), desugar(p)):
+        assert check_well_formed(formula) is formula._table
 
 
 _COPIES = {
@@ -648,9 +641,9 @@ def test_copies_of_a_parsed_formula_keep_its_body_and_table(how, read_first):
     c = _COPIES[how](p)
     assert c == p and c.body == p.body and hash(c) == hash(p)
     assert c.body == reference_parse(text).body
-    assert compile_formula(c) == compile_formula(p)
+    assert check_well_formed(c) == check_well_formed(p)
     for f in (c, p):
-        assert compile_formula(f) == core_table(f.body)
+        assert check_well_formed(f) == core_table(f.body)
     flipped = dataclasses.replace(c, prefix=((FORALL, "x"), (FORALL, "y")))
     assert flipped == HyperFormula(((FORALL, "x"), (FORALL, "y")), p.body)
 
@@ -828,8 +821,8 @@ def test_shared_chain_atoms_and_well_formedness_are_linear():
     phi = _iff_chain(40)
     g = desugar(phi.body)
     assert atom_names(g) == {f"a{i}" for i in range(40)}
-    assert free_trace_variables(g) == {"p"}
-    assert check_well_formed(HyperFormula(phi.prefix, to_nnf(g))) is None
+    table = check_well_formed(HyperFormula(phi.prefix, to_nnf(g)))
+    assert table[0].count(ATOM) == 40
 
 
 def test_shared_chain_equality_is_linear():
@@ -911,7 +904,7 @@ def test_parsed_table_is_the_walked_table_by_precedence(head, body):
         phi = parse_hyperltl(head + body)
     except (ParseError, WellFormednessError):
         return
-    assert compile_formula(phi) == core_table(phi.body)
+    assert check_well_formed(phi) == core_table(phi.body)
 
 
 def _all_node_types_body(rng):
