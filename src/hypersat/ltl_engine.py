@@ -44,12 +44,9 @@ from .syntax import (
     RELEASE,
     UNTIL,
     Formula,
-    _atom_rows,
-    _check_atoms,
-    _from_table,
+    HyperFormula,
     _nodes,
     _table_of,
-    core_table,
     to_nnf,
 )
 
@@ -466,11 +463,8 @@ def check_emptiness(
 
 def ltl_sat(formula: Formula) -> UltimatelyPeriodicTrace | None:
     """Satisfiability of a plain LTL formula; a witness lasso or None.
-    Accepts any plain formula: walks it once into a table, checks its atom
-    rows as every entry point does, so an indexed atom raises
-    WellFormednessError, and normalizes the table, its sugar expanded on
-    the way."""
-    table = core_table(formula)
-    _check_atoms((), _atom_rows(table))
-    aut = build_automaton(to_nnf(_from_table((), table)))
-    return check_emptiness(aut)
+    Accepts any plain formula, as the empty-prefix HyperFormula, which
+    to_nnf reads through the check_well_formed gate: one walk and one
+    check, so an indexed atom is refused as in any other unquantified
+    formula, then its sugar is expanded on the way to the NNF."""
+    return check_emptiness(build_automaton(to_nnf(HyperFormula((), formula))))

@@ -9,8 +9,9 @@ connective, which is equivalent to scanning positions up to
 
 The body is evaluated from `syntax.core_table`'s post-order node table,
 one row per distinct subformula, sugar included, not desugared first:
-the table the parser built with the formula, or for a formula built by
-hand one walk's.  Well-formedness is checked from its atom rows.  One
+the one syntax.check_well_formed gives, which the formula carries from
+the parser or keeps from the gate's one walk, so the evaluator holds no
+well-formedness rule of its own.  One
 forward pass over the rows computes every row for every assignment of
 traces to the prefix variables at once.  A row's value is one int made
 of lanes, one lane of |stem|+|loop| bits per assignment; the lane index
@@ -36,7 +37,7 @@ import re
 from dataclasses import dataclass
 
 from . import syntax
-from .errors import ParseError, ResourceLimit, WellFormednessError
+from .errors import ParseError, ResourceLimit
 from .syntax import (
     AND,
     ATOM,
@@ -54,7 +55,6 @@ from .syntax import (
     UNTIL,
     Formula,
     HyperFormula,
-    core_table,
 )
 
 DEFAULT_PERIOD_GUARD = 10_000
@@ -128,7 +128,7 @@ def _holds(table: tuple, prefix: tuple, traces: list, guard: float) -> bool:
     """Truth of a body, given as its core table, at position 0 under the
     quantifier prefix, every variable ranging over traces, on their joint
     lasso, whose loop may be at most guard long.  The table is only
-    read: it may be a parsed formula's own."""
+    read, and well formed: each atom row's trace is a prefix variable."""
     stem_len = max(len(t.stem) for t in traces)
     loop_len = 1
     for t in traces:
@@ -162,11 +162,7 @@ def _holds(table: tuple, prefix: tuple, traces: list, guard: float) -> bool:
         if op == CONST:
             leaf[a, b] = full if a else 0
         elif op == ATOM:
-            v = position.get(b)
-            if v is None:
-                raise WellFormednessError(
-                    f"indexed atom {a}_{b} in plain LTL evaluation"
-                )
+            v = position[b]
             masks = [m.get(a, 0) for m in per_trace]
             if v < outer:
                 leaf[a, b] = [m * ones for m in masks], v
@@ -245,9 +241,11 @@ def _holds(table: tuple, prefix: tuple, traces: list, guard: float) -> bool:
 
 def evaluate_ltl(trace: UltimatelyPeriodicTrace, formula: Formula) -> bool:
     """Truth of a plain LTL formula, sugar included, at position 0 of the
-    trace: the one-lane case, one unindexed variable bound to the trace.
-    An indexed atom raises WellFormednessError."""
-    return _holds(core_table(formula), ((FORALL, None),), [trace], math.inf)
+    trace: evaluate_hyperltl's empty-prefix case, so an indexed atom fails
+    check_well_formed as in any other unquantified formula."""
+    return evaluate_hyperltl(
+        TraceSet(frozenset({trace})), HyperFormula((), formula)
+    )
 
 
 def evaluate_hyperltl(
@@ -261,8 +259,8 @@ def evaluate_hyperltl(
     joint lasso: its stem is the longest stem in the set and its loop
     length the lcm of all loops, so each trace is periodic within it.
     The body's core table, one row per distinct subformula, is the one
-    check_well_formed checked: a parsed formula's own table, so evaluating
-    it walks nothing, or one walk's for a formula built by hand.  One pass
+    check_well_formed gives: a parsed formula's own, so evaluating it
+    walks nothing, or for one built by hand its one walk's, kept.  One pass
     over the rows computes each for all assignments at once, one lane per
     assignment, and the quantifiers fold the root's lanes.  Where the
     lanes would span more than LANE_BITS, the outermost variables are

@@ -12,7 +12,9 @@ copies the parsed table's rows into a prefix-free HyperFormula, to_nnf
 makes the NNF table in one walk that expands sugar, build_automaton
 indexes that table straight into the tableau's bit tables, and the model
 is checked on the parsed table, so a parsed formula is neither walked
-nor made into a tree.
+nor made into a tree.  Each step reads it through check_well_formed, the
+one gate, which walks and checks a formula built by hand once, in solve's
+own call, and keeps its table for the steps after.
 """
 
 from __future__ import annotations

@@ -46,10 +46,11 @@ memory, not by the interpreter's recursion limit:
   that hashes every node below it that has none yet, operands first, and
   keeps each; equality compares the two hashes, then each pair of nodes
   once, from an explicit stack.
-* check_well_formed checks a formula from the atom rows of its own
-  table, or of a walk's over any other formula's body, and returns that
-  table, which the evaluator reads; atom_names reads a table's atom rows
-  too.
+* check_well_formed is the one gate to a HyperFormula's table (_table_of
+  calls it): a carried table, the parser's, encode_pcp's or a row pass's
+  over a checked formula, is well formed as made and returned as it is;
+  a formula built by hand is walked and checked once and keeps the table.
+  atom_names reads a table's atom rows too.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ class HyperFormula:
     # and each row pass makes from another; a row pass may leave equal
     # rows apart, which to_nnf's pass and the tableau's index merge.  It
     # is no field: a formula made any other way, dataclasses.replace
-    # included, has none and is compiled by a walk.
+    # included, has none until check_well_formed keeps its walk's.
     _table = None
 
 
@@ -510,14 +511,18 @@ def parse_hyperltl(text: str) -> HyperFormula:
 
 def check_well_formed(formula: HyperFormula):
     """Prefix variables distinct; atoms indexed iff the prefix is non-empty;
-    every index bound.  Checks the prefix, then the atom rows, raising
-    WellFormednessError at the first fault, and returns the table it
-    checked, sugar included: the one parse_hyperltl or a row pass made
-    with the formula, or else one walk's.  A formula's own table is shared
-    by every call, so callers read it and do not write into it."""
-    _check_prefix(formula.prefix)
-    table = _table_of(formula)
-    _check_atoms(formula.prefix, _atom_rows(table))
+    every index bound.  The one gate to a HyperFormula's table, which it
+    returns, sugar included.  A carried table (the parser's, encode_pcp's
+    or a row pass's over a checked formula) is well formed as made and is
+    returned as it is; a formula built by hand is walked once, its prefix
+    and then its atom rows checked, raising WellFormednessError at the
+    first fault, and keeps the table.  Callers read it, not write it."""
+    table = formula._table
+    if table is None:
+        _check_prefix(formula.prefix)
+        table = core_table(formula.body)
+        _check_atoms(formula.prefix, _atom_rows(table))
+        object.__setattr__(formula, "_table", table)
     return table
 
 
@@ -691,13 +696,11 @@ def core_table(formula: Formula):
 
 
 def _table_of(formula):
-    """The table of a formula, sugar included: a HyperFormula's own, or
-    core_table's walk over its body or over a bare Formula.  Callers read
-    it and do not write into it."""
+    """The table of a formula, sugar included: a HyperFormula's from
+    check_well_formed, or core_table's walk over a bare Formula, a body,
+    to which the rule does not apply.  Callers read it, not write it."""
     if isinstance(formula, HyperFormula):
-        if formula._table is not None:
-            return formula._table
-        formula = formula.body
+        return check_well_formed(formula)
     return core_table(formula)
 
 

@@ -75,17 +75,47 @@ MUTANTS = [
         "key = t, getattr(f.left, '_hash', 0), getattr(f.right, '_hash', 0)",
         ("test_syntax.py::test_hash_on_first_use_is_the_same_in_any_order",),
     ),
+    # the well-formedness gate
     Mutant(
         "check-well-formed-walks-a-parsed-formula",
         "syntax.py",
-        "    table = _table_of(formula)\n"
-        "    _check_atoms(formula.prefix, _atom_rows(table))\n",
-        "    table = core_table(formula.body)\n"
-        "    _check_atoms(formula.prefix, _atom_rows(table))\n",
+        "    table = formula._table\n    if table is None:\n",
+        "    table = None\n    if table is None:\n",
         (
-            "test_syntax.py::"
-            "test_check_well_formed_returns_the_formulas_own_table",
+            "test_solver.py::"
+            "test_each_formula_is_checked_once_and_walked_at_most_once",
+            "test_models.py::test_parsed_formula_evaluates_without_a_walk",
         ),
+    ),
+    Mutant(
+        "check-well-formed-keeps-no-walked-table",
+        "syntax.py",
+        '        object.__setattr__(formula, "_table", table)\n',
+        "",
+        (
+            "test_solver.py::"
+            "test_each_formula_is_checked_once_and_walked_at_most_once",
+        ),
+    ),
+    Mutant(
+        "check-well-formed-skips-the-atom-rule",
+        "syntax.py",
+        "        _check_atoms(formula.prefix, _atom_rows(table))\n",
+        "",
+        (
+            "test_models.py::"
+            "test_entry_points_report_faults_as_check_well_formed",
+            "test_models.py::"
+            "test_reductions_report_faults_as_check_well_formed",
+        ),
+    ),
+    Mutant(
+        "ltl-sat-atoms-unchecked",
+        "syntax.py",
+        "        _check_atoms(formula.prefix, _atom_rows(table))\n",
+        "        if formula.prefix:\n"
+        "            _check_atoms(formula.prefix, _atom_rows(table))\n",
+        ("test_ltl_engine.py::test_ltl_sat_rejects_an_indexed_atom",),
     ),
     # rendering from the rows
     Mutant(
@@ -185,13 +215,6 @@ MUTANTS = [
         ),
     ),
     # the tableau
-    Mutant(
-        "ltl-sat-atoms-unchecked",
-        "ltl_engine.py",
-        "    _check_atoms((), _atom_rows(table))\n",
-        "",
-        ("test_ltl_engine.py::test_ltl_sat_rejects_an_indexed_atom",),
-    ),
     Mutant(
         "tableau-token-merge-removed",
         "ltl_engine.py",

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 
 from hypersat import ltl_engine, models, syntax
 from hypersat.errors import ParseError, ResourceLimit, WellFormednessError
+from hypersat.fragments import ExistsForall, ExistsStar, ForallStar, classify
 from hypersat.implication import Fails, Holds, check_implication
+from hypersat.ltl_engine import build_automaton, ltl_sat
 from hypersat.models import (
     TraceSet,
     UltimatelyPeriodicTrace,
@@ -24,7 +26,14 @@ from hypersat.models import (
     parse_trace_set,
 )
 from hypersat.pcp import encode_pcp, encode_solution_traceset, parse_instance
-from hypersat.reductions import LtlReduction, Substitution, extract_model
+from hypersat.reductions import (
+    LtlReduction,
+    Substitution,
+    drop_quantifiers,
+    extract_model,
+    unroll_universals,
+    zip_exists,
+)
 from hypersat.solver import solve
 from hypersat.syntax import (
     And,
@@ -46,8 +55,10 @@ from hypersat.syntax import (
     check_well_formed,
     core_table,
     desugar,
+    node_count,
     parse_hyperltl,
     render,
+    to_nnf,
 )
 
 from generators import (
@@ -150,14 +161,15 @@ def test_evaluate_ltl_rejects_indexed_atoms():
 
 def test_evaluate_ltl_takes_sugar_and_rejects_indexed_atoms():
     # sugar rows are evaluated as they stand; an indexed atom is refused
-    # with or without sugar around it
+    # with or without sugar around it, by check_well_formed's rule
     t = tr([], [{"a"}])
     sugar = Eventually(Atom("a"))
     assert evaluate_ltl(t, sugar) is True
     assert evaluate_hyperltl(TraceSet(frozenset({t})), HyperFormula((), sugar))
     phi = And(Atom("a", "pi"), Eventually(Atom("a")))
+    message = "indexed atom 'a' in an unquantified formula"
     for formula in (phi, desugar(phi)):
-        with pytest.raises(WellFormednessError, match="indexed atom a_pi"):
+        with pytest.raises(WellFormednessError, match=message):
             evaluate_ltl(t, formula)
 
 
@@ -225,6 +237,96 @@ def test_evaluation_reports_faults_as_check_well_formed(
     assert str(checked.value) == str(evaluated.value) == message
 
 
+# Every other function that takes a HyperFormula reads its table through
+# check_well_formed, so each reports the same fault, first.
+WELL_FORMED = parse_hyperltl("forall p. G a_p")
+GATED = {
+    "solve": solve,
+    "implies-antecedent": lambda f: check_implication(f, WELL_FORMED),
+    "implies-consequent": lambda f: check_implication(WELL_FORMED, f),
+    "desugar": desugar,
+    "to_nnf": to_nnf,
+    "render": render,
+    "node_count": node_count,
+    "build_automaton": build_automaton,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+@pytest.mark.parametrize("formula, error, message", UNCHECKED)
+def test_entry_points_report_faults_as_check_well_formed(
+    formula, error, message, name
+):
+    with pytest.raises(error) as raised:
+        GATED[name](formula)
+    assert str(raised.value) == message
+
+
+def _requantified(formula, quantifiers):
+    """The formula under the quantifiers, in order, over its variables and
+    then a variable 'w' more."""
+    variables = [v for _, v in formula.prefix] + ["w"]
+    return HyperFormula(tuple(zip(quantifiers, variables)), formula.body)
+
+
+# Each reduction, its fragment, and the quantifiers that move each fault
+# of UNCHECKED with a prefix, in order, into that fragment, as classify
+# runs first; no exists-only prefix holds an unknown quantifier.
+REDUCTION_FAULTS = [
+    (reduce, fragment, _requantified(formula, quantifiers), error, message)
+    for reduce, fragment, moves in (
+        (
+            drop_quantifiers,
+            ForallStar,
+            [(FORALL, FORALL), ("some",), (FORALL,), (FORALL,), (FORALL,)],
+        ),
+        (
+            zip_exists,
+            ExistsStar,
+            [(EXISTS, EXISTS), None, (EXISTS,), (EXISTS,), (EXISTS,)],
+        ),
+        (
+            unroll_universals,
+            ExistsForall,
+            [(EXISTS, FORALL), (EXISTS, "some")] + [(EXISTS, FORALL)] * 3,
+        ),
+    )
+    for (formula, error, message), quantifiers in zip(
+        [case for case in UNCHECKED if case[0].prefix], moves, strict=True
+    )
+    if quantifiers is not None
+]
+
+
+@pytest.mark.parametrize(
+    "reduce, fragment, formula, error, message", REDUCTION_FAULTS
+)
+def test_reductions_report_faults_as_check_well_formed(
+    reduce, fragment, formula, error, message
+):
+    assert isinstance(classify(formula), fragment)
+    with pytest.raises(error) as raised:
+        reduce(formula)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "formula, error, message",
+    [case for case in UNCHECKED if not case[0].prefix],
+)
+def test_plain_ltl_reports_faults_as_check_well_formed(
+    formula, error, message
+):
+    # evaluate_ltl and ltl_sat take a body as the empty-prefix formula
+    for run in (
+        lambda: evaluate_ltl(tr([], [{"a"}]), formula.body),
+        lambda: ltl_sat(formula.body),
+    ):
+        with pytest.raises(error) as raised:
+            run()
+        assert str(raised.value) == message
+
+
 def test_evaluation_compiles_without_the_separate_walks(monkeypatch):
     # the body is checked once, by the check that gives the table the
     # evaluator reads, and it is neither desugared nor walked
@@ -264,8 +366,10 @@ def test_parsed_formula_evaluates_without_a_walk(monkeypatch):
     def walk(*_):
         raise AssertionError("a walk over the formula")
 
+    # syntax alone binds core_table; the others are patched too, so a
+    # walk they came to make by an import of it would still be caught
     for module in (syntax, models, ltl_engine):
-        monkeypatch.setattr(module, "core_table", walk)
+        monkeypatch.setattr(module, "core_table", walk, raising=False)
     phi = parse_hyperltl(text)
     assert evaluate_hyperltl(TraceSet(frozenset(witness)), phi) is True
     assert evaluate_hyperltl(TraceSet(frozenset(witness[1:])), phi) is False

@@ -351,8 +351,10 @@ def test_solve_and_implication_make_no_walk(monkeypatch):
     def walk(*_):
         raise AssertionError("a walk over a formula on the sat path")
 
+    # syntax alone binds core_table; the others are patched too, so a
+    # walk they came to make by an import of it would still be caught
     for module in (syntax, models, ltl_engine):
-        monkeypatch.setattr(module, "core_table", walk)
+        monkeypatch.setattr(module, "core_table", walk, raising=False)
     covered = set()
     for name in ("sat_mix.jsonl", "large_automata.jsonl", "implies.jsonl"):
         for line in (GOLDEN / name).read_text(encoding="utf-8").splitlines():
@@ -369,6 +371,54 @@ def test_solve_and_implication_make_no_walk(monkeypatch):
         for quantifiers in ((EXISTS,), (FORALL,), (EXISTS, FORALL))
         for sugar in SUGAR_TOKENS
     }
+
+
+def _count_checks_and_walks(monkeypatch) -> dict[str, int]:
+    """Calls of the well-formedness rule on atom rows, and of the walk
+    over a body, counted from now on."""
+    counts = {"_check_atoms": 0, "core_table": 0}
+
+    def counted(name):
+        original = getattr(syntax, name)
+
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(syntax, name, counted(name))
+    return counts
+
+
+def test_each_formula_is_checked_once_and_walked_at_most_once(monkeypatch):
+    # A parsed formula carries the table the parser checked, so no entry
+    # point checks it again; a formula built by hand is walked and checked
+    # once, by the first check_well_formed, which keeps the table
+    counts = _count_checks_and_walks(monkeypatch)
+    line = answer("exists p. exists q. G (a_p <-> !a_q) & F b_p")
+    assert line["verdict"] == "SAT" and line["verified"] is True
+    assert counts == {"_check_atoms": 1, "core_table": 0}
+
+    counts = _count_checks_and_walks(monkeypatch)
+    assert answer(["forall p. F a_p", "forall p. G a_p"])["verdict"] == "FAILS"
+    assert counts == {"_check_atoms": 2, "core_table": 0}
+
+    counts = _count_checks_and_walks(monkeypatch)
+    trace = UltimatelyPeriodicTrace((), (frozenset("a"),))
+    model = TraceSet(frozenset({trace}))
+    assert evaluate_hyperltl(model, parse_hyperltl("forall p. G F a_p"))
+    assert counts == {"_check_atoms": 1, "core_table": 0}
+
+    phi = HyperFormula(
+        ((EXISTS, "p"), (FORALL, "q")),
+        And(Globally(Atom("a", "p")), Not(Atom("b", "q"))),
+    )
+    counts = _count_checks_and_walks(monkeypatch)
+    result, _ = solve(phi)
+    assert isinstance(result, Sat) and result.verified
+    assert counts == {"_check_atoms": 1, "core_table": 1}
 
 
 def test_solve_and_implication_make_no_desugared_table(monkeypatch):

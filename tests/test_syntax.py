@@ -10,11 +10,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypersat import implication
 from hypersat.errors import ParseError, WellFormednessError
 from hypersat.fragments import ExistsForall, ExistsStar, ForallStar, classify
-from hypersat.implication import _and_not
-from hypersat.pcp import encode_pcp
+from hypersat.implication import _and_not, check_implication
+from hypersat.pcp import PcpInstance, encode_pcp
 from hypersat.reductions import drop_quantifiers, unroll_universals, zip_exists
+from hypersat.solver import Unsat
 from hypersat.syntax import (
     ATOM,
     And,
@@ -619,6 +621,71 @@ def test_check_well_formed_returns_the_formulas_own_table():
     p = parse_hyperltl("exists x. forall y. G (a_x -> F b_y) & a_y W c_x")
     for formula in (p, unroll_universals(p), to_nnf(p), desugar(p)):
         assert check_well_formed(formula) is formula._table
+
+
+def assert_carried_tables_are_well_formed(formulas):
+    # check_well_formed returns a carried table as it is, so each must pass
+    # the rule on a fresh walk over the formula's body
+    for formula in formulas:
+        assert formula._table is not None
+        check_well_formed(HyperFormula(formula.prefix, formula.body))
+
+
+def _check_formulas(left, right) -> list:
+    """The check formulas check_implication hands the solver for left
+    implies right and for right implies left, each answered Unsat."""
+    made = []
+
+    def hand_over(check, _options):
+        made.append(check)
+        return Unsat()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(implication, "hyper_sat", hand_over)
+        check_implication(left, right)
+        check_implication(right, left)
+    return made
+
+
+@settings(SEEDED, max_examples=100)
+@given(SEEDS)
+def test_carried_tables_are_well_formed_random(seed):
+    # the tables of the parser, each reduction, desugar, to_nnf and
+    # implication's check formula, made from parsed formulas of the three
+    # decidable fragments
+    rng = random.Random(seed)
+    exists, forall, mixed = (
+        parse_hyperltl(render(random_quantified(
+            rng, PROPS, rng.randrange(5), n_exists, n_forall
+        )))
+        for n_exists, n_forall in (
+            (rng.randrange(1, 3), 0),
+            (0, rng.randrange(1, 3)),
+            (rng.randrange(1, 3), rng.randrange(1, 3)),
+        )
+    )
+    made = [unroll_universals(mixed)]
+    for phi in (exists, forall, mixed):
+        reduced = _reduced(phi)
+        made += [phi, reduced, desugar(phi), to_nnf(phi), to_nnf(reduced)]
+    for left, right in ((exists, forall), (exists, exists), (forall, forall)):
+        made += _check_formulas(left, right)
+    assert_carried_tables_are_well_formed(made)
+
+
+def test_carried_tables_are_well_formed_golden_encodings():
+    # encode_pcp's table, and desugar's and to_nnf's over it, for every
+    # golden encode-pcp instance
+    path = GOLDEN / "encode_pcp.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for line in lines:
+        request = json.loads(line)["text"]
+        stones = tuple(map(tuple, request["stones"]))
+        encoded = encode_pcp(PcpInstance(tuple(request["alphabet"]), stones))
+        assert_carried_tables_are_well_formed(
+            [encoded, desugar(encoded), to_nnf(encoded)]
+        )
+    assert len(lines) == 10
 
 
 _COPIES = {
