@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import WellFormednessError
-from .syntax import EXISTS, FORALL, HyperFormula
+from .syntax import EXISTS, FORALL, HyperFormula, check_well_formed
 
 
 class FragmentClass:
@@ -59,6 +59,9 @@ class MultiAlternation(FragmentClass):
 
 
 def classify(formula: HyperFormula) -> FragmentClass:
+    """The fragment of a well-formed formula's prefix; a fault raises
+    check_well_formed's WellFormednessError first."""
+    check_well_formed(formula)
     prefix = formula.prefix
     if not prefix:
         raise WellFormednessError("cannot classify an empty quantifier prefix")

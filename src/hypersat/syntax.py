@@ -14,9 +14,14 @@ memory, not by the interpreter's recursion limit:
   and pcp.encode_pcp make tables, not nodes.  A formula node is made only
   when a body is read, by one loop over the rows (_nodes), so equal rows
   make one node; parsing, encoding, rendering and evaluating make none.
-* The parser reads the text with one C-level regular-expression scan into
-  token strings, then runs one loop over them with an operand stack and an
-  operator stack.  Two tables keyed by token text drive it: the prefix
+* The parser splits the text into token strings with C-level string
+  operations.  A regular text, every character of it a word character, a
+  space, a one-character symbol or part of a '->' or '<->', is split at
+  its spaces once each symbol is padded with them; a translate, a search
+  of what it leaves and counts of '<', '-' and '>' tell it regular.  Any
+  other text is rejected at its first bad character.  The parser then
+  runs one loop over the tokens with an operand stack and an operator
+  stack.  Two tables keyed by token text drive it: the prefix
   operators ``! X F G``, and the infix operators ``<-> -> | & U W R``,
   each with a precedence, an associativity and a node type.  It meets the
   nodes in post-order, as core_table's walk does, and builds the body's
@@ -327,6 +332,31 @@ RESERVED = {"X", "F", "G", "U", "W", "R", FORALL, EXISTS, "true", "false"}
 # with a letter or '_'.
 _TOKEN_TEXT = re.compile(r"<->|->|[()!&|.]|\w+|\S")
 _SYMBOLS = ("<->", "->", "(", ")", "!", "&", "|", ".")
+# A character that is no word character, no space and no character of a
+# symbol.  Regex \s and str.split's spaces are the same code points, as
+# test_syntax.py checks over all of them.
+_STRAY = re.compile(r"[^\w\s()!&|.<>-]").search
+# The ASCII characters that are not stray, deleted before _STRAY looks.
+_PLAIN = dict.fromkeys(c for c in range(128) if not _STRAY(chr(c)))
+# Each symbol padded with spaces; the last pair rejoins '< -> ' to '<->'.
+_PADS = [(s, f" {s} ") for s in "()!&|."] + [("->", " -> "), ("< ", " <")]
+
+
+def _tokens(text: str) -> list[str]:
+    """_TOKEN_TEXT.findall(text), found at C string speed.  A regular
+    text, every character of it a word character, a space, a one-character
+    symbol or part of a '->' or '<->', is split at its spaces once each
+    symbol is padded with them.  Any other text has a character that
+    _positions rejects, and raises its ParseError."""
+    if (
+        _STRAY(text.translate(_PLAIN))
+        or not text.count("-") == text.count(">") == text.count("->")
+        or text.count("<") != text.count("<->")
+    ):
+        _positions(text)  # raises
+    for symbol, padded in _PADS:
+        text = text.replace(symbol, padded)
+    return text.split()
 
 
 def _positions(text: str) -> list[int]:
@@ -496,7 +526,7 @@ def _parse(tokens: list[str]) -> HyperFormula:
 
 def parse_hyperltl(text: str) -> HyperFormula:
     """Parse a formula; raises ParseError or WellFormednessError."""
-    tokens = _TOKEN_TEXT.findall(text)
+    tokens = _tokens(text)
     tokens.append("")  # the end of the text
     try:
         return _parse(tokens)

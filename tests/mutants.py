@@ -117,6 +117,28 @@ MUTANTS = [
         "            _check_atoms(formula.prefix, _atom_rows(table))\n",
         ("test_ltl_engine.py::test_ltl_sat_rejects_an_indexed_atom",),
     ),
+    # the split scan's guard
+    Mutant(
+        "split-scan-without-the-stray-search",
+        "syntax.py",
+        "        _STRAY(text.translate(_PLAIN))\n",
+        "        False\n",
+        (
+            "test_syntax.py::test_parser_agrees_with_reference_parser",
+            "test_syntax.py::test_split_tokens_are_the_scanned_tokens",
+        ),
+    ),
+    Mutant(
+        "split-scan-without-the-angle-counts",
+        "syntax.py",
+        '        or not text.count("-") == text.count(">") == text.count("->")\n'
+        '        or text.count("<") != text.count("<->")\n',
+        '        or text.count("-") != text.count("->")\n',
+        (
+            "test_syntax.py::test_parser_agrees_with_reference_parser",
+            "test_syntax.py::test_split_tokens_are_the_scanned_tokens",
+        ),
+    ),
     # rendering from the rows
     Mutant(
         "render-from-nodes",
@@ -135,6 +157,21 @@ MUTANTS = [
         'pieces.append("true" if lhs[i] else "false")',
         'pieces.append("true" if lhs[i] is not None else "false")',
         ("test_syntax.py::test_render_matches_the_reference_fold_random",),
+    ),
+    # classification
+    Mutant(
+        "classify-ungated",
+        "fragments.py",
+        "    check_well_formed(formula)\n    prefix = formula.prefix\n",
+        "    prefix = formula.prefix\n",
+        (
+            "test_fragments.py::"
+            "test_unknown_quantifier_is_refused_not_classified",
+            "test_models.py::"
+            "test_entry_points_report_faults_as_check_well_formed",
+            "test_models.py::"
+            "test_reductions_report_faults_as_check_well_formed",
+        ),
     ),
     # the correspondence encoder and its command
     Mutant(

@@ -3,8 +3,10 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 
+from hypersat.errors import WellFormednessError
 from hypersat.fragments import (
     ExistsForall,
     ExistsStar,
@@ -74,6 +76,18 @@ def test_forall_exists_position_reported():
     assert classify(phi) == ForallExists(0)
     psi = _with_prefix([(EXISTS, "w"), (FORALL, "x"), (FORALL, "y")])
     assert classify(psi) == ExistsForall(1, 2)
+
+
+@pytest.mark.parametrize(
+    "prefix", [(("some", "x"),), ((EXISTS, "x"), ("some", "w"))]
+)
+def test_unknown_quantifier_is_refused_not_classified(prefix):
+    # without the gate, ("some", "x") alone read as forall-star and after
+    # an exists as exists-forall
+    body = And(Atom("a", "x"), Atom("a", prefix[-1][1]))
+    with pytest.raises(WellFormednessError) as raised:
+        classify(HyperFormula(prefix, body))
+    assert str(raised.value) == "unknown quantifier 'some'"
 
 
 def test_every_prefix_up_to_five_gets_exactly_one_class():

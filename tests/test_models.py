@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from hypersat import ltl_engine, models, syntax
 from hypersat.errors import ParseError, ResourceLimit, WellFormednessError
-from hypersat.fragments import ExistsForall, ExistsStar, ForallStar, classify
+from hypersat.fragments import classify
 from hypersat.implication import Fails, Holds, check_implication
 from hypersat.ltl_engine import build_automaton, ltl_sat
 from hypersat.models import (
@@ -249,6 +249,7 @@ GATED = {
     "render": render,
     "node_count": node_count,
     "build_automaton": build_automaton,
+    "classify": classify,
 }
 
 
@@ -269,25 +270,23 @@ def _requantified(formula, quantifiers):
     return HyperFormula(tuple(zip(quantifiers, variables)), formula.body)
 
 
-# Each reduction, its fragment, and the quantifiers that move each fault
-# of UNCHECKED with a prefix, in order, into that fragment, as classify
-# runs first; no exists-only prefix holds an unknown quantifier.
+# Each reduction and the quantifiers that move each fault of UNCHECKED
+# with a prefix, in order, into the reduction's fragment, so that were
+# classify's own check dropped, the reduction would take the fault past
+# it; no exists-only prefix holds an unknown quantifier.
 REDUCTION_FAULTS = [
-    (reduce, fragment, _requantified(formula, quantifiers), error, message)
-    for reduce, fragment, moves in (
+    (reduce, _requantified(formula, quantifiers), error, message)
+    for reduce, moves in (
         (
             drop_quantifiers,
-            ForallStar,
             [(FORALL, FORALL), ("some",), (FORALL,), (FORALL,), (FORALL,)],
         ),
         (
             zip_exists,
-            ExistsStar,
             [(EXISTS, EXISTS), None, (EXISTS,), (EXISTS,), (EXISTS,)],
         ),
         (
             unroll_universals,
-            ExistsForall,
             [(EXISTS, FORALL), (EXISTS, "some")] + [(EXISTS, FORALL)] * 3,
         ),
     )
@@ -298,16 +297,15 @@ REDUCTION_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "reduce, fragment, formula, error, message", REDUCTION_FAULTS
-)
+@pytest.mark.parametrize("reduce, formula, error, message", REDUCTION_FAULTS)
 def test_reductions_report_faults_as_check_well_formed(
-    reduce, fragment, formula, error, message
+    reduce, formula, error, message
 ):
-    assert isinstance(classify(formula), fragment)
-    with pytest.raises(error) as raised:
-        reduce(formula)
-    assert str(raised.value) == message
+    # classify reads no prefix of a formula that is not well formed
+    for run in (classify, reduce):
+        with pytest.raises(error) as raised:
+            run(formula)
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(

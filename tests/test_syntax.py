@@ -8,13 +8,13 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypersat import implication
 from hypersat.errors import ParseError, WellFormednessError
 from hypersat.fragments import ExistsForall, ExistsStar, ForallStar, classify
 from hypersat.implication import _and_not, check_implication
-from hypersat.pcp import PcpInstance, encode_pcp
+from hypersat.pcp import PcpInstance, encode_pcp, parse_instance
 from hypersat.reductions import drop_quantifiers, unroll_universals, zip_exists
 from hypersat.solver import Unsat
 from hypersat.syntax import (
@@ -38,9 +38,12 @@ from hypersat.syntax import (
     TRUE,
     Until,
     WeakUntil,
+    _TOKEN_TEXT,
     _from_table,
     _nodes,
+    _positions,
     _table_of,
+    _tokens,
     atom_names,
     check_well_formed,
     core_table,
@@ -915,12 +918,14 @@ def test_core_table_keeps_sugar_and_rejects_what_is_no_formula():
 
 # The differential parser test parses formulas from a small grammar, with
 # a few noise pieces spliced in.  'é' starts a name; '1a', '²' and '$' do
-# not.
+# not.  A lone '<', '>' or '-', or '@', splits no word, and '\u00a0' and
+# '\x1c' are spaces.
 HEADS = ("", "forall p. ", "exists q. ", "forall p. exists q. ",
          "exists q.forall p.", "exists p", "forall forall p.")
 ATOMS = ("a_p", "b_q", "a_r", "a", "a_b_p", "_x_q", "true", "false", "é_p")
-NOISE = ("(", ")", "!", "&", "->", "<-", "-", ".", "X", "U", "exists",
-         "_x", "1a", "²", "$", "é", " ")
+NOISE = ("(", ")", "!", "&", "->", "<-", "-", "<", ">", "->>", ".", "X",
+         "U", "exists", "_x", "1a", "²", "$", "@", "é", " ", "\u00a0",
+         "\x1c")
 formula_texts = st.recursive(
     st.sampled_from(ATOMS),
     lambda inner: st.one_of(
@@ -960,6 +965,79 @@ def test_parser_agrees_with_reference_parser(head, body, noise):
         at %= len(text) + 1
         text = text[:at] + piece + text[at:]
     assert _outcome(parse_hyperltl, text) == _outcome(reference_parse, text)
+
+
+# Pieces of texts for the split scan: symbols whole and in part, words
+# that start no name, and characters that are spaces to str.split and \s
+# alike though not ' '.
+SCAN_PIECES = ("<->", "->", "<", ">", "-", "é", "²", "1a", "$", "@", "\t",
+               "\u00a0", "\u2003", "\x1c", " ", "a", "b_p", "_", "X", "(",
+               ")", "!", "&", "|", ".")
+
+
+def _regular(text):
+    """Whether every character of the text is a word character, a space,
+    a one-character symbol or part of a '->' or '<->'."""
+    rest = text.replace("<->", " ").replace("->", " ")
+    return all(
+        c.isalnum() or c == "_" or c.isspace() or c in "()!&|." for c in rest
+    )
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(SCAN_PIECES), st.characters()), max_size=12
+    ).map("".join)
+)
+@example("a<->b->c")
+@example("a@b")  # without the guard, each of these would be one word
+@example("a-b")
+@example("a<b")
+@example("a>b")
+def test_split_tokens_are_the_scanned_tokens(text):
+    # a regular text splits into the regular-expression scan's tokens; any
+    # other has a character the positioned scan rejects, and the split
+    # raises its error
+    if _regular(text):
+        assert _tokens(text) == _TOKEN_TEXT.findall(text)
+        return
+    with pytest.raises(ParseError) as scanned:
+        _positions(text)
+    with pytest.raises(ParseError) as split:
+        _tokens(text)
+    assert split.value.position == scanned.value.position
+    assert str(split.value) == str(scanned.value)
+
+
+def test_split_tokens_are_the_scanned_tokens_on_the_corpora():
+    # the golden correspondence encodings, the eight of the eval-pcp
+    # benchmark first, and every golden sat and implies text
+    texts = []
+    lines = (GOLDEN / "encode_pcp.jsonl").read_text(encoding="utf-8")
+    for line in lines.splitlines():
+        request = json.loads(line)["text"]
+        instance = parse_instance(json.dumps(
+            {"alphabet": request["alphabet"], "stones": request["stones"]}
+        ))
+        texts.append(render(encode_pcp(instance)))
+    for name in ("sat_mix.jsonl", "large_automata.jsonl", "implies.jsonl"):
+        for line in (GOLDEN / name).read_text(encoding="utf-8").splitlines():
+            text = json.loads(line)["text"]
+            texts += [text] if isinstance(text, str) else text
+    assert len(texts) == 10 + 1410
+    for text in texts:
+        assert _regular(text)
+        assert _tokens(text) == _TOKEN_TEXT.findall(text)
+
+
+def test_regex_spaces_are_the_split_spaces():
+    # the split scan splits at str.isspace's characters, and its guard and
+    # the positioned scan skip \s's: the same code points
+    every = "".join(map(chr, range(0x110000)))
+    assert "".join(re.findall(r"\s", every)) == "".join(
+        filter(str.isspace, every)
+    )
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
