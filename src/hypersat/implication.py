@@ -13,11 +13,12 @@ refuted.  Per quantifier shape of (antecedent, consequent):
 
 Each lands in a decidable fragment, so the solver settles it; a satisfying
 model is a countermodel to the implication.  The check formula's table is
-made from the two parsed tables: the consequent's atom rows relabelled
-apart, as the reductions relabel, its rows placed after the antecedent's,
-and one row each for the negation and the conjunction.  With model verification on,
-the countermodel is re-checked against the two input formulas themselves,
-so the renaming and the prefix choice above are checked too.
+made from the two parsed tables, the consequent's atom rows relabelled
+apart, as the reductions relabel: both are folded into one hash-consed
+table, and the negation and the conjunction are made over their roots.
+With model verification on, the countermodel is re-checked against the
+two input formulas themselves, so the renaming and the prefix choice
+above are checked too.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ from .reductions import relabel
 from .solver import Sat, SolverOptions, Unsat, hyper_sat
 from .syntax import (
     AND,
-    CONST,
     EXISTS,
     FORALL,
     NOT,
     HyperFormula,
+    _fold,
     _from_table,
+    _new_table,
     _table_of,
     check_well_formed,
 )
@@ -89,25 +91,13 @@ def _rename_apart(formula: HyperFormula, taken: set[str]) -> HyperFormula:
 
 
 def _and_not(left, right):
-    """The table of And(left, Not(right)) from the two bodies' tables: the
-    right rows after the left, moved up past them, and two rows more."""
-    ops, lhs, rhs, root = left
-    r_ops, r_lhs, r_rhs, r_root = right
-    k = len(ops)
-
-    def moved(column):
-        return [
-            row if op <= CONST or row is None else row + k
-            for op, row in zip(r_ops, column)
-        ]
-
-    negated = k + len(r_ops)
-    return (
-        ops + r_ops + [NOT, AND],
-        lhs + moved(r_lhs) + [r_root + k, root],
-        rhs + moved(r_rhs) + [None, negated],
-        negated + 1,
-    )
+    """The hash-consed table of And(left, Not(right)), both bodies' tables
+    folded into one: a row of the right equal to one of the left is that
+    row."""
+    _, make, finish = _new_table()
+    a = _fold(left, make)[left[3]]
+    b = _fold(right, make)[right[3]]
+    return finish(make(AND, a, make(NOT, b)))
 
 
 def check_implication(

@@ -11,9 +11,10 @@ Three routes, one per decidable fragment:
 Each reduction works on the rows of the formula's table, the parser's for
 a parsed formula, and hands on a HyperFormula with that prefix whose
 body is made only if read: the quantifier-free ones relabel the atom
-rows, row for row, and the unrolling copies only the rows that mention a
-universal variable, sharing the rest among all the copies, and
-deduplicates the conjuncts by their rows in one hash-consed table.
+rows, row for row, and the unrolling makes the rows of the conjuncts
+again per substitution into one hash-consed table, which shares the rows
+that mention no universal variable among all the copies and deduplicates
+the conjuncts by their rows.
 """
 
 from __future__ import annotations
@@ -109,65 +110,6 @@ def zip_exists(formula: HyperFormula) -> LtlReduction:
     return LtlReduction(zipped, sub)
 
 
-def _substituted(formula: HyperFormula, table, tops: list[int]):
-    """Every substitution of existential variables for the universal
-    ones, applied to the table's rows in tops, as a new hash-consed table
-    being built, its make and finish of _new_table, and each
-    substitution's rows of tops, the first universal variable cycling
-    fastest through the existential choices.  Only the rows that mention
-    a universal variable are copied per substitution; the rows that
-    mention none are copied once, and shared by all the copies."""
-    exist_vars = [v for q, v in formula.prefix if q == EXISTS]
-    univ_vars = [v for q, v in formula.prefix if q != EXISTS]
-    ops, lhs, rhs, _ = table
-    # the rows that tops reach, users before their operands
-    reached = bytearray(len(ops))
-    for top in tops:
-        reached[top] = 1
-    for i in range(max(tops), -1, -1):
-        if reached[i] and ops[i] > CONST:
-            reached[lhs[i]] = 1
-            if rhs[i] is not None:
-                reached[rhs[i]] = 1
-    _, make, finish = _new_table()
-    shared: list = [None] * len(ops)  # the new row of each shared row
-    mentions = bytearray(len(ops))
-    copied = []  # the rows to copy per substitution, operands first
-    for i, op in enumerate(ops):
-        left, right = lhs[i], rhs[i]
-        if op == ATOM:
-            mentions[i] = right in univ_vars
-        elif op > CONST:
-            mentions[i] = mentions[left] or (
-                right is not None and mentions[right]
-            )
-        if not reached[i]:
-            continue
-        if mentions[i]:
-            copied.append(i)
-        elif op <= CONST:
-            shared[i] = make(op, left, right)
-        else:
-            shared[i] = make(
-                op, shared[left], None if right is None else shared[right]
-            )
-    copies = []
-    for raw in itertools.product(exist_vars, repeat=len(univ_vars)):
-        # the first universal variable varies fastest
-        target = dict(zip(univ_vars, reversed(raw)))
-        rows = shared[:]
-        for i in copied:
-            op, left, right = ops[i], lhs[i], rhs[i]
-            if op == ATOM:
-                rows[i] = make(ATOM, left, target[right])
-            else:
-                rows[i] = make(
-                    op, rows[left], None if right is None else rows[right]
-                )
-        copies.append([rows[top] for top in tops])
-    return make, finish, copies
-
-
 def unroll_universals(
     formula: HyperFormula, limit: int = DEFAULT_UNROLL_LIMIT
 ) -> HyperFormula:
@@ -175,8 +117,10 @@ def unroll_universals(
     substituted bodies, on rows.  The conjunction is flattened and
     deduplicated (first occurrence wins) before being rebuilt
     left-associatively.  Each body's conjuncts are the substitutions of
-    the input's conjuncts, so those are substituted, and the copies, one
-    hash-consed table, are equal exactly when their rows are."""
+    the input's conjuncts, so the rows those reach are made again per
+    substitution, in row order, into one hash-consed table: it shares the
+    rows that mention no universal variable, and copies are equal exactly
+    when their rows are."""
     cls = classify(formula)
     if not isinstance(cls, ExistsForall):
         raise WrongFragment(f"unroll_universals needs exists-forall, got {cls.name}")
@@ -184,8 +128,7 @@ def unroll_universals(
     if required > limit:
         raise ResourceLimit("unroll", required, limit)
 
-    table = _table_of(formula)
-    ops, lhs, rhs, root = table
+    ops, lhs, rhs, root = _table_of(formula)
     pieces = []
     stack = [root]
     while stack:
@@ -194,8 +137,35 @@ def unroll_universals(
             stack += (rhs[row], lhs[row])
         else:
             pieces.append(row)
-    make, finish, copies = _substituted(formula, table, pieces)
-    parts = list(dict.fromkeys([row for rows in copies for row in rows]))
+    # the rows that the conjuncts reach, users before their operands
+    reached = bytearray(len(ops))
+    for top in pieces:
+        reached[top] = 1
+    for i in range(max(pieces), -1, -1):
+        if reached[i] and ops[i] > CONST:
+            reached[lhs[i]] = 1
+            if rhs[i] is not None:
+                reached[rhs[i]] = 1
+    rows = [i for i in range(len(ops)) if reached[i]]
+    exist_vars = [v for q, v in formula.prefix if q == EXISTS]
+    univ_vars = [v for q, v in formula.prefix if q != EXISTS]
+    _, make, finish = _new_table()
+    parts = []
+    for raw in itertools.product(exist_vars, repeat=len(univ_vars)):
+        # the first universal variable varies fastest
+        target = dict(zip(univ_vars, reversed(raw)))
+        new = {}  # row -> its row in this substitution's copy
+        for i in rows:
+            op, left, right = ops[i], lhs[i], rhs[i]
+            if op == ATOM:
+                right = target.get(right, right)
+            elif op > CONST:
+                left = new[left]
+                if right is not None:
+                    right = new[right]
+            new[i] = make(op, left, right)
+        parts += [new[top] for top in pieces]
+    parts = list(dict.fromkeys(parts))
     body = reduce(lambda left, right: make(AND, left, right), parts)
     exists_prefix = tuple(
         (q, v) for q, v in formula.prefix if q == EXISTS

@@ -12,7 +12,7 @@ memory, not by the interpreter's recursion limit:
   and a compound row its operand rows; core_table's are hash-consed, one
   row per distinct subformula, sugar included.  The parser, the row passes
   and pcp.encode_pcp make tables, not nodes.  A formula node is made only
-  when a body is read, by one loop over the rows (_nodes), so equal rows
+  when a body is read, by one fold over the rows (_nodes), so equal rows
   make one node; parsing, encoding, rendering and evaluating make none.
 * The parser splits the text into token strings with C-level string
   operations.  A regular text, every character of it a word character, a
@@ -34,13 +34,19 @@ memory, not by the interpreter's recursion limit:
   so a bad character anywhere is still the error reported, and otherwise
   it gives the failing token's position.
 * A formula is passed from the parser to the tableau as one table.  The
-  row passes read a table's rows and make the next table: _relabelled
-  relabels atom rows for the reductions, _desugared expands the sugar
-  rows for desugar, and _nnf_table walks the rows from the root, once
-  per polarity reached, into hash-consed rows, each sugar row expanded
-  once on the way.  A HyperFormula carries the table from one pass to
-  the next and makes its body only when the body is read; desugar,
-  to_nnf and node_count read its table, and the tableau reads to_nnf's.
+  row passes read a table's rows and make the next table.  _fold is the
+  one loop over a table's rows, operands first, that gives each row a
+  value made from its operands' values: _nodes makes nodes, node_count
+  tree sizes, and _desugared, which expands the sugar rows for desugar,
+  and the implication check make hash-consed rows.  The unrolling makes
+  the rows its conjuncts reach again per substitution, hash-consed too.
+  _relabelled relabels atom rows for the reductions, row for row, and is
+  the one pass that can leave equal rows apart.  _nnf_table walks the
+  rows from the root, once per polarity reached, into hash-consed rows,
+  each sugar row expanded once on the way.  A HyperFormula carries the
+  table from one pass to the next and makes its body only when the body
+  is read; desugar, to_nnf and node_count read its table, and the
+  tableau reads to_nnf's.
 * A bare Formula is walked once into core_table's table, one loop over
   its distinct node objects, operands first, so a formula with shared
   subformulas costs its distinct nodes, not its size as a tree.
@@ -286,10 +292,11 @@ class HyperFormula:
     body: Formula
     # The body's table, in the layout of core_table(body), which
     # parse_hyperltl builds as it parses, encode_pcp builds as it encodes
-    # and each row pass makes from another; a row pass may leave equal
-    # rows apart, which to_nnf's pass and the tableau's index merge.  It
-    # is no field: a formula made any other way, dataclasses.replace
-    # included, has none until check_well_formed keeps its walk's.
+    # and each row pass makes from another; only the relabelling of the
+    # reductions (_relabelled) may leave equal rows apart, which to_nnf's
+    # pass and the tableau's index merge.  It is no field: a formula made
+    # any other way, dataclasses.replace included, has none until
+    # check_well_formed keeps its walk's.
     _table = None
 
 
@@ -608,14 +615,10 @@ def atom_names(formula: Formula) -> set[str]:
 def node_count(formula) -> int:
     """The size as a tree of a formula or a HyperFormula's body, read from
     its table: shared nodes count once per use."""
-    ops, lhs, rhs, root = _table_of(formula)
-    size: list[int] = []
-    for op, left, right in zip(ops, lhs, rhs):
-        size.append(
-            1 if op <= CONST else
-            1 + size[left] + (0 if right is None else size[right])
-        )
-    return size[root]
+    table = _table_of(formula)
+    return _fold(
+        table, lambda op, a, b: 1 if op <= CONST else 1 + a + (b or 0)
+    )[table[3]]
 
 
 # ---------------------------------------------------------------------------
@@ -742,20 +745,36 @@ def _from_table(prefix: tuple, table) -> HyperFormula:
     return formula
 
 
-def _nodes(table) -> list[Formula]:
-    """The node of each row of a table, in one loop over its rows: equal
-    rows make equal nodes, and a row used twice gives one node."""
-    nodes: list[Formula] = []
+def _fold(table, make) -> list:
+    """The value of each row of a table, in one loop over its rows,
+    operands first: make(op, left, right) over a leaf row's own payload,
+    or over a compound row's operands' values (right None for NOT, NEXT,
+    F and G)."""
+    values: list = []
     for op, left, right in zip(*table[:3]):
-        if op == ATOM:
-            nodes.append(Atom(left, right))
-        elif op == CONST:
-            nodes.append(TRUE if left else FALSE)
-        elif right is None:
-            nodes.append(_TYPES[op](nodes[left]))
-        else:
-            nodes.append(_TYPES[op](nodes[left], nodes[right]))
-    return nodes
+        if op > CONST:
+            left = values[left]
+            if right is not None:
+                right = values[right]
+        values.append(make(op, left, right))
+    return values
+
+
+def _node_of(op, left, right) -> Formula:
+    """The node of a row, over its operands' nodes."""
+    if op == ATOM:
+        return Atom(left, right)
+    if op == CONST:
+        return TRUE if left else FALSE
+    if right is None:
+        return _TYPES[op](left)
+    return _TYPES[op](left, right)
+
+
+def _nodes(table) -> list[Formula]:
+    """The node of each row of a table, in one fold over its rows: equal
+    rows make equal nodes, and a row used twice gives one node."""
+    return _fold(table, _node_of)
 
 
 # Each sugar operation code's core rows, made by make(op, left, right)
@@ -774,30 +793,17 @@ _DESUGAR = {
 
 
 def _desugared(table):
-    """The core table of a table, in one pass over its rows, operands
-    first: each sugar row becomes its core rows, by its rule in _DESUGAR,
-    and every other row is copied over its operands' new rows.  Nothing
-    is hash-consed; to_nnf's pass merges equal rows."""
-    ops, lhs, rhs, root = table
-    new_ops, new_lhs, new_rhs = [], [], []
+    """The core table of a table, hash-consed, in one fold over its rows:
+    each sugar row becomes its core rows, by its rule in _DESUGAR, and
+    every other row is made again over its operands' new rows."""
+    _, make, finish = _new_table()
 
-    def make(op, left, right=None):
-        new_ops.append(op)
-        new_lhs.append(left)
-        new_rhs.append(right)
-        return len(new_ops) - 1
+    def core(op, left, right):
+        if op > RELEASE:
+            return _DESUGAR[op](make, left, right)
+        return make(op, left, right)
 
-    rows: list[int] = []  # the new row of each row
-    for op, left, right in zip(ops, lhs, rhs):
-        if op > CONST:
-            left = rows[left]
-            if right is not None:
-                right = rows[right]
-        rows.append(
-            _DESUGAR[op](make, left, right) if op > RELEASE
-            else make(op, left, right)
-        )
-    return new_ops, new_lhs, new_rhs, rows[root]
+    return finish(_fold(table, core)[table[3]])
 
 
 def _relabelled(table, atom):

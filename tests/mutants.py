@@ -75,6 +75,33 @@ MUTANTS = [
         "key = t, getattr(f.left, '_hash', 0), getattr(f.right, '_hash', 0)",
         ("test_syntax.py::test_hash_on_first_use_is_the_same_in_any_order",),
     ),
+    Mutant(
+        "fold-right-operand-unmapped",
+        "syntax.py",
+        "                right = values[right]\n",
+        "                pass\n",
+        (
+            "test_syntax.py::test_core_table_rows_random",
+            "test_syntax.py::test_shared_chain_node_count_is_linear",
+            "test_implication.py::test_box_od_does_not_imply_weak_od",
+        ),
+    ),
+    Mutant(
+        "desugared-rows-appended",
+        "syntax.py",
+        "    _, make, finish = _new_table()\n\n    def core(",
+        "    rows = []\n\n"
+        "    def make(op, left, right=None):\n"
+        "        rows.append((op, left, right))\n"
+        "        return len(rows) - 1\n\n"
+        "    def finish(root):\n"
+        "        return (*map(list, zip(*rows)), root)\n\n"
+        "    def core(",
+        (
+            "test_syntax.py::"
+            "test_tables_hold_distinct_rows_all_reached_golden",
+        ),
+    ),
     # the well-formedness gate
     Mutant(
         "check-well-formed-walks-a-parsed-formula",
@@ -210,10 +237,10 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "unroll-mention-ignores-a-right-operand",
+        "unroll-reach-ignores-a-right-operand",
         "reductions.py",
-        "mentions[i] = mentions[left] or (",
-        "mentions[i] = mentions[left] or 0 and (",
+        "                reached[rhs[i]] = 1\n",
+        "                reached[rhs[i]] = 0\n",
         (
             "test_reductions.py::"
             "test_unroll_on_rows_equals_the_tree_definition_random",
@@ -239,6 +266,17 @@ MUTANTS = [
         (
             "test_solver.py::"
             "test_solve_and_implication_make_no_desugared_table",
+        ),
+    ),
+    Mutant(
+        "implication-check-negates-the-antecedent",
+        "implication.py",
+        "make(AND, a, make(NOT, b))",
+        "make(AND, make(NOT, a), b)",
+        (
+            "test_implication.py::test_box_od_does_not_imply_weak_od",
+            "test_golden.py::"
+            "test_requests_answer_as_recorded[implies.jsonl-200]",
         ),
     ),
     Mutant(

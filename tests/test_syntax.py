@@ -19,6 +19,7 @@ from hypersat.reductions import drop_quantifiers, unroll_universals, zip_exists
 from hypersat.solver import Unsat
 from hypersat.syntax import (
     ATOM,
+    CONST,
     And,
     Atom,
     Const,
@@ -689,6 +690,52 @@ def test_carried_tables_are_well_formed_golden_encodings():
             [encoded, desugar(encoded), to_nnf(encoded)]
         )
     assert len(lines) == 10
+
+
+def assert_rows_reached(table, distinct=True):
+    # every row of the table is reached from its root, and with distinct,
+    # no two rows have the same (op, lhs, rhs)
+    ops, lhs, rhs, root = table
+    reached = [False] * len(ops)
+    reached[root] = True
+    for i in range(len(ops) - 1, -1, -1):  # operands come first
+        if reached[i] and ops[i] > CONST:
+            reached[lhs[i]] = True
+            if rhs[i] is not None:
+                reached[rhs[i]] = True
+    assert all(reached)
+    if distinct:
+        assert len(set(zip(ops, lhs, rhs))) == len(ops)
+
+
+def test_tables_hold_distinct_rows_all_reached_golden():
+    # the parser, desugar, to_nnf, the unrolling, the implication check and
+    # encode_pcp make hash-consed tables of the rows their root reaches;
+    # the relabelling of drop_quantifiers and zip_exists, row for row, may
+    # leave equal rows apart, but reaches every row too
+    lines = (GOLDEN / "sat_mix.jsonl").read_text(encoding="utf-8")
+    for line in lines.splitlines():
+        phi = parse_hyperltl(json.loads(line)["text"])
+        made = [phi, desugar(phi), to_nnf(phi)]
+        if isinstance(classify(phi), ExistsForall):
+            made.append(unroll_universals(phi))
+        for formula in made:
+            assert_rows_reached(formula._table)
+        assert_rows_reached(_reduced(phi)._table, distinct=False)
+    pairs = 0
+    lines = (GOLDEN / "implies.jsonl").read_text(encoding="utf-8")
+    for line in lines.splitlines():
+        left, right = map(parse_hyperltl, json.loads(line)["text"])
+        for check in _check_formulas(left, right):
+            assert_rows_reached(check._table)
+        pairs += 1
+    assert pairs == 200
+    lines = (GOLDEN / "encode_pcp.jsonl").read_text(encoding="utf-8")
+    for line in lines.splitlines():
+        request = json.loads(line)["text"]
+        stones = tuple(map(tuple, request["stones"]))
+        encoded = encode_pcp(PcpInstance(tuple(request["alphabet"]), stones))
+        assert_rows_reached(encoded._table)
 
 
 _COPIES = {
